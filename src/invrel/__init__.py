@@ -84,7 +84,7 @@ from .recursions import (
     g_weight,
 )
 from .families import (
-    FAMILY_PRESETS,
+    FAMILIES,
     EdsSequence,
     FactorSequences,
     affine_sequence,

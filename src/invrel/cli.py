@@ -21,29 +21,19 @@ import sys
 import time
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 from typing import Callable
 
 from . import __version__
-from .errors import ConfigError, VerificationError
+from .errors import ConfigError, DomainError, VerificationError
 from .families import (
-    FAMILY_PRESETS,
-    affine_sequence,
-    binomial_closed_entries,
-    binomial_kernel,
-    constant_sequence,
-    eds_closed_entries,
+    FAMILIES,
+    EdsSequence,
+    check_eds_w2,
     eds_generate,
     eds_kernel,
     eds_property_residual,
-    elliptic_sum_closed_entries,
-    elliptic_sum_kernel,
-    gasper_closed_entries,
-    gasper_kernel,
-    partial_theta_kernel,
-    schlosser_closed_entries,
-    schlosser_kernel,
-    warnaar_kernel,
 )
 from .identities import (
     max_anchored_tsi_residual,
@@ -51,9 +41,13 @@ from .identities import (
     max_tsi_residual,
 )
 from .kernels import (
+    Kernel,
+    f_entry,
+    g_entry,
     max_antisymmetry_residual,
     pair_from_kernel,
     verify_inversion,
+    worst_of,
 )
 from .numerics import DEFAULT_POLICY, Scalar, TruncationPolicy, is_exact, magnitude
 from .recursions import counterexample_discrepancies, counterexample_reference
@@ -101,6 +95,17 @@ def serialize_scalar(value: Scalar):
     if is_exact(value):
         return str(Fraction(value))
     return float(abs(value)) if isinstance(value, complex) else float(value)
+
+
+def parse_number(text: str | None, convert: Callable[[str], Scalar], flag: str) -> Scalar | None:
+    """``convert(text)``, or None for an absent value; unparsable text is a
+    ConfigError naming ``flag``."""
+    if text is None:
+        return None
+    try:
+        return convert(text)
+    except ValueError as exc:
+        raise ConfigError(f"bad {flag} {text!r}") from exc
 
 
 def parse_params(text: str) -> dict[str, Scalar]:
@@ -157,173 +162,65 @@ def load_config_file(path: str) -> dict[str, str]:
     return out
 
 
-# --- family registry -------------------------------------------------------------
-
-
-class FamilyRun:
-    def __init__(self, kernel, exact: bool, closed=None, eds_seq=None):
-        self.kernel = kernel
-        self.exact = exact
-        self.closed = closed
-        self.eds_seq = eds_seq
-
-
-def _take(family: str, params: dict, keys: tuple[str, ...]) -> list[Scalar]:
-    unknown = set(params) - set(keys)
-    if unknown:
-        raise ConfigError(f"{family}: unknown params {sorted(unknown)}")
-    missing = [k for k in keys if k not in params]
-    if missing:
-        raise ConfigError(f"{family}: missing params {missing}")
-    return [params[k] for k in keys]
-
-
-def _build_binomial(params, window, policy) -> FamilyRun:
-    _take("binomial", params, ())
-    return FamilyRun(binomial_kernel(), True, binomial_closed_entries())
-
-
-def _build_gasper(params, window, policy) -> FamilyRun:
-    a, b, p, q = _take("gasper", params, ("a", "b", "p", "q"))
-    kernel = gasper_kernel(a, b, p, q, window=window)
-    return FamilyRun(kernel, True, gasper_closed_entries(a, b, p, q))
-
-
-def _build_schlosser(params, window, policy) -> FamilyRun:
-    a, b, c, q = _take("schlosser", params, ("a", "b", "c", "q"))
-    kernel = schlosser_kernel(a, b, c, q, window=window)
-    return FamilyRun(kernel, True, schlosser_closed_entries(a, b, c, q))
-
-
-def _build_warnaar(params, window, policy) -> FamilyRun:
-    q, b0, bstep, x0, xstep = _take("warnaar", params, ("q", "b0", "bstep", "x0", "xstep"))
-    kernel = warnaar_kernel(
-        q, affine_sequence(b0, bstep), affine_sequence(x0, xstep), policy, window
-    )
-    return FamilyRun(kernel, False)
-
-
-def _build_elliptic_sum(params, window, policy) -> FamilyRun:
-    x, y, q, p, t = _take("elliptic-sum", params, ("x", "y", "q", "p", "t"))
-    kernel = elliptic_sum_kernel(x, y, q, p, constant_sequence(t), policy, window)
-    closed = elliptic_sum_closed_entries(x, y, q, p, constant_sequence(t), policy)
-    return FamilyRun(kernel, False, closed)
-
-
-def _build_partial_theta(params, window, policy) -> FamilyRun:
-    q, a0, astep, b0, bstep = _take(
-        "partial-theta", params, ("q", "a0", "astep", "b0", "bstep")
-    )
-    kernel = partial_theta_kernel(
-        q, affine_sequence(a0, astep), affine_sequence(b0, bstep), policy, window
-    )
-    return FamilyRun(kernel, False)
-
-
-def _build_eds(params, window, policy) -> FamilyRun:
-    w2, w3, w4 = _take("eds", params, ("w2", "w3", "w4"))
-    if w2 == 0:
-        raise ConfigError("eds: W_2 = 0 is degenerate (squared in the recurrence and in entries)")
-    lo, hi = window
-    seq = eds_generate(w2, w3, w4, n_max=2 * max(abs(lo), abs(hi)))
-    kernel = eds_kernel(seq, window=window)
-    return FamilyRun(kernel, True, eds_closed_entries(seq), eds_seq=seq)
-
-
-FAMILY_BUILDERS: dict[str, Callable] = {
-    "binomial": _build_binomial,
-    "gasper": _build_gasper,
-    "schlosser": _build_schlosser,
-    "warnaar": _build_warnaar,
-    "elliptic-sum": _build_elliptic_sum,
-    "partial-theta": _build_partial_theta,
-    "eds": _build_eds,
-}
-
-
-def default_checks(family: str, run: FamilyRun) -> tuple[str, ...]:
-    checks = ["antisym", "tsi", "qsi", "cond3", "delta"]
-    if run.closed is not None:
-        checks.append("closed-form")
-    if run.eds_seq is not None:
-        checks.append("eds-property")
-    return tuple(checks)
-
-
 # --- check execution ---------------------------------------------------------------
 
 
-def _closed_form_worst(run: FamilyRun, window) -> Scalar:
-    from .kernels import f_entry, g_entry
-
-    closed_f, closed_g = run.closed
+def _closed_form_worst(kernel: Kernel, closed, window) -> Scalar:
+    closed_f, closed_g = closed
     lo, hi = window
-    worst: Scalar = 0
-    for k in range(lo, hi + 1):
-        for n in range(k, hi + 1):
-            for diff in (
-                closed_f(n, k) - f_entry(run.kernel, n, k),
-                closed_g(n, k) - g_entry(run.kernel, n, k),
-            ):
-                if abs(diff) > abs(worst):
-                    worst = diff
-    return worst
+    return worst_of(
+        diff
+        for k in range(lo, hi + 1)
+        for n in range(k, hi + 1)
+        for diff in (
+            closed_f(n, k) - f_entry(kernel, n, k),
+            closed_g(n, k) - g_entry(kernel, n, k),
+        )
+    )
 
 
-def _eds_property_worst(run: FamilyRun, window) -> Scalar:
-    seq = run.eds_seq
-    reach = seq.n_max // 2
-    worst: Scalar = 0
-    idx = range(-reach, reach + 1)
-    for k in idx:
-        for p in idx:
-            for q in idx:
-                r = eds_property_residual(seq, k, p, q)
-                if abs(r) > abs(worst):
-                    worst = r
-    return worst
+def _eds_property_worst(seq: EdsSequence) -> Scalar:
+    idx = range(-(seq.n_max // 2), seq.n_max // 2 + 1)
+    return worst_of(eds_property_residual(seq, k, p, q) for k, p, q in product(idx, repeat=3))
 
 
-def run_check(name: str, run: FamilyRun, window, tol) -> dict:
-    start = time.perf_counter()
-    if name == "antisym":
-        worst = max_antisymmetry_residual(run.kernel, window)
-    elif name == "tsi":
-        worst = max_tsi_residual(run.kernel, window)
-    elif name == "qsi":
-        worst = max_qsi_residual(run.kernel, window)
-    elif name == "cond3":
-        worst = max_anchored_tsi_residual(run.kernel, window)
-    elif name == "delta":
-        report = verify_inversion(pair_from_kernel(run.kernel, window, validate=False), tol)
-        worst = report.worst_value
-    elif name == "closed-form":
-        worst = _closed_form_worst(run, window)
-    elif name == "eds-property":
-        worst = _eds_property_worst(run, window)
-    else:
-        raise ConfigError(f"unknown check {name!r}")
-    elapsed_ms = (time.perf_counter() - start) * 1e3
+# Each check maps a built family ``(kernel, closed, eds_seq)``, the window and
+# the tolerance to its worst residual.  The lambdas look the sweeps up by
+# module name at call time, so wrapping a sweep in this module wraps the check.
+CHECKS: dict[str, Callable] = {
+    "antisym": lambda run, window, tol: max_antisymmetry_residual(run[0], window),
+    "tsi": lambda run, window, tol: max_tsi_residual(run[0], window),
+    "qsi": lambda run, window, tol: max_qsi_residual(run[0], window),
+    "cond3": lambda run, window, tol: max_anchored_tsi_residual(run[0], window),
+    "delta": lambda run, window, tol: verify_inversion(
+        pair_from_kernel(run[0], window, validate=False), tol
+    ).worst_value,
+    "closed-form": lambda run, window, tol: _closed_form_worst(run[0], run[1], window),
+    "eds-property": lambda run, window, tol: _eds_property_worst(run[2]),
+}
+
+
+def check_record(name: str, worst: Scalar, tol: float | None, start: float) -> dict:
+    """The report entry of one check whose timing began at ``start``."""
     passed = worst == 0 if tol is None else magnitude(worst) <= tol
     return {
         "name": name,
         "pass": bool(passed),
         "exact": tol is None,
         "worst_residual": serialize_scalar(worst),
-        "elapsed_ms": round(elapsed_ms, 3),
+        "elapsed_ms": round((time.perf_counter() - start) * 1e3, 3),
     }
 
 
 def cmd_verify(config: RunConfig) -> dict:
     """Run one family's suite; returns the report document."""
     family, policy = config.family, config.policy
-    if family not in FAMILY_BUILDERS:
-        raise ConfigError(f"unknown family {family!r}; known: {sorted(FAMILY_BUILDERS)}")
-    preset = FAMILY_PRESETS[family]
-    merged = dict(preset["params"])
-    merged.update(config.params)
-    window = config.window if config.window is not None else preset["window"]
-    tolerance = config.tolerance if config.tolerance is not None else preset["tolerance"]
+    if family not in FAMILIES:
+        raise ConfigError(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
+    preset = FAMILIES[family]
+    merged = {**preset.params, **config.params}
+    window = config.window if config.window is not None else preset.window
+    tolerance = config.tolerance if config.tolerance is not None else preset.tolerance
     checks = config.checks
 
     doc = {
@@ -344,29 +241,31 @@ def cmd_verify(config: RunConfig) -> dict:
             raise ConfigError(f"unknown checks {sorted(bad)}; known: {CHECK_NAMES}")
         if "counterexample" in checks:
             raise ConfigError("the counterexample check runs via the counterexample subcommand")
+    unknown = set(config.params) - set(preset.params)
+    if unknown:
+        raise ConfigError(f"{family}: unknown params {sorted(unknown)}")
 
     try:
-        run = FAMILY_BUILDERS[family](merged, window, policy)
+        run = preset.build(merged, window, policy)
+        if tolerance is not None and tolerance <= 0:
+            raise ConfigError("tolerance must be positive")
+        _, closed, eds_seq = run
+        if checks is None:
+            checks = ("antisym", "tsi", "qsi", "cond3", "delta")
+            if closed is not None:
+                checks += ("closed-form",)
+            if eds_seq is not None:
+                checks += ("eds-property",)
+        if "closed-form" in checks and closed is None:
+            raise ConfigError(f"{family}: no independent closed form is available")
+        if "eds-property" in checks and eds_seq is None:
+            raise ConfigError(f"{family}: eds-property applies only to the eds family")
+        for name in checks:
+            start = time.perf_counter()
+            worst = CHECKS[name](run, window, tolerance)
+            doc["checks"].append(check_record(name, worst, tolerance, start))
     except ConfigError:
         raise
-    except VerificationError as exc:
-        doc["error"] = f"{type(exc).__name__}: {exc}"
-        return doc
-    if tolerance is None and not run.exact:
-        raise ConfigError(f"{family}: a positive --tolerance is required for float families")
-    if tolerance is not None and tolerance <= 0:
-        raise ConfigError("tolerance must be positive")
-
-    if checks is None:
-        checks = default_checks(family, run)
-    if "closed-form" in checks and run.closed is None:
-        raise ConfigError(f"{family}: no independent closed form is available")
-    if "eds-property" in checks and run.eds_seq is None:
-        raise ConfigError(f"{family}: eds-property applies only to the eds family")
-
-    try:
-        for name in checks:
-            doc["checks"].append(run_check(name, run, window, tolerance))
     except VerificationError as exc:
         doc["error"] = f"{type(exc).__name__}: {exc}"
         return doc
@@ -404,8 +303,7 @@ def cmd_counterexample(k_values) -> dict:
 def cmd_eds(seeds: tuple[Scalar, Scalar, Scalar], n_max: int, window=None) -> dict:
     """Table, recurrence round-trip, exhaustive property check, and delta."""
     w2, w3, w4 = seeds
-    if w2 == 0:
-        raise ConfigError("eds: W_2 = 0 is degenerate (squared in the recurrence and in entries)")
+    check_eds_w2(w2)
     doc = {
         "artifact": "invrel",
         "version": __version__,
@@ -415,64 +313,20 @@ def cmd_eds(seeds: tuple[Scalar, Scalar, Scalar], n_max: int, window=None) -> di
         "checks": [],
         "passed": False,
     }
-    try:
-        seq = eds_generate(w2, w3, w4, n_max)
-    except VerificationError as exc:
-        doc["error"] = f"{type(exc).__name__}: {exc}"
-        return doc
-    doc["table"] = [[n, serialize_scalar(seq.w(n))] for n in range(0, seq.n_max + 1)]
-
-    start = time.perf_counter()
-    worst: Scalar = 0
-    for n in range(-(seq.n_max - 2), seq.n_max - 1):
-        r = seq.recurrence_residual(n)
-        if abs(r) > abs(worst):
-            worst = r
-    doc["checks"].append(
-        {
-            "name": "recurrence",
-            "pass": worst == 0,
-            "exact": True,
-            "worst_residual": serialize_scalar(worst),
-            "elapsed_ms": round((time.perf_counter() - start) * 1e3, 3),
-        }
-    )
-
-    start = time.perf_counter()
-    reach = seq.n_max // 2
-    worst = 0
-    idx = range(-reach, reach + 1)
-    for k in idx:
-        for p in idx:
-            for q in idx:
-                r = eds_property_residual(seq, k, p, q)
-                if abs(r) > abs(worst):
-                    worst = r
-    doc["checks"].append(
-        {
-            "name": "eds-property",
-            "pass": worst == 0,
-            "exact": True,
-            "worst_residual": serialize_scalar(worst),
-            "elapsed_ms": round((time.perf_counter() - start) * 1e3, 3),
-        }
-    )
-
     if window is None:
         window = (1, max(1, min(6, n_max // 2)))
-    start = time.perf_counter()
     try:
+        seq = eds_generate(w2, w3, w4, n_max)
+        doc["table"] = [[n, serialize_scalar(seq.w(n))] for n in range(0, seq.n_max + 1)]
+        start = time.perf_counter()
+        worst = worst_of(seq.recurrence_residual(n) for n in range(-(seq.n_max - 2), seq.n_max - 1))
+        doc["checks"].append(check_record("recurrence", worst, None, start))
+        start = time.perf_counter()
+        doc["checks"].append(check_record("eds-property", _eds_property_worst(seq), None, start))
+        start = time.perf_counter()
         kernel = eds_kernel(seq, window=window)
         report = verify_inversion(pair_from_kernel(kernel, window, validate=False))
-        doc["checks"].append(
-            {
-                "name": "delta",
-                "pass": report.passed,
-                "exact": True,
-                "worst_residual": serialize_scalar(report.worst_value),
-                "elapsed_ms": round((time.perf_counter() - start) * 1e3, 3),
-            }
-        )
+        doc["checks"].append(check_record("delta", report.worst_value, None, start))
         doc["window"] = f"{window[0]}..{window[1]}"
     except VerificationError as exc:
         doc["error"] = f"{type(exc).__name__}: {exc}"
@@ -484,12 +338,14 @@ def cmd_eds(seeds: tuple[Scalar, Scalar, Scalar], n_max: int, window=None) -> di
 # --- argument plumbing ----------------------------------------------------------
 
 
-def _emit(doc: dict, out: str | None) -> None:
+def _emit(doc: dict, out: str | None) -> int:
+    """Write the report; returns the exit status (0 iff it passed)."""
     text = json.dumps(doc, indent=2)
     if out:
         Path(out).write_text(text + "\n")
     else:
         print(text)
+    return 0 if doc["passed"] else 1
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -500,7 +356,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="subcommand", required=True)
 
     pv = sub.add_parser("verify", help="run a family's check suite")
-    pv.add_argument("--family", help=f"one of {sorted(FAMILY_BUILDERS)}")
+    pv.add_argument("--family", help=f"one of {sorted(FAMILIES)}")
     pv.add_argument("--params", help="comma-separated key=value scalars (rationals as p/q)")
     pv.add_argument("--window", help="closed index window lo..hi")
     pv.add_argument("--tolerance", help="residual tolerance for float families")
@@ -529,14 +385,16 @@ def _verify_main(args) -> int:
     def pick(flag_value, key):
         return flag_value if flag_value is not None else cfg.get(key)
 
-    tail = pick(args.truncation_tail, "truncation-tail")
-    cap = pick(args.truncation_max, "truncation-max")
-    policy = TruncationPolicy(
-        float(tail) if tail is not None else DEFAULT_POLICY.tail_bound,
-        int(cap) if cap is not None else DEFAULT_POLICY.max_terms,
-    )
-    tol_text = pick(args.tolerance, "tolerance")
-    tolerance = float(tol_text) if tol_text is not None else None
+    tail = parse_number(pick(args.truncation_tail, "truncation-tail"), float, "--truncation-tail")
+    cap = parse_number(pick(args.truncation_max, "truncation-max"), int, "--truncation-max")
+    try:
+        policy = TruncationPolicy(
+            DEFAULT_POLICY.tail_bound if tail is None else tail,
+            DEFAULT_POLICY.max_terms if cap is None else cap,
+        )
+    except DomainError as exc:
+        raise ConfigError(f"bad truncation policy: {exc}") from exc
+    tolerance = parse_number(pick(args.tolerance, "tolerance"), float, "--tolerance")
     window_text = pick(args.window, "window")
     window = parse_window(window_text) if window_text is not None else None
     checks_text = pick(args.checks, "checks")
@@ -546,7 +404,7 @@ def _verify_main(args) -> int:
 
     if args.all_presets:
         docs = [
-            cmd_verify(RunConfig(family=name, policy=policy)) for name in FAMILY_BUILDERS
+            cmd_verify(RunConfig(family=name, policy=policy)) for name in FAMILIES
         ]
         doc = {
             "artifact": "invrel",
@@ -555,8 +413,7 @@ def _verify_main(args) -> int:
             "families": docs,
             "passed": all(d["passed"] for d in docs),
         }
-        _emit(doc, out)
-        return 0 if doc["passed"] else 1
+        return _emit(doc, out)
 
     family = pick(args.family, "family")
     if not family:
@@ -567,8 +424,7 @@ def _verify_main(args) -> int:
             tolerance=tolerance, policy=policy, checks=checks,
         )
     )
-    _emit(doc, out)
-    return 0 if doc["passed"] else 1
+    return _emit(doc, out)
 
 
 def main(argv=None) -> int:
@@ -578,16 +434,14 @@ def main(argv=None) -> int:
             return _verify_main(args)
         if args.subcommand == "counterexample":
             doc = cmd_counterexample(list(parse_int_range(args.k)))
-            _emit(doc, args.out)
-            return 0 if doc["passed"] else 1
+            return _emit(doc, args.out)
         if args.subcommand == "eds":
             seeds = [parse_scalar(s) for s in args.seeds.split(",")]
             if len(seeds) != 3:
                 raise ConfigError("--seeds needs exactly three values W_2,W_3,W_4")
             window = parse_window(args.window) if args.window else None
-            doc = cmd_eds(tuple(seeds), int(args.n), window)
-            _emit(doc, args.out)
-            return 0 if doc["passed"] else 1
+            doc = cmd_eds(tuple(seeds), parse_number(args.n, int, "--n"), window)
+            return _emit(doc, args.out)
         raise ConfigError(f"unknown subcommand {args.subcommand!r}")
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -10,17 +10,20 @@ passing ``window`` validates admissibility (nonzero diagonal alpha, nonzero
 off-diagonal beta) up front and reports violations as
 :class:`~invrel.errors.DegenerateParams`.  Where an independent closed form
 of the entries exists, ``*_closed_entries`` returns ``(F, G)`` callables to
-compare against the generic builders.
+compare against the generic builders.  :data:`FAMILIES` registers each
+family's reproducible preset and builder.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 from typing import Callable
 
 from .errors import (
+    ConfigError,
     DegenerateParams,
     IndexOutOfTable,
     VerificationError,
@@ -535,38 +538,71 @@ def eds_closed_entries(W: EdsSequence) -> tuple[Callable, Callable]:
     return f_closed, g_closed
 
 
-# --- reproducible presets -------------------------------------------------------
+# --- family registry -------------------------------------------------------------
 
-FAMILY_PRESETS: dict[str, dict] = {
-    "binomial": {"params": {}, "window": (0, 8), "tolerance": None},
-    "gasper": {
-        "params": {"a": Fraction(2), "b": Fraction(3), "p": Fraction(1, 5), "q": Fraction(1, 7)},
-        "window": (0, 6),
-        "tolerance": None,
-    },
-    "schlosser": {
-        "params": {"a": Fraction(1, 2), "b": Fraction(2), "c": Fraction(7), "q": Fraction(1, 3)},
-        "window": (0, 6),
-        "tolerance": None,
-    },
-    "warnaar": {
-        "params": {"q": 0.1, "b0": 2.0, "bstep": 0.1, "x0": 0.3, "xstep": 0.05},
-        "window": (0, 4),
-        "tolerance": 1e-9,
-    },
-    "elliptic-sum": {
-        "params": {"x": 0.3, "y": 0.7, "q": 0.4, "p": 0.1, "t": 1.0},
-        "window": (0, 3),
-        "tolerance": 1e-8,
-    },
-    "partial-theta": {
-        "params": {"q": 0.1, "a0": 1.0, "astep": 0.1, "b0": 0.2, "bstep": 0.05},
-        "window": (0, 3),
-        "tolerance": 1e-8,
-    },
-    "eds": {
-        "params": {"w2": Fraction(1), "w3": Fraction(-1), "w4": Fraction(1)},
-        "window": (1, 6),
-        "tolerance": None,
-    },
+
+def check_eds_w2(w2: Scalar) -> None:
+    """Refuse ``W_2 = 0`` as input: it is squared in the recurrence and in entries."""
+    if w2 == 0:
+        raise ConfigError("eds: W_2 = 0 is degenerate (squared in the recurrence and in entries)")
+
+
+@dataclass(frozen=True)
+class Family:
+    """One registered family: a reproducible preset and its builder.
+
+    ``params`` names every accepted parameter with its preset value; a
+    ``tolerance`` of None marks an exact family.  ``build(params, window,
+    policy)`` returns ``(kernel, closed, eds_seq)``: the kernel, the printed
+    closed-form ``(F, G)`` pair or None, and the generated sequence of the
+    eds family or None.  Builders call the constructors through their module
+    names, so wrapping a constructor in this module also wraps the registry.
+    """
+
+    params: dict[str, Scalar]
+    window: Window
+    tolerance: float | None
+    build: Callable[[dict, Window, TruncationPolicy], tuple]
+
+
+def _build_elliptic_sum(p: dict, window: Window, policy: TruncationPolicy) -> tuple:
+    args = (p["x"], p["y"], p["q"], p["p"], constant_sequence(p["t"]), policy)
+    return elliptic_sum_kernel(*args, window), elliptic_sum_closed_entries(*args), None
+
+
+def _build_eds(p: dict, window: Window, policy: TruncationPolicy) -> tuple:
+    check_eds_w2(p["w2"])
+    seq = eds_generate(p["w2"], p["w3"], p["w4"], n_max=2 * max(abs(window[0]), abs(window[1])))
+    return eds_kernel(seq, window=window), eds_closed_entries(seq), seq
+
+
+FAMILIES: dict[str, Family] = {
+    "binomial": Family(
+        {}, (0, 8), None,
+        lambda p, w, policy: (binomial_kernel(), binomial_closed_entries(), None),
+    ),
+    "gasper": Family(
+        {"a": Fraction(2), "b": Fraction(3), "p": Fraction(1, 5), "q": Fraction(1, 7)}, (0, 6), None,
+        lambda p, w, policy: (gasper_kernel(**p, window=w), gasper_closed_entries(**p), None),
+    ),
+    "schlosser": Family(
+        {"a": Fraction(1, 2), "b": Fraction(2), "c": Fraction(7), "q": Fraction(1, 3)}, (0, 6), None,
+        lambda p, w, policy: (schlosser_kernel(**p, window=w), schlosser_closed_entries(**p), None),
+    ),
+    "warnaar": Family(
+        {"q": 0.1, "b0": 2.0, "bstep": 0.1, "x0": 0.3, "xstep": 0.05}, (0, 4), 1e-9,
+        lambda p, w, policy: (warnaar_kernel(
+            p["q"], affine_sequence(p["b0"], p["bstep"]), affine_sequence(p["x0"], p["xstep"]), policy, w
+        ), None, None),
+    ),
+    "elliptic-sum": Family(
+        {"x": 0.3, "y": 0.7, "q": 0.4, "p": 0.1, "t": 1.0}, (0, 3), 1e-8, _build_elliptic_sum
+    ),
+    "partial-theta": Family(
+        {"q": 0.1, "a0": 1.0, "astep": 0.1, "b0": 0.2, "bstep": 0.05}, (0, 3), 1e-8,
+        lambda p, w, policy: (partial_theta_kernel(
+            p["q"], affine_sequence(p["a0"], p["astep"]), affine_sequence(p["b0"], p["bstep"]), policy, w
+        ), None, None),
+    ),
+    "eds": Family({"w2": Fraction(1), "w3": Fraction(-1), "w4": Fraction(1)}, (1, 6), None, _build_eds),
 }

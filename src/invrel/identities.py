@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import product
 
 from .errors import DomainError, DuplicateNodes
-from .kernels import Kernel, Window, check_window
+from .kernels import Kernel, Window, check_window, worst_of
 from .numerics import Scalar, reciprocal
 
 
@@ -56,19 +56,11 @@ def qsi_residual(kernel: Kernel, x: int, y: int, p: int, q: int) -> Scalar:
     )
 
 
-def _max_over(values) -> Scalar:
-    worst: Scalar = 0
-    for v in values:
-        if abs(v) > abs(worst):
-            worst = v
-    return worst
-
-
 def max_tsi_residual(kernel: Kernel, window: Window) -> Scalar:
     """Largest-magnitude TSI residual over all quadruples in ``window^4``."""
     lo, hi = check_window(window)
     idx = range(lo, hi + 1)
-    return _max_over(
+    return worst_of(
         tsi_residual(kernel, n, k, p, q) for n, k, p, q in product(idx, repeat=4)
     )
 
@@ -77,7 +69,7 @@ def max_anchored_tsi_residual(kernel: Kernel, window: Window) -> Scalar:
     """Largest-magnitude anchored residual over all triples in ``window^3``."""
     lo, hi = check_window(window)
     idx = range(lo, hi + 1)
-    return _max_over(
+    return worst_of(
         anchored_tsi_residual(kernel, x, p, y) for x, p, y in product(idx, repeat=3)
     )
 
@@ -86,7 +78,7 @@ def max_qsi_residual(kernel: Kernel, window: Window) -> Scalar:
     """Largest-magnitude QSI residual over all quadruples in ``window^4``."""
     lo, hi = check_window(window)
     idx = range(lo, hi + 1)
-    return _max_over(
+    return worst_of(
         qsi_residual(kernel, x, y, p, q) for x, y, p, q in product(idx, repeat=4)
     )
 

@@ -16,7 +16,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable
+from itertools import chain
+from typing import Callable, Iterable
 
 from .errors import (
     DomainError,
@@ -28,6 +29,16 @@ from .errors import (
 from .numerics import Scalar, magnitude, reciprocal
 
 Window = tuple[int, int]
+
+
+def worst_of(values: Iterable[Scalar]) -> Scalar:
+    """The largest-magnitude value (the first on ties), or the exact ``0``
+    when there is none, so an all-zero sweep reports ``0`` in every domain."""
+    worst: Scalar = 0
+    for v in values:
+        if abs(v) > abs(worst):
+            worst = v
+    return worst
 
 
 def check_window(window: Window) -> Window:
@@ -218,13 +229,9 @@ def validate_kernel_window(kernel: Kernel, window: Window) -> None:
 def max_antisymmetry_residual(kernel: Kernel, window: Window) -> Scalar:
     """Largest ``beta(i,k) + beta(k,i)`` over the window (0 if antisymmetric)."""
     lo, hi = check_window(window)
-    worst: Scalar = 0
-    for i in range(lo, hi + 1):
-        for k in range(i, hi + 1):
-            r = kernel.beta(i, k) + kernel.beta(k, i)
-            if abs(r) > abs(worst):
-                worst = r
-    return worst
+    return worst_of(
+        kernel.beta(i, k) + kernel.beta(k, i) for i in range(lo, hi + 1) for k in range(i, hi + 1)
+    )
 
 
 def pair_from_kernel(kernel: Kernel, window: Window, validate: bool = True) -> TriangularPair:
@@ -302,11 +309,7 @@ def verify_inversion(pair: TriangularPair, tol: float | None = None) -> Verifica
     residuals = _compose(fvals, gvals)
     transposed = _compose(gvals, fvals)
 
-    worst_value: Scalar = 0
-    for table in (residuals, transposed):
-        for r in table.values():
-            if abs(r) > abs(worst_value):
-                worst_value = r
+    worst_value = worst_of(chain(residuals.values(), transposed.values()))
     if tol is None:
         passed = worst_value == 0
         mode = "exact"

@@ -60,6 +60,20 @@ class TestParsing:
         assert list(parse_int_range("1..3")) == [1, 2, 3]
         assert list(parse_int_range("5")) == [5]
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--tolerance=abc"),
+            ("verify", "--truncation-max=x"),
+            ("verify", "--truncation-tail=2"),
+            ("eds", "--n=abc"),
+        ],
+    )
+    def test_bad_numeric_flag_is_config_error(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_serialize(self):
         assert serialize_scalar(Fraction(0)) == "0"
         assert serialize_scalar(Fraction(77, 120)) == "77/120"
@@ -139,6 +153,24 @@ class TestVerifyCommand:
         assert doc["passed"] and len(doc["families"]) == 7
         names = [d["family"] for d in doc["families"]]
         assert "eds" in names and "partial-theta" in names
+
+    def test_all_presets_default_checks(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--all-presets")
+        assert code == 0
+        docs = {d["family"]: d for d in json.loads(out)["families"]}
+        base = ["antisym", "tsi", "qsi", "cond3", "delta"]
+        assert {family: [c["name"] for c in d["checks"]] for family, d in docs.items()} == {
+            "binomial": base + ["closed-form"],
+            "gasper": base + ["closed-form"],
+            "schlosser": base + ["closed-form"],
+            "warnaar": base,
+            "elliptic-sum": base + ["closed-form"],
+            "partial-theta": base,
+            "eds": base + ["closed-form", "eds-property"],
+        }
+        # a float sweep whose residuals are all exactly zero reports the exact "0"
+        antisym = docs["elliptic-sum"]["checks"][0]
+        assert antisym["worst_residual"] == "0" and antisym["pass"]
 
     def test_out_file(self, capsys, tmp_path):
         target = tmp_path / "report.json"
@@ -233,6 +265,12 @@ class TestEdsCommand:
         doc = json.loads(out)
         assert doc["window"] == "1..2"
         assert doc["passed"]
+
+    def test_table_too_short_is_reported(self, capsys):
+        code, out, _ = run_cli(capsys, "eds", "--n=2")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["error"].startswith("IndexOutOfTable: W(3)") and not doc["passed"]
 
     def test_zero_w2_rejected(self, capsys):
         code, _, err = run_cli(capsys, "eds", "--seeds", "0,1,1", "--n", "8")

@@ -25,6 +25,7 @@ from invrel import (
     validate_kernel_window,
     verify_inversion,
 )
+from invrel.kernels import worst_of
 
 GASPER_PARAMS = (Fraction(2), Fraction(3), Fraction(1, 5), Fraction(1, 7))
 
@@ -132,6 +133,18 @@ class TestWindowValidation:
         assert max_antisymmetry_residual(binomial_kernel(), (-3, 3)) == 0
         lopsided = Kernel(alpha=lambda i, k: 1, beta=lambda i, k: i + k)
         assert max_antisymmetry_residual(lopsided, (0, 3)) != 0
+
+
+class TestWorstOf:
+    def test_largest_magnitude_first_on_ties(self):
+        assert worst_of([1, -3, Fraction(5, 2), 3]) == -3
+        assert worst_of(iter([0.5, -0.25])) == 0.5
+
+    def test_all_zero_sweep_reports_exact_zero(self):
+        # float zeros never replace the exact start, so reports print "0"
+        for values in ([], [0.0, -0.0], [0.0j]):
+            worst = worst_of(values)
+            assert worst == 0 and type(worst) is int
 
 
 class TestNodeSequences:

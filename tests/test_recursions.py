@@ -22,6 +22,8 @@ from invrel import (
     f_weight,
     g_weight,
     max_tsi_residual,
+    pair_from_kernel,
+    verify_inversion,
 )
 
 
@@ -195,3 +197,20 @@ class TestCounterexample:
         assert inv[(1, 3)] == tsi[(1, 3)]
         assert inv[(1, 4)] != tsi[(1, 4)]
         assert inv[(1, 5)] != tsi[(1, 5)]
+
+    def test_delta_passes_exactly_where_triple_sum_fails(self):
+        # The headline claim as its own negative control: the window-delta
+        # route's beta, extended antisymmetrically, gives a pair that passes
+        # the delta check exactly while the triple sum identity fails.
+        seed = sum_seed((1, 5))
+        table = beta_table_inversion(seed)
+
+        def beta(i, k):
+            if i == k:
+                return Fraction(0)
+            return table[(i, k)] if i < k else -table[(k, i)]
+
+        kernel = Kernel(alpha=seed.alpha, beta=beta, name="inversion-route")
+        report = verify_inversion(pair_from_kernel(kernel, (1, 5)))
+        assert report.passed and report.mode == "exact" and report.worst_value == 0
+        assert max_tsi_residual(kernel, (1, 5)) == Fraction(-3124407, 123340)
