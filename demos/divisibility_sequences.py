@@ -36,7 +36,7 @@ violations = sum(
 print("three-term product identity violations, |k|,|p|,|q| <= 8:", violations)
 
 kernel = eds_kernel(seq, window=(1, 6))
-report = verify_inversion(pair_from_kernel(kernel, (1, 6), validate=False))
+report = verify_inversion(pair_from_kernel(kernel, (1, 6)))
 print(f"delta on [1,6]: passed={report.passed} worst={report.worst_value}")
 
 closed_f, closed_g = eds_closed_entries(seq)

@@ -17,13 +17,14 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import partial
 from itertools import product
 from pathlib import Path
-from typing import Callable
+from typing import Callable, Iterable
 
 from . import __version__
 from .errors import ConfigError, DomainError, VerificationError
@@ -41,15 +42,14 @@ from .identities import (
     max_tsi_residual,
 )
 from .kernels import (
-    Kernel,
-    f_entry,
-    g_entry,
+    TriangularPair,
     max_antisymmetry_residual,
     pair_from_kernel,
+    passes,
     verify_inversion,
     worst_of,
 )
-from .numerics import DEFAULT_POLICY, Scalar, TruncationPolicy, is_exact, magnitude
+from .numerics import DEFAULT_POLICY, Scalar, TruncationPolicy, is_exact
 from .recursions import counterexample_discrepancies, counterexample_reference
 
 CHECK_NAMES = (
@@ -58,43 +58,32 @@ CHECK_NAMES = (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """One verification run.
-
-    ``window``, ``tolerance``, and ``checks`` left as None fall back to the
-    family preset (respectively the family's default check set).
-    """
-
-    family: str
-    params: dict = field(default_factory=dict)
-    window: tuple[int, int] | None = None
-    tolerance: float | None = None
-    policy: TruncationPolicy = DEFAULT_POLICY
-    checks: tuple[str, ...] | None = None
-
-
 # --- scalar/window parsing ------------------------------------------------------
 
 
 def parse_scalar(text: str) -> Scalar:
-    """``"p/q"`` -> Fraction, decimal/scientific -> float, else int."""
+    """``"p/q"`` -> Fraction, finite decimal/scientific -> float, else int."""
     t = text.strip()
     try:
         if "/" in t:
             return Fraction(t)
         if any(c in t for c in ".eE") and not t.lstrip("+-").isdigit():
-            return float(t)
+            value = float(t)
+            if not math.isfinite(value):
+                raise ValueError
+            return value
         return int(t)
     except (ValueError, ZeroDivisionError) as exc:
         raise ConfigError(f"cannot parse scalar {text!r}") from exc
 
 
 def serialize_scalar(value: Scalar):
-    """Exact values render as strings ('0', 'num/den'); floats stay numbers."""
+    """Exact values render as strings ('0', 'num/den'); finite floats stay
+    numbers, and non-finite ones become 'nan', 'inf' or '-inf' (valid JSON)."""
     if is_exact(value):
         return str(Fraction(value))
-    return float(abs(value)) if isinstance(value, complex) else float(value)
+    out = float(abs(value)) if isinstance(value, complex) else float(value)
+    return out if math.isfinite(out) else str(out)
 
 
 def parse_number(text: str | None, convert: Callable[[str], Scalar], flag: str) -> Scalar | None:
@@ -149,7 +138,7 @@ def load_config_file(path: str) -> dict[str, str]:
     out: dict[str, str] = {}
     try:
         lines = Path(path).read_text().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeError) as exc:
         raise ConfigError(f"cannot read config {path!r}: {exc}") from exc
     for raw in lines:
         line = raw.strip()
@@ -165,17 +154,14 @@ def load_config_file(path: str) -> dict[str, str]:
 # --- check execution ---------------------------------------------------------------
 
 
-def _closed_form_worst(kernel: Kernel, closed, window) -> Scalar:
+def _closed_form_worst(pair: TriangularPair, closed) -> Scalar:
     closed_f, closed_g = closed
-    lo, hi = window
+    lo, hi = pair.window
     return worst_of(
         diff
         for k in range(lo, hi + 1)
         for n in range(k, hi + 1)
-        for diff in (
-            closed_f(n, k) - f_entry(kernel, n, k),
-            closed_g(n, k) - g_entry(kernel, n, k),
-        )
+        for diff in (closed_f(n, k) - pair.f(n, k), closed_g(n, k) - pair.g(n, k))
     )
 
 
@@ -184,97 +170,122 @@ def _eds_property_worst(seq: EdsSequence) -> Scalar:
     return worst_of(eds_property_residual(seq, k, p, q) for k, p, q in product(idx, repeat=3))
 
 
-# Each check maps a built family ``(kernel, closed, eds_seq)``, the window and
-# the tolerance to its worst residual.  The lambdas look the sweeps up by
-# module name at call time, so wrapping a sweep in this module wraps the check.
+# Each check maps a built family ``(kernel, closed, eds_seq)``, its memoised
+# F/G pair (None unless delta or closed-form runs), the window and the
+# tolerance to its worst residual.  The lambdas look the sweeps up by module
+# name at call time, so wrapping a sweep in this module wraps the check.
 CHECKS: dict[str, Callable] = {
-    "antisym": lambda run, window, tol: max_antisymmetry_residual(run[0], window),
-    "tsi": lambda run, window, tol: max_tsi_residual(run[0], window),
-    "qsi": lambda run, window, tol: max_qsi_residual(run[0], window),
-    "cond3": lambda run, window, tol: max_anchored_tsi_residual(run[0], window),
-    "delta": lambda run, window, tol: verify_inversion(
-        pair_from_kernel(run[0], window, validate=False), tol
-    ).worst_value,
-    "closed-form": lambda run, window, tol: _closed_form_worst(run[0], run[1], window),
-    "eds-property": lambda run, window, tol: _eds_property_worst(run[2]),
+    "antisym": lambda run, pair, window, tol: max_antisymmetry_residual(run[0], window),
+    "tsi": lambda run, pair, window, tol: max_tsi_residual(run[0], window),
+    "qsi": lambda run, pair, window, tol: max_qsi_residual(run[0], window),
+    "cond3": lambda run, pair, window, tol: max_anchored_tsi_residual(run[0], window),
+    "delta": lambda run, pair, window, tol: verify_inversion(pair, tol).worst_value,
+    "closed-form": lambda run, pair, window, tol: _closed_form_worst(pair, run[1]),
+    "eds-property": lambda run, pair, window, tol: _eds_property_worst(run[2]),
 }
 
 
 def check_record(name: str, worst: Scalar, tol: float | None, start: float) -> dict:
     """The report entry of one check whose timing began at ``start``."""
-    passed = worst == 0 if tol is None else magnitude(worst) <= tol
     return {
         "name": name,
-        "pass": bool(passed),
+        "pass": passes(worst, tol),
         "exact": tol is None,
         "worst_residual": serialize_scalar(worst),
         "elapsed_ms": round((time.perf_counter() - start) * 1e3, 3),
     }
 
 
-def cmd_verify(config: RunConfig) -> dict:
-    """Run one family's suite; returns the report document."""
-    family, policy = config.family, config.policy
+def _report(**fields) -> dict:
+    """A report document: the artifact header, then ``fields`` in order."""
+    return {"artifact": "invrel", "version": __version__, **fields}
+
+
+def _run_checks(doc: dict, steps: Iterable[tuple[str, Callable]], tol: float | None) -> dict:
+    """Time each ``(name, worst_fn)`` step into ``doc["checks"]`` and set
+    ``doc["passed"]``, which needs at least one check.  A domain failure,
+    raised by a step or by ``steps`` itself while it builds what the next
+    step needs, ends the run as ``doc["error"]`` instead; so does float
+    arithmetic that the input drives out of range (a huge exact parameter
+    of a theta family, say)."""
+    try:
+        for name, worst_fn in steps:
+            start = time.perf_counter()
+            doc["checks"].append(check_record(name, worst_fn(), tol, start))
+    except (VerificationError, OverflowError) as exc:
+        doc["error"] = f"{type(exc).__name__}: {exc}"
+        return doc
+    doc["passed"] = bool(doc["checks"]) and all(c["pass"] for c in doc["checks"])
+    return doc
+
+
+def cmd_verify(
+    family: str,
+    params: dict | None = None,
+    window: tuple[int, int] | None = None,
+    tolerance: float | None = None,
+    policy: TruncationPolicy = DEFAULT_POLICY,
+    checks: tuple[str, ...] | None = None,
+) -> dict:
+    """Run one family's suite; returns the report document.
+
+    ``window``, ``tolerance`` and ``checks`` left as None fall back to the
+    family preset (respectively the family's default check set).
+    """
     if family not in FAMILIES:
         raise ConfigError(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
     preset = FAMILIES[family]
-    merged = {**preset.params, **config.params}
-    window = config.window if config.window is not None else preset.window
-    tolerance = config.tolerance if config.tolerance is not None else preset.tolerance
-    checks = config.checks
-
-    doc = {
-        "artifact": "invrel",
-        "version": __version__,
-        "family": family,
-        "params": {k: serialize_scalar(v) for k, v in merged.items()},
-        "window": f"{window[0]}..{window[1]}",
-        "tolerance": tolerance,
-        "truncation": {"tail_bound": policy.tail_bound, "max_terms": policy.max_terms},
-        "mode": "exact" if tolerance is None else "tolerance",
-        "checks": [],
-        "passed": False,
-    }
     if checks is not None:
         bad = set(checks) - set(CHECK_NAMES)
         if bad:
             raise ConfigError(f"unknown checks {sorted(bad)}; known: {CHECK_NAMES}")
         if "counterexample" in checks:
             raise ConfigError("the counterexample check runs via the counterexample subcommand")
-    unknown = set(config.params) - set(preset.params)
+    params = params or {}
+    unknown = set(params) - set(preset.params)
     if unknown:
         raise ConfigError(f"{family}: unknown params {sorted(unknown)}")
+    if tolerance is not None and not 0 < tolerance < math.inf:
+        raise ConfigError("tolerance must be finite and positive")
+    merged = {**preset.params, **params}
+    window = preset.window if window is None else window
+    tolerance = preset.tolerance if tolerance is None else tolerance
 
-    try:
+    def steps():
         run = preset.build(merged, window, policy)
-        if tolerance is not None and tolerance <= 0:
-            raise ConfigError("tolerance must be positive")
-        _, closed, eds_seq = run
-        if checks is None:
-            checks = ("antisym", "tsi", "qsi", "cond3", "delta")
+        kernel, closed, eds_seq = run
+        names = checks
+        if names is None:
+            names = ("antisym", "tsi", "qsi", "cond3", "delta")
             if closed is not None:
-                checks += ("closed-form",)
+                names += ("closed-form",)
             if eds_seq is not None:
-                checks += ("eds-property",)
-        if "closed-form" in checks and closed is None:
+                names += ("eds-property",)
+        if "closed-form" in names and closed is None:
             raise ConfigError(f"{family}: no independent closed form is available")
-        if "eds-property" in checks and eds_seq is None:
+        if "eds-property" in names and eds_seq is None:
             raise ConfigError(f"{family}: eds-property applies only to the eds family")
-        for name in checks:
-            start = time.perf_counter()
-            worst = CHECKS[name](run, window, tolerance)
-            doc["checks"].append(check_record(name, worst, tolerance, start))
-    except ConfigError:
-        raise
-    except VerificationError as exc:
-        doc["error"] = f"{type(exc).__name__}: {exc}"
-        return doc
-    doc["passed"] = all(c["pass"] for c in doc["checks"])
-    return doc
+        pair = pair_from_kernel(kernel, window) if {"delta", "closed-form"} & set(names) else None
+        for name in names:
+            yield name, partial(CHECKS[name], run, pair, window, tolerance)
+
+    doc = _report(
+        family=family,
+        params={k: serialize_scalar(v) for k, v in merged.items()},
+        window=f"{window[0]}..{window[1]}",
+        tolerance=tolerance,
+        truncation={"tail_bound": policy.tail_bound, "max_terms": policy.max_terms},
+        mode="exact" if tolerance is None else "tolerance",
+        checks=[],
+        passed=False,
+    )
+    return _run_checks(doc, steps(), tolerance)
 
 
 def cmd_counterexample(k_values) -> dict:
     """Exact gap discrepancies of the two beta routes for each k."""
+    if any(k < 1 for k in k_values):
+        raise ConfigError("k must be at least 1")
     rows = []
     for k in k_values:
         got = counterexample_discrepancies(k)
@@ -291,48 +302,37 @@ def cmd_counterexample(k_values) -> dict:
                 "match": got == want,
             }
         )
-    return {
-        "artifact": "invrel",
-        "version": __version__,
-        "subcommand": "counterexample",
-        "rows": rows,
-        "passed": all(r["match"] for r in rows),
-    }
+    return _report(subcommand="counterexample", rows=rows, passed=all(r["match"] for r in rows))
 
 
 def cmd_eds(seeds: tuple[Scalar, Scalar, Scalar], n_max: int, window=None) -> dict:
     """Table, recurrence round-trip, exhaustive property check, and delta."""
-    w2, w3, w4 = seeds
-    check_eds_w2(w2)
-    doc = {
-        "artifact": "invrel",
-        "version": __version__,
-        "subcommand": "eds",
-        "seeds": [serialize_scalar(Fraction(s)) for s in seeds],
-        "n_max": n_max,
-        "checks": [],
-        "passed": False,
-    }
+    check_eds_w2(seeds[0])
+    if n_max < 1:
+        raise ConfigError("n_max must be at least 1")
     if window is None:
         window = (1, max(1, min(6, n_max // 2)))
-    try:
-        seq = eds_generate(w2, w3, w4, n_max)
+    doc = _report(
+        subcommand="eds",
+        seeds=[serialize_scalar(Fraction(s)) for s in seeds],
+        n_max=n_max,
+        checks=[],
+        passed=False,
+    )
+
+    def steps():
+        seq = eds_generate(*seeds, n_max)
         doc["table"] = [[n, serialize_scalar(seq.w(n))] for n in range(0, seq.n_max + 1)]
-        start = time.perf_counter()
-        worst = worst_of(seq.recurrence_residual(n) for n in range(-(seq.n_max - 2), seq.n_max - 1))
-        doc["checks"].append(check_record("recurrence", worst, None, start))
-        start = time.perf_counter()
-        doc["checks"].append(check_record("eds-property", _eds_property_worst(seq), None, start))
-        start = time.perf_counter()
-        kernel = eds_kernel(seq, window=window)
-        report = verify_inversion(pair_from_kernel(kernel, window, validate=False))
-        doc["checks"].append(check_record("delta", report.worst_value, None, start))
+        yield "recurrence", lambda: worst_of(
+            seq.recurrence_residual(n) for n in range(-(seq.n_max - 2), seq.n_max - 1)
+        )
+        yield "eds-property", lambda: _eds_property_worst(seq)
+        yield "delta", lambda: verify_inversion(
+            pair_from_kernel(eds_kernel(seq, window=window), window)
+        ).worst_value
         doc["window"] = f"{window[0]}..{window[1]}"
-    except VerificationError as exc:
-        doc["error"] = f"{type(exc).__name__}: {exc}"
-        return doc
-    doc["passed"] = all(c["pass"] for c in doc["checks"])
-    return doc
+
+    return _run_checks(doc, steps(), None)
 
 
 # --- argument plumbing ----------------------------------------------------------
@@ -342,7 +342,10 @@ def _emit(doc: dict, out: str | None) -> int:
     """Write the report; returns the exit status (0 iff it passed)."""
     text = json.dumps(doc, indent=2)
     if out:
-        Path(out).write_text(text + "\n")
+        try:
+            Path(out).write_text(text + "\n")
+        except OSError as exc:
+            raise ConfigError(f"cannot write {out!r}: {exc}") from exc
     else:
         print(text)
     return 0 if doc["passed"] else 1
@@ -403,27 +406,13 @@ def _verify_main(args) -> int:
     out = pick(args.out, "out")
 
     if args.all_presets:
-        docs = [
-            cmd_verify(RunConfig(family=name, policy=policy)) for name in FAMILIES
-        ]
-        doc = {
-            "artifact": "invrel",
-            "version": __version__,
-            "all_presets": True,
-            "families": docs,
-            "passed": all(d["passed"] for d in docs),
-        }
-        return _emit(doc, out)
+        docs = [cmd_verify(name, policy=policy) for name in FAMILIES]
+        return _emit(_report(all_presets=True, families=docs, passed=all(d["passed"] for d in docs)), out)
 
     family = pick(args.family, "family")
     if not family:
         raise ConfigError("--family is required (or use --all-presets)")
-    doc = cmd_verify(
-        RunConfig(
-            family=family, params=params, window=window,
-            tolerance=tolerance, policy=policy, checks=checks,
-        )
-    )
+    doc = cmd_verify(family, params, window, tolerance, policy, checks)
     return _emit(doc, out)
 
 
@@ -435,14 +424,12 @@ def main(argv=None) -> int:
         if args.subcommand == "counterexample":
             doc = cmd_counterexample(list(parse_int_range(args.k)))
             return _emit(doc, args.out)
-        if args.subcommand == "eds":
-            seeds = [parse_scalar(s) for s in args.seeds.split(",")]
-            if len(seeds) != 3:
-                raise ConfigError("--seeds needs exactly three values W_2,W_3,W_4")
-            window = parse_window(args.window) if args.window else None
-            doc = cmd_eds(tuple(seeds), parse_number(args.n, int, "--n"), window)
-            return _emit(doc, args.out)
-        raise ConfigError(f"unknown subcommand {args.subcommand!r}")
+        seeds = [parse_scalar(s) for s in args.seeds.split(",")]
+        if len(seeds) != 3:
+            raise ConfigError("--seeds needs exactly three values W_2,W_3,W_4")
+        window = parse_window(args.window) if args.window else None
+        doc = cmd_eds(tuple(seeds), parse_number(args.n, int, "--n"), window)
+        return _emit(doc, args.out)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

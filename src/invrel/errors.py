@@ -1,7 +1,9 @@
 """Exception types shared across the library.
 
-Everything derives from :class:`VerificationError` so callers (notably the
-CLI) can render any domain failure as a failed check instead of a traceback.
+Every domain failure derives from :class:`VerificationError`, so callers
+(notably the CLI) can render it as a failed report instead of a traceback.
+:class:`ConfigError` is not a domain failure: it marks bad input, which the
+CLI refuses with exit status 2 before any report is written.
 """
 
 
@@ -62,5 +64,5 @@ class IndexOutOfTable(VerificationError):
     """A sequence lookup fell outside the generated table."""
 
 
-class ConfigError(VerificationError):
+class ConfigError(Exception):
     """Malformed CLI arguments or config file."""

@@ -33,12 +33,21 @@ Window = tuple[int, int]
 
 def worst_of(values: Iterable[Scalar]) -> Scalar:
     """The largest-magnitude value (the first on ties), or the exact ``0``
-    when there is none, so an all-zero sweep reports ``0`` in every domain."""
+    when there is none, so an all-zero sweep reports ``0`` in every domain.
+    The first NaN met is returned at once: it is no smaller than anything."""
     worst: Scalar = 0
     for v in values:
-        if abs(v) > abs(worst):
+        if not abs(v) <= abs(worst):
+            if v != v:
+                return v
             worst = v
     return worst
+
+
+def passes(worst: Scalar, tol: float | None) -> bool:
+    """The verdict on a worst residual: exactly zero when ``tol`` is None,
+    else ``|worst| <= tol`` (never true for NaN)."""
+    return worst == 0 if tol is None else magnitude(worst) <= tol
 
 
 def check_window(window: Window) -> Window:
@@ -234,16 +243,15 @@ def max_antisymmetry_residual(kernel: Kernel, window: Window) -> Scalar:
     )
 
 
-def pair_from_kernel(kernel: Kernel, window: Window, validate: bool = True) -> TriangularPair:
+def pair_from_kernel(kernel: Kernel, window: Window) -> TriangularPair:
     """Build the memoized F/G pair of a kernel over a window.
 
     Preconditions (nonzero diagonal alpha, nonzero off-diagonal beta) are
-    checked eagerly by default so failures are named up front rather than
-    surfacing deep inside a product.
+    checked eagerly so failures are named up front rather than surfacing
+    deep inside a product.
     """
     window = check_window(window)
-    if validate:
-        validate_kernel_window(kernel, window)
+    validate_kernel_window(kernel, window)
     f = lru_cache(maxsize=None)(lambda n, k: f_entry(kernel, n, k))
     g = lru_cache(maxsize=None)(lambda n, k: g_entry(kernel, n, k))
     return TriangularPair(f=f, g=g, window=window, name=kernel.name)
@@ -281,6 +289,8 @@ def verify_inversion(pair: TriangularPair, tol: float | None = None) -> Verifica
     ``tol=None`` demands exact equality (exact-domain entries); otherwise
     every residual magnitude must be ``<= tol``.
     """
+    if tol is not None and tol <= 0:
+        raise DomainError("tolerance must be positive")
     lo, hi = check_window(pair.window)
     fvals: dict[tuple[int, int], Scalar] = {}
     gvals: dict[tuple[int, int], Scalar] = {}
@@ -310,21 +320,13 @@ def verify_inversion(pair: TriangularPair, tol: float | None = None) -> Verifica
     transposed = _compose(gvals, fvals)
 
     worst_value = worst_of(chain(residuals.values(), transposed.values()))
-    if tol is None:
-        passed = worst_value == 0
-        mode = "exact"
-    else:
-        if tol <= 0:
-            raise DomainError("tolerance must be positive")
-        passed = magnitude(worst_value) <= tol
-        mode = "tolerance"
     return VerificationReport(
         residuals=residuals,
         transposed_residuals=transposed,
         worst=magnitude(worst_value),
         worst_value=worst_value,
-        passed=passed,
-        mode=mode,
+        passed=passes(worst_value, tol),
+        mode="exact" if tol is None else "tolerance",
         tol=tol,
         name=pair.name,
     )

@@ -40,14 +40,16 @@ def exact_div(num: Scalar, den: Scalar) -> Scalar:
 
 
 def power(base: Scalar, exponent: int) -> Scalar:
-    """base**exponent for any integer exponent, exact for exact base."""
-    if exponent >= 0:
-        return base**exponent
-    if base == 0:
+    """base**exponent for any integer exponent, exact for exact base; a float
+    result out of range is a :class:`~invrel.errors.DomainError`."""
+    if exponent < 0 and base == 0:
         raise ZeroDivisor(f"0**{exponent}")
-    if isinstance(base, int):
-        return Fraction(base) ** exponent
-    return base**exponent
+    if exponent < 0 and isinstance(base, int):
+        base = Fraction(base)
+    try:
+        return base**exponent
+    except OverflowError as exc:
+        raise DomainError(f"{base!r}**{exponent} overflows") from exc
 
 
 def magnitude(value: Scalar) -> float:
@@ -61,7 +63,9 @@ def scalars_close(a: Scalar, b: Scalar, tol: float | None = None) -> bool:
         return a == b
     if tol <= 0:
         raise DomainError("tolerance must be positive")
-    return abs(a - b) <= tol
+    from .kernels import passes  # kernels imports this module
+
+    return passes(a - b, tol)
 
 
 @dataclass(frozen=True)

@@ -282,7 +282,7 @@ def test_criterion_11_eds_family():
         for k, p, q in product(range(-8, 9), repeat=3):
             assert eds_property_residual(seq, k, p, q) == 0
         kernel = eds_kernel(seq, window=(1, 6))
-        report = verify_inversion(pair_from_kernel(kernel, (1, 6), validate=False))
+        report = verify_inversion(pair_from_kernel(kernel, (1, 6)))
         assert report.passed and report.worst == 0
     _done(11, "divisibility sequence: recurrence, property, and delta all exact")
 

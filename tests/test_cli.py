@@ -1,13 +1,17 @@
 """Tests for command-line parsing, report structure, and exit codes."""
 
+import contextlib
+import io
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from invrel import ConfigError
+from invrel import ConfigError, VerificationError
 from invrel.cli import (
-    RunConfig,
+    CHECK_NAMES,
     cmd_counterexample,
     cmd_eds,
     cmd_verify,
@@ -80,6 +84,50 @@ class TestParsing:
         assert serialize_scalar(3) == "3"
         assert serialize_scalar(0.25) == 0.25
 
+    def test_serialize_non_finite_as_strings(self):
+        nan, inf = float("nan"), float("inf")
+        assert [serialize_scalar(v) for v in (nan, inf, -inf, complex(nan, 0))] == [
+            "nan", "inf", "-inf", "nan",
+        ]
+
+    def test_overflowing_float_is_not_a_scalar(self):
+        for text in ("1e999", "-1e999", "1.5e400"):
+            with pytest.raises(ConfigError):
+                parse_scalar(text)
+
+    def test_config_error_is_not_a_domain_failure(self):
+        assert not issubclass(ConfigError, VerificationError)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--family=warnaar", "--params=x0=5", "--tolerance=inf"),
+            ("verify", "--family=warnaar", "--tolerance=nan"),
+            ("verify", "--family=schlosser", "--params=b=0", "--tolerance=-1"),
+            ("verify", "--family=warnaar", "--params=x0=1e999"),
+            ("eds", "--seeds=1e999,1,1"),
+            ("eds", "--n=0"),
+            ("eds", "--n=-3"),
+            ("counterexample", "--k=0"),
+            ("counterexample", "--k=-1..2"),
+        ],
+    )
+    def test_bad_input_exits_2(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_undecodable_config_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "binary.cfg"
+        cfg.write_bytes(b"\x80\x81\xff\n")
+        code, out, err = run_cli(capsys, "verify", f"--config={cfg}")
+        assert code == 2 and out == "" and err.startswith("error: cannot read config")
+
+    def test_unwritable_out_exits_2(self, capsys, tmp_path):
+        target = tmp_path / "missing-dir" / "report.json"
+        code, out, err = run_cli(capsys, "counterexample", "--k=1", f"--out={target}")
+        assert code == 2 and out == "" and err.startswith("error: cannot write")
+
 
 class TestVerifyCommand:
     def test_gasper_exact_suite(self, capsys):
@@ -139,12 +187,39 @@ class TestVerifyCommand:
         assert code == 2 and "subcommand" in err
 
     def test_run_config_object(self):
-        doc = cmd_verify(RunConfig(family="gasper", checks=("antisym",)))
+        doc = cmd_verify(family="gasper", checks=("antisym",))
         assert doc["passed"]
         with pytest.raises(ConfigError):
-            cmd_verify(RunConfig(family="warnaar", tolerance=-1.0, checks=("antisym",)))
+            cmd_verify(family="warnaar", tolerance=-1.0, checks=("antisym",))
         with pytest.raises(ConfigError):
-            cmd_verify(RunConfig(family="gasper", checks=("bogus",)))
+            cmd_verify(family="gasper", checks=("bogus",))
+
+    def test_nan_residuals_fail(self, capsys):
+        # alpha overflows to inf and beta to nan: every residual is nan
+        code, out, _ = run_cli(capsys, "verify", "--family=warnaar", "--params=q=0.1,b0=1e200")
+        assert code == 1
+        doc = json.loads(out)
+        assert not doc["passed"] and len(doc["checks"]) == 5
+        assert all(c["worst_residual"] == "nan" and not c["pass"] for c in doc["checks"])
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--family=gasper", "--params=p=1e200"),
+            ("verify", "--family=elliptic-sum", "--params=q=1e300"),
+            ("verify", "--family=warnaar", "--params=x0=" + "1" + "0" * 400, "--window=0..2"),
+        ],
+    )
+    def test_float_overflow_is_reported(self, capsys, argv):
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 1
+        doc = json.loads(out)
+        assert "Overflow" in doc["error"] or "overflows" in doc["error"]
+        assert not doc["passed"]
+
+    def test_no_checks_is_no_pass(self):
+        doc = cmd_verify(family="binomial", window=(0, 2), checks=())
+        assert doc["checks"] == [] and not doc["passed"]
 
     def test_all_presets(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--all-presets")
@@ -286,3 +361,61 @@ class TestEdsCommand:
         doc = cmd_eds((Fraction(1), Fraction(-1), Fraction(1)), 12)
         assert doc["seeds"] == ["1", "-1", "1"]
         assert json.loads(json.dumps(doc)) == doc
+
+
+def _strict_json(text):
+    def refuse(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    return json.loads(text, parse_constant=refuse)
+
+
+_SCALARS = ("0", "1", "-1", "2", "1/3", "0.1", "0.5", "1e200", "1e999", "nan", "x")
+_WINDOWS = st.builds(lambda lo, w: f"{lo}..{lo + w}", st.integers(-2, 3), st.integers(0, 3))
+_VERIFY = st.tuples(
+    st.sampled_from(("binomial", "gasper", "schlosser", "warnaar", "elliptic-sum",
+                     "partial-theta", "eds", "nope")).map(lambda f: f"--family={f}"),
+    st.lists(
+        st.tuples(
+            st.sampled_from(("a", "b", "c", "p", "q", "x", "y", "t", "x0", "b0",
+                             "a0", "w2", "w3", "zz")),
+            st.sampled_from(_SCALARS),
+        ),
+        max_size=2,
+    ).map(lambda kv: "--params=" + ",".join(f"{k}={v}" for k, v in kv)),
+    _WINDOWS.map(lambda w: f"--window={w}"),
+    st.lists(st.sampled_from(CHECK_NAMES + ("bogus",)), min_size=1, max_size=3, unique=True)
+    .map(lambda c: "--checks=" + ",".join(c)),
+    st.lists(
+        st.sampled_from(("--tolerance=1e-9", "--tolerance=inf", "--tolerance=nan",
+                         "--tolerance=-1", "--tolerance=0", "--tolerance=abc",
+                         "--truncation-tail=1e-15", "--truncation-tail=2",
+                         "--truncation-max=8", "--truncation-max=7")),
+        max_size=2,
+    ),
+).map(lambda t: ("verify", *t[:4], *t[4]))
+_EDS = st.tuples(
+    st.lists(st.sampled_from(_SCALARS), min_size=2, max_size=4).map(lambda s: "--seeds=" + ",".join(s)),
+    st.integers(-1, 12).map(lambda n: f"--n={n}"),
+    st.lists(_WINDOWS.map(lambda w: f"--window={w}"), max_size=1),
+).map(lambda t: ("eds", t[0], t[1], *t[2]))
+_COUNTEREXAMPLE = st.sampled_from(("-1", "0", "1", "3", "0..2", "2..3", "x")).map(
+    lambda k: ("counterexample", f"--k={k}")
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(_VERIFY, _EDS, _COUNTEREXAMPLE))
+def test_any_argv_ends_in_a_report_or_a_one_line_error(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    assert code in (0, 1, 2)
+    if code == 2:
+        assert err.getvalue().startswith("error: ") and err.getvalue().count("\n") == 1
+        return
+    doc = _strict_json(out.getvalue())
+    assert doc["passed"] == (code == 0)
+    for check in doc.get("checks", ()):
+        if check["worst_residual"] == "nan":
+            assert not check["pass"]

@@ -377,7 +377,7 @@ class TestEdsKernel:
 
     def test_delta_exact(self):
         kernel = eds_kernel(self.seq(), window=(1, 6))
-        assert verify_inversion(pair_from_kernel(kernel, (1, 6), validate=False)).passed
+        assert verify_inversion(pair_from_kernel(kernel, (1, 6))).passed
 
     def test_closed_entries(self):
         seq = self.seq()

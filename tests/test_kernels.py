@@ -25,7 +25,7 @@ from invrel import (
     validate_kernel_window,
     verify_inversion,
 )
-from invrel.kernels import worst_of
+from invrel.kernels import passes, worst_of
 
 GASPER_PARAMS = (Fraction(2), Fraction(3), Fraction(1, 5), Fraction(1, 7))
 
@@ -112,6 +112,15 @@ class TestVerifyInversion:
         with pytest.raises(DomainError):
             verify_inversion(pair, tol=0.0)
 
+    def test_nonpositive_tolerance_rejected_before_entries(self):
+        from invrel import DomainError
+
+        def entry(n, k):
+            raise AssertionError("entries built before the tolerance was checked")
+
+        with pytest.raises(DomainError):
+            verify_inversion(TriangularPair(f=entry, g=entry, window=(0, 2)), tol=-1.0)
+
 
 class TestWindowValidation:
     def test_off_diagonal_zero_beta(self):
@@ -145,6 +154,28 @@ class TestWorstOf:
         for values in ([], [0.0, -0.0], [0.0j]):
             worst = worst_of(values)
             assert worst == 0 and type(worst) is int
+
+    def test_first_nan_is_the_worst(self):
+        nan = float("nan")
+        for values in ([nan], [nan, nan], [1.0, nan, 5.0], [0.0, complex(nan, 0)]):
+            worst = worst_of(values)
+            assert worst != worst
+        marked = [1.0, float("-nan"), 5.0, nan]
+        assert worst_of(marked) is marked[1]
+
+
+class TestPasses:
+    def test_exact_rule_needs_zero(self):
+        assert passes(0, None) and passes(Fraction(0), None) and passes(0.0, None)
+        assert not passes(Fraction(1, 10**30), None) and not passes(1e-300, None)
+
+    def test_tolerance_rule_bounds_magnitude(self):
+        assert passes(-1e-9, 1e-9) and passes(Fraction(-1, 2), 0.5) and passes(3e-10j, 1e-9)
+        assert not passes(2e-9, 1e-9)
+
+    def test_nan_never_passes(self):
+        nan = float("nan")
+        assert not passes(nan, None) and not passes(nan, 1.0) and not passes(complex(nan, 0), 1.0)
 
 
 class TestNodeSequences:

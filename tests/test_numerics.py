@@ -25,6 +25,7 @@ from invrel import (
     theta,
     weierstrass_addition_residual,
 )
+from invrel.numerics import power
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 
@@ -236,6 +237,12 @@ class TestScalarDomain:
         assert not scalars_close(1.0, 1.1, tol=1e-9)
         with pytest.raises(DomainError):
             scalars_close(1.0, 1.0, tol=0.0)
+
+    def test_power_overflow_is_a_domain_error(self):
+        for base, exponent in ((1e200, 2), (1e-300, -2), (-1e300, 3)):
+            with pytest.raises(DomainError):
+                power(base, exponent)
+        assert power(Fraction(10) ** 200, 2) == 10**400
 
     def test_magnitude(self):
         assert magnitude(Fraction(-3, 2)) == 1.5
