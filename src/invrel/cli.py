@@ -230,7 +230,7 @@ def cmd_verify(
     """Run one family's suite; returns the report document.
 
     ``window``, ``tolerance`` and ``checks`` left as None fall back to the
-    family preset (respectively the family's default check set).
+    family preset (respectively every check the family offers).
     """
     if family not in FAMILIES:
         raise ConfigError(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
@@ -241,6 +241,10 @@ def cmd_verify(
             raise ConfigError(f"unknown checks {sorted(bad)}; known: {CHECK_NAMES}")
         if "counterexample" in checks:
             raise ConfigError("the counterexample check runs via the counterexample subcommand")
+        if "closed-form" in checks and "closed-form" not in preset.checks:
+            raise ConfigError(f"{family}: no independent closed form is available")
+        if "eds-property" in checks and "eds-property" not in preset.checks:
+            raise ConfigError(f"{family}: eds-property applies only to the eds family")
     params = params or {}
     unknown = set(params) - set(preset.params)
     if unknown:
@@ -250,23 +254,12 @@ def cmd_verify(
     merged = {**preset.params, **params}
     window = preset.window if window is None else window
     tolerance = preset.tolerance if tolerance is None else tolerance
+    checks = preset.checks if checks is None else checks
 
     def steps():
         run = preset.build(merged, window, policy)
-        kernel, closed, eds_seq = run
-        names = checks
-        if names is None:
-            names = ("antisym", "tsi", "qsi", "cond3", "delta")
-            if closed is not None:
-                names += ("closed-form",)
-            if eds_seq is not None:
-                names += ("eds-property",)
-        if "closed-form" in names and closed is None:
-            raise ConfigError(f"{family}: no independent closed form is available")
-        if "eds-property" in names and eds_seq is None:
-            raise ConfigError(f"{family}: eds-property applies only to the eds family")
-        pair = pair_from_kernel(kernel, window) if {"delta", "closed-form"} & set(names) else None
-        for name in names:
+        pair = pair_from_kernel(run[0], window) if {"delta", "closed-form"} & set(checks) else None
+        for name in checks:
             yield name, partial(CHECKS[name], run, pair, window, tolerance)
 
     doc = _report(
@@ -397,18 +390,22 @@ def _verify_main(args) -> int:
         )
     except DomainError as exc:
         raise ConfigError(f"bad truncation policy: {exc}") from exc
+    out = pick(args.out, "out")
+
+    if args.all_presets:
+        keys = ("family", "params", "window", "tolerance", "checks")
+        ignored = [f"--{k}" for k in keys if pick(getattr(args, k), k) is not None]
+        if ignored:
+            raise ConfigError(f"--all-presets runs every preset unchanged; it takes no {', '.join(ignored)}")
+        docs = [cmd_verify(name, policy=policy) for name in FAMILIES]
+        return _emit(_report(all_presets=True, families=docs, passed=all(d["passed"] for d in docs)), out)
+
     tolerance = parse_number(pick(args.tolerance, "tolerance"), float, "--tolerance")
     window_text = pick(args.window, "window")
     window = parse_window(window_text) if window_text is not None else None
     checks_text = pick(args.checks, "checks")
-    checks = tuple(c.strip() for c in checks_text.split(",")) if checks_text else None
+    checks = None if checks_text is None else tuple(c.strip() for c in checks_text.split(","))
     params = parse_params(pick(args.params, "params") or "")
-    out = pick(args.out, "out")
-
-    if args.all_presets:
-        docs = [cmd_verify(name, policy=policy) for name in FAMILIES]
-        return _emit(_report(all_presets=True, families=docs, passed=all(d["passed"] for d in docs)), out)
-
     family = pick(args.family, "family")
     if not family:
         raise ConfigError("--family is required (or use --all-presets)")

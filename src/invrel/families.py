@@ -11,7 +11,7 @@ off-diagonal beta) up front and reports violations as
 :class:`~invrel.errors.DegenerateParams`.  Where an independent closed form
 of the entries exists, ``*_closed_entries`` returns ``(F, G)`` callables to
 compare against the generic builders.  :data:`FAMILIES` registers each
-family's reproducible preset and builder.
+family's reproducible preset, its checks and its builder.
 """
 
 from __future__ import annotations
@@ -73,19 +73,14 @@ def _validated(kernel: Kernel, window: Window | None) -> Kernel:
 # --- generic solution patterns ------------------------------------------------
 
 
+@dataclass(frozen=True)
 class FactorSequences:
     """Sequences (x, y, t) feeding :func:`product_ratio_kernel`; the x values
     must be nonzero wherever partial products are taken."""
 
-    def __init__(
-        self,
-        x: Callable[[int], Scalar],
-        y: Callable[[int], Scalar],
-        t: Callable[[int], Scalar],
-    ):
-        self.x = x
-        self.y = y
-        self.t = t
+    x: Callable[[int], Scalar]
+    y: Callable[[int], Scalar]
+    t: Callable[[int], Scalar]
 
 
 def product_ratio_kernel(seqs: FactorSequences, name: str = "product-ratio") -> Kernel:
@@ -192,11 +187,9 @@ def gasper_kernel(
         raise DegenerateParams("gasper: need p not in {0, 1, -1} and q != 0")
     ba = exact_div(b, a)
 
-    @lru_cache(maxsize=None)
     def alpha(i: int, k: int) -> Scalar:
         return (1 - a * power(p, k) * power(q, i)) * (1 - b * power(p, -k) * power(q, i))
 
-    @lru_cache(maxsize=None)
     def beta(i: int, k: int) -> Scalar:
         return (power(p, i) - power(p, k)) * (1 - ba * power(p, -k - i))
 
@@ -247,13 +240,11 @@ def schlosser_kernel(
     if q in (0, 1, -1):
         raise DegenerateParams("schlosser: need q not in {0, 1, -1}")
 
-    @lru_cache(maxsize=None)
     def alpha(i: int, k: int) -> Scalar:
         return (power(q, k) - exact_div(power(q, i), b)) * (
             c - (a + b * power(q, k)) * (a + power(q, i))
         )
 
-    @lru_cache(maxsize=None)
     def beta(i: int, k: int) -> Scalar:
         return (power(q, k) - power(q, i)) * (c - (a + b * power(q, k)) * (a + b * power(q, i)))
 
@@ -316,12 +307,10 @@ def warnaar_kernel(
     :func:`~invrel.numerics.weierstrass_addition_residual`).
     """
 
-    @lru_cache(maxsize=None)
     def alpha(i: int, k: int) -> Scalar:
         bk = b_seq(k)
         return bk * theta(x_seq(i) * bk, q, policy) * theta(x_seq(i) / bk, q, policy)
 
-    @lru_cache(maxsize=None)
     def beta(i: int, k: int) -> Scalar:
         if i == k:
             return 0.0
@@ -410,11 +399,9 @@ def partial_theta_kernel(
     """
     theta_at = lru_cache(maxsize=None)(lambda k: partial_theta(q, b_seq(k), policy))
 
-    @lru_cache(maxsize=None)
     def alpha(i: int, k: int) -> Scalar:
         return a_seq(i) + theta_at(k)
 
-    @lru_cache(maxsize=None)
     def beta(i: int, k: int) -> Scalar:
         bi, bk = b_seq(i), b_seq(k)
         if i != k and bi == bk:
@@ -549,19 +536,22 @@ def check_eds_w2(w2: Scalar) -> None:
 
 @dataclass(frozen=True)
 class Family:
-    """One registered family: a reproducible preset and its builder.
+    """One registered family: a reproducible preset, its checks and its builder.
 
     ``params`` names every accepted parameter with its preset value; a
-    ``tolerance`` of None marks an exact family.  ``build(params, window,
-    policy)`` returns ``(kernel, closed, eds_seq)``: the kernel, the printed
-    closed-form ``(F, G)`` pair or None, and the generated sequence of the
-    eds family or None.  Builders call the constructors through their module
-    names, so wrapping a constructor in this module also wraps the registry.
+    ``tolerance`` of None marks an exact family.  ``checks`` lists, in report
+    order, every check the family offers: its default suite.  ``build(params,
+    window, policy)`` returns ``(kernel, closed, eds_seq)``; ``closed`` (the
+    printed ``(F, G)`` pair) and ``eds_seq`` are None unless ``checks`` lists
+    ``closed-form``, respectively ``eds-property``.  Builders call the
+    constructors through their module names, so wrapping a constructor in
+    this module also wraps the registry.
     """
 
     params: dict[str, Scalar]
     window: Window
     tolerance: float | None
+    checks: tuple[str, ...]
     build: Callable[[dict, Window, TruncationPolicy], tuple]
 
 
@@ -576,33 +566,38 @@ def _build_eds(p: dict, window: Window, policy: TruncationPolicy) -> tuple:
     return eds_kernel(seq, window=window), eds_closed_entries(seq), seq
 
 
+# the checks every family offers, then those that also have a printed closed form
+_COMMON = ("antisym", "tsi", "qsi", "cond3", "delta")
+_CLOSED = _COMMON + ("closed-form",)
+
 FAMILIES: dict[str, Family] = {
     "binomial": Family(
-        {}, (0, 8), None,
+        {}, (0, 8), None, _CLOSED,
         lambda p, w, policy: (binomial_kernel(), binomial_closed_entries(), None),
     ),
     "gasper": Family(
-        {"a": Fraction(2), "b": Fraction(3), "p": Fraction(1, 5), "q": Fraction(1, 7)}, (0, 6), None,
+        {"a": Fraction(2), "b": Fraction(3), "p": Fraction(1, 5), "q": Fraction(1, 7)}, (0, 6), None, _CLOSED,
         lambda p, w, policy: (gasper_kernel(**p, window=w), gasper_closed_entries(**p), None),
     ),
     "schlosser": Family(
-        {"a": Fraction(1, 2), "b": Fraction(2), "c": Fraction(7), "q": Fraction(1, 3)}, (0, 6), None,
+        {"a": Fraction(1, 2), "b": Fraction(2), "c": Fraction(7), "q": Fraction(1, 3)}, (0, 6), None, _CLOSED,
         lambda p, w, policy: (schlosser_kernel(**p, window=w), schlosser_closed_entries(**p), None),
     ),
     "warnaar": Family(
-        {"q": 0.1, "b0": 2.0, "bstep": 0.1, "x0": 0.3, "xstep": 0.05}, (0, 4), 1e-9,
+        {"q": 0.1, "b0": 2.0, "bstep": 0.1, "x0": 0.3, "xstep": 0.05}, (0, 4), 1e-9, _COMMON,
         lambda p, w, policy: (warnaar_kernel(
             p["q"], affine_sequence(p["b0"], p["bstep"]), affine_sequence(p["x0"], p["xstep"]), policy, w
         ), None, None),
     ),
     "elliptic-sum": Family(
-        {"x": 0.3, "y": 0.7, "q": 0.4, "p": 0.1, "t": 1.0}, (0, 3), 1e-8, _build_elliptic_sum
+        {"x": 0.3, "y": 0.7, "q": 0.4, "p": 0.1, "t": 1.0}, (0, 3), 1e-8, _CLOSED, _build_elliptic_sum
     ),
     "partial-theta": Family(
-        {"q": 0.1, "a0": 1.0, "astep": 0.1, "b0": 0.2, "bstep": 0.05}, (0, 3), 1e-8,
+        {"q": 0.1, "a0": 1.0, "astep": 0.1, "b0": 0.2, "bstep": 0.05}, (0, 3), 1e-8, _COMMON,
         lambda p, w, policy: (partial_theta_kernel(
             p["q"], affine_sequence(p["a0"], p["astep"]), affine_sequence(p["b0"], p["bstep"]), policy, w
         ), None, None),
     ),
-    "eds": Family({"w2": Fraction(1), "w3": Fraction(-1), "w4": Fraction(1)}, (1, 6), None, _build_eds),
+    "eds": Family({"w2": Fraction(1), "w3": Fraction(-1), "w4": Fraction(1)}, (1, 6), None,
+                  _CLOSED + ("eds-property",), _build_eds),
 }

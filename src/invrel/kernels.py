@@ -62,14 +62,19 @@ def check_window(window: Window) -> Window:
 class Kernel:
     """Two-index coefficient pair driving the entry builders.
 
-    ``beta_antisymmetric`` records the expectation ``beta(i,k) = -beta(k,i)``;
-    it is checked by :func:`max_antisymmetry_residual`, never assumed.
+    ``alpha`` and ``beta`` are memoised here, also in a kernel rebuilt by
+    :func:`dataclasses.replace`, so they must be pure.  ``beta_antisymmetric``
+    records the expectation ``beta(i,k) = -beta(k,i)``; nothing reads it.
     """
 
     alpha: Callable[[int, int], Scalar]
     beta: Callable[[int, int], Scalar]
     beta_antisymmetric: bool = True
     name: str = ""
+
+    def __post_init__(self):
+        object.__setattr__(self, "alpha", lru_cache(maxsize=None)(self.alpha))
+        object.__setattr__(self, "beta", lru_cache(maxsize=None)(self.beta))
 
 
 @dataclass(frozen=True)

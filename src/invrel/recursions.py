@@ -156,9 +156,9 @@ def beta_from_inversion(
     return -num * reciprocal(den)
 
 
-def beta_table_tsi(seed: BetaSeed, window: Window | None = None) -> dict[tuple[int, int], Scalar]:
-    """All ``beta(k,n)`` for ``lo <= k < n <= hi`` via the triple-sum route."""
-    lo, hi = check_window(window or seed.window)
+def beta_table_tsi(seed: BetaSeed) -> dict[tuple[int, int], Scalar]:
+    """Every ``beta(k,n)``, ``lo <= k < n <= hi`` on the seed window, by the triple-sum route."""
+    lo, hi = seed.window
     table: dict[tuple[int, int], Scalar] = {}
     for k in range(lo, hi):
         table[(k, k + 1)] = seed.t(k)
@@ -167,12 +167,12 @@ def beta_table_tsi(seed: BetaSeed, window: Window | None = None) -> dict[tuple[i
     return table
 
 
-def beta_table_inversion(seed: BetaSeed, window: Window | None = None) -> dict[tuple[int, int], Scalar]:
-    """All ``beta(k,n)`` for ``lo <= k < n <= hi`` via the window-delta route.
+def beta_table_inversion(seed: BetaSeed) -> dict[tuple[int, int], Scalar]:
+    """Every ``beta(k,n)``, ``lo <= k < n <= hi`` on the seed window, by the window-delta route.
 
     Built bottom-up by gap, since each gap consumes every shorter one.
     """
-    lo, hi = check_window(window or seed.window)
+    lo, hi = seed.window
     table = {(k, k + 1): seed.t(k) for k in range(lo, hi)}
     for gap in range(2, hi - lo + 1):
         for k in range(lo, hi - gap + 1):

@@ -180,6 +180,39 @@ class TestVerifyCommand:
         )
         assert code == 2 and "closed form" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("--family=warnaar", "--params=x0=5", "--checks=closed-form"),
+            ("--family=partial-theta", "--params=bstep=0", "--checks=eds-property"),
+        ],
+    )
+    def test_unavailable_check_refused_before_build(self, capsys, argv):
+        # the params are degenerate: the refusal comes before the build fails
+        code, out, err = run_cli(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "flag", ["--family=nope", "--params=q=0.2", "--window=0..3", "--tolerance=inf", "--checks=bogus"]
+    )
+    def test_all_presets_refuses_preset_flags(self, capsys, flag):
+        code, out, err = run_cli(capsys, "verify", "--all-presets", flag)
+        assert code == 2 and out == ""
+        assert err.startswith("error: --all-presets") and err.count("\n") == 1
+
+    def test_all_presets_refuses_preset_config_keys(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("family=gasper\ntruncation-tail=1e-15\n")
+        code, out, err = run_cli(capsys, "verify", "--all-presets", f"--config={cfg}")
+        assert code == 2 and out == ""
+        assert err.startswith("error: --all-presets") and "--family" in err and err.count("\n") == 1
+
+    def test_empty_checks_is_bad_input(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--family=binomial", "--checks=")
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_counterexample_check_redirects(self, capsys):
         code, _, err = run_cli(
             capsys, "verify", "--family", "gasper", "--checks", "counterexample",

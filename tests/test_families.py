@@ -7,6 +7,8 @@ from itertools import product
 import pytest
 
 from invrel import (
+    DEFAULT_POLICY,
+    FAMILIES,
     DegenerateParams,
     FactorSequences,
     IndexOutOfTable,
@@ -393,3 +395,11 @@ class TestEdsKernel:
         seq = eds_generate(1, 1, 1, 8)
         with pytest.raises(ZeroBeta):
             eds_kernel(seq, window=(1, 4))
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_registry_checks_match_what_the_builder_returns(name):
+    family = FAMILIES[name]
+    _, closed, eds_seq = family.build(family.params, family.window, DEFAULT_POLICY)
+    assert (closed is not None) == ("closed-form" in family.checks)
+    assert (eds_seq is not None) == ("eds-property" in family.checks)

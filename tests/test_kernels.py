@@ -1,6 +1,8 @@
 """Tests for entry builders, node sequences, and the window verifier."""
 
+import dataclasses
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -19,6 +21,8 @@ from invrel import (
     gasper_kernel,
     kernel_to_nodes,
     max_antisymmetry_residual,
+    max_qsi_residual,
+    max_tsi_residual,
     node_entries,
     pair_from_kernel,
     pair_from_nodes,
@@ -142,6 +146,44 @@ class TestWindowValidation:
         assert max_antisymmetry_residual(binomial_kernel(), (-3, 3)) == 0
         lopsided = Kernel(alpha=lambda i, k: 1, beta=lambda i, k: i + k)
         assert max_antisymmetry_residual(lopsided, (0, 3)) != 0
+
+
+def counting_kernel(counts: Counter) -> Kernel:
+    """The binomial kernel, counting each evaluation per ``(name, i, k)``."""
+
+    def alpha(i, k):
+        counts["alpha", i, k] += 1
+        return 1
+
+    def beta(i, k):
+        counts["beta", i, k] += 1
+        return i - k
+
+    return Kernel(alpha=alpha, beta=beta, name="counting")
+
+
+class TestKernelMemo:
+    def test_each_value_is_evaluated_once_across_checks(self):
+        counts = Counter()
+        kernel = counting_kernel(counts)
+        window = (0, 4)
+        assert max_tsi_residual(kernel, window) == 0
+        assert max_qsi_residual(kernel, window) == 0
+        assert verify_inversion(pair_from_kernel(kernel, window)).passed
+        assert {key[0] for key in counts} == {"alpha", "beta"}
+        assert set(counts.values()) == {1}
+
+    def test_replace_memoises_the_new_callables(self):
+        counts = Counter()
+
+        def alpha(i, k):
+            counts[i, k] += 1
+            return i + k
+
+        kernel = dataclasses.replace(binomial_kernel(), alpha=alpha)
+        for _ in range(3):
+            assert kernel.alpha(2, 1) == 3
+        assert counts == Counter({(2, 1): 1})
 
 
 class TestWorstOf:
