@@ -100,6 +100,7 @@ from .families import (
     elliptic_sum_kernel,
     gasper_closed_entries,
     gasper_kernel,
+    max_eds_property_residual,
     partial_theta_kernel,
     product_ratio_kernel,
     schlosser_closed_entries,

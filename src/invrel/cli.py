@@ -22,7 +22,6 @@ import sys
 import time
 from fractions import Fraction
 from functools import partial
-from itertools import product
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -30,11 +29,10 @@ from . import __version__
 from .errors import ConfigError, DomainError, VerificationError
 from .families import (
     FAMILIES,
-    EdsSequence,
     check_eds_w2,
     eds_generate,
     eds_kernel,
-    eds_property_residual,
+    max_eds_property_residual,
 )
 from .identities import (
     max_anchored_tsi_residual,
@@ -165,11 +163,6 @@ def _closed_form_worst(pair: TriangularPair, closed) -> Scalar:
     )
 
 
-def _eds_property_worst(seq: EdsSequence) -> Scalar:
-    idx = range(-(seq.n_max // 2), seq.n_max // 2 + 1)
-    return worst_of(eds_property_residual(seq, k, p, q) for k, p, q in product(idx, repeat=3))
-
-
 # Each check maps a built family ``(kernel, closed, eds_seq)``, its memoised
 # F/G pair (None unless delta or closed-form runs), the window and the
 # tolerance to its worst residual.  The lambdas look the sweeps up by module
@@ -181,7 +174,7 @@ CHECKS: dict[str, Callable] = {
     "cond3": lambda run, pair, window, tol: max_anchored_tsi_residual(run[0], window),
     "delta": lambda run, pair, window, tol: verify_inversion(pair, tol).worst_value,
     "closed-form": lambda run, pair, window, tol: _closed_form_worst(pair, run[1]),
-    "eds-property": lambda run, pair, window, tol: _eds_property_worst(run[2]),
+    "eds-property": lambda run, pair, window, tol: max_eds_property_residual(run[2]),
 }
 
 
@@ -230,7 +223,9 @@ def cmd_verify(
     """Run one family's suite; returns the report document.
 
     ``window``, ``tolerance`` and ``checks`` left as None fall back to the
-    family preset (respectively every check the family offers).
+    family preset (respectively every check the family offers).  Exact mode
+    (no tolerance) takes exact params only: a float param ends the run as a
+    domain error, raised after the build, so a build failure is named first.
     """
     if family not in FAMILIES:
         raise ConfigError(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
@@ -258,6 +253,12 @@ def cmd_verify(
 
     def steps():
         run = preset.build(merged, window, policy)
+        floats = [k for k, v in merged.items() if not is_exact(v)]
+        if tolerance is None and floats:
+            raise DomainError(
+                f"{family}: exact mode needs exact params, but {', '.join(floats)} "
+                "given as float; write each as p/q, or pass --tolerance"
+            )
         pair = pair_from_kernel(run[0], window) if {"delta", "closed-form"} & set(checks) else None
         for name in checks:
             yield name, partial(CHECKS[name], run, pair, window, tolerance)
@@ -319,7 +320,7 @@ def cmd_eds(seeds: tuple[Scalar, Scalar, Scalar], n_max: int, window=None) -> di
         yield "recurrence", lambda: worst_of(
             seq.recurrence_residual(n) for n in range(-(seq.n_max - 2), seq.n_max - 1)
         )
-        yield "eds-property", lambda: _eds_property_worst(seq)
+        yield "eds-property", lambda: max_eds_property_residual(seq)
         yield "delta", lambda: verify_inversion(
             pair_from_kernel(eds_kernel(seq, window=window), window)
         ).worst_value

@@ -31,7 +31,15 @@ from .errors import (
     ZeroDiagonal,
     ZeroDivisor,
 )
-from .kernels import Kernel, Window, check_window, validate_kernel_window
+from .kernels import (
+    Kernel,
+    Window,
+    check_window,
+    integer_rows,
+    unscale,
+    validate_kernel_window,
+    worst_of,
+)
 from .numerics import (
     DEFAULT_POLICY,
     Scalar,
@@ -475,6 +483,29 @@ def eds_property_residual(W: EdsSequence, k: int, p: int, q: int) -> Fraction:
         + w(p) ** 2 * w(q + k) * w(q - k)
         + w(q) ** 2 * w(k + p) * w(k - p)
     )
+
+
+def max_eds_property_residual(W: EdsSequence) -> Scalar:
+    """Largest-magnitude :func:`eds_property_residual` over all triples
+    ``(k, p, q)`` with ``|k|, |p|, |q| <= n_max // 2``, in that order and with
+    its terms.  ``W_{-2h..2h}`` is read once, scaled to integers by the
+    least common denominator ``L``; each term has degree 4, so the worst is
+    divided back by ``L^4``.  The table is laid out as ``W_0..W_{2h}``
+    followed by ``W_{-2h}..W_{-1}``, so that ``w[n]`` is ``W_n`` for every
+    ``|n| <= 2h`` by Python's negative indexing."""
+    h = W.n_max // 2
+    order = [*range(2 * h + 1), *range(-2 * h, 0)]
+    (w,), d = integer_rows([[W.w(n) for n in order]])
+    idx = range(-h, h + 1)
+    worst = worst_of(
+        w[k] ** 2 * w[p + q] * w[p - q]
+        + w[p] ** 2 * w[q + k] * w[q - k]
+        + w[q] ** 2 * w[k + p] * w[k - p]
+        for k in idx
+        for p in idx
+        for q in idx
+    )
+    return unscale(worst, None if d is None else d**4)
 
 
 def eds_kernel(W: EdsSequence, window: Window | None = None) -> Kernel:

@@ -15,8 +15,10 @@ exhaustively over a finite index window, in both composition orders.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
+from math import lcm
 from typing import Callable, Iterable
 
 from .errors import (
@@ -26,7 +28,7 @@ from .errors import (
     ZeroDiagonal,
     ZeroDivisor,
 )
-from .numerics import Scalar, magnitude, reciprocal
+from .numerics import Scalar, is_exact, magnitude, reciprocal
 
 Window = tuple[int, int]
 
@@ -42,6 +44,24 @@ def worst_of(values: Iterable[Scalar]) -> Scalar:
                 return v
             worst = v
     return worst
+
+
+def integer_rows(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], int | None]:
+    """``(int_rows, d)`` with ``rows == int_rows / d`` and ``d`` the least
+    common denominator, when every value is exact; otherwise ``(rows, None)``
+    with the rows unchanged.  A sweep over several tables scales all of them
+    or none, so that exact and float values never meet in one residual."""
+    if not all(is_exact(v) for row in rows for v in row):
+        return rows, None
+    d = lcm(*(v.denominator for row in rows for v in row))
+    return [[v.numerator * (d // v.denominator) for v in row] for row in rows], d
+
+
+def unscale(worst: Scalar, d: int | None) -> Scalar:
+    """A worst value of a sweep over integer-scaled tables divided back by the
+    sweep's scale ``d``, as a Fraction; unchanged when ``d`` is None, and an
+    all-zero sweep stays the exact ``0``."""
+    return worst if d is None or worst == 0 else Fraction(worst, d)
 
 
 def passes(worst: Scalar, tol: float | None) -> bool:

@@ -155,6 +155,24 @@ class TestVerifyCommand:
         for check in doc["checks"]:
             assert isinstance(check["worst_residual"], float)
 
+    def test_float_param_in_exact_mode_is_an_error(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--family=gasper", "--params=q=0.2", "--checks=tsi,delta")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["error"].startswith("DomainError: gasper: exact mode needs exact params")
+        assert "q given as float" in doc["error"] and "p/q" in doc["error"] and "--tolerance" in doc["error"]
+        assert doc["checks"] == [] and not doc["passed"]
+
+    def test_float_param_with_tolerance_runs_in_tolerance_mode(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--family=gasper", "--params=q=0.2", "--checks=tsi,delta", "--tolerance=1e-9"
+        )
+        doc = json.loads(out)
+        assert "error" not in doc and doc["mode"] == "tolerance"
+        assert [c["name"] for c in doc["checks"]] == ["tsi", "delta"]
+        assert all(isinstance(c["worst_residual"], float) for c in doc["checks"])
+        assert code == (0 if doc["passed"] else 1)
+
     def test_degenerate_params_fail_nonzero_exit(self, capsys):
         code, out, _ = run_cli(
             capsys, "verify", "--family", "gasper", "--params", "a=0",

@@ -29,7 +29,7 @@ from invrel import (
     validate_kernel_window,
     verify_inversion,
 )
-from invrel.kernels import passes, worst_of
+from invrel.kernels import integer_rows, passes, unscale, worst_of
 
 GASPER_PARAMS = (Fraction(2), Fraction(3), Fraction(1, 5), Fraction(1, 7))
 
@@ -204,6 +204,35 @@ class TestWorstOf:
             assert worst != worst
         marked = [1.0, float("-nan"), 5.0, nan]
         assert worst_of(marked) is marked[1]
+
+
+class TestIntegerRows:
+    def test_exact_rows_scale_by_the_common_denominator(self):
+        rows = [[Fraction(1, 6), 2], [Fraction(-3, 4), Fraction(0)]]
+        int_rows, d = integer_rows(rows)
+        assert d == 12 and int_rows == [[2, 24], [-9, 0]]
+        assert all(type(v) is int for row in int_rows for v in row)
+        assert [[Fraction(v, d) for v in row] for row in int_rows] == rows
+
+    def test_integer_rows_keep_scale_one(self):
+        assert integer_rows([[1, -2], [0, 3]]) == ([[1, -2], [0, 3]], 1)
+
+    def test_any_float_leaves_the_rows_unchanged(self):
+        for rows in ([[Fraction(1, 3), 0.5]], [[1.0]], [[1, 2j]], [[True, 1]]):
+            same, d = integer_rows(rows)
+            assert same is rows and d is None
+
+
+class TestUnscale:
+    def test_nonzero_worst_divides_back_to_the_fraction(self):
+        assert unscale(-9, 12) == Fraction(-3, 4) and type(unscale(-9, 12)) is Fraction
+
+    def test_zero_stays_the_exact_int(self):
+        assert unscale(0, 12) == 0 and type(unscale(0, 12)) is int
+
+    def test_unscaled_sweep_is_unchanged(self):
+        value = -5.960464477539063e-08
+        assert unscale(value, None) is value
 
 
 class TestPasses:
