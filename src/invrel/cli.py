@@ -26,7 +26,7 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from . import __version__
-from .errors import ConfigError, DomainError, VerificationError
+from .errors import ConfigError, DomainError, VerificationError, located
 from .families import (
     FAMILIES,
     check_eds_w2,
@@ -153,17 +153,23 @@ def load_config_file(path: str) -> dict[str, str]:
 
 
 def _closed_form_worst(pair: TriangularPair, closed) -> Scalar:
-    closed_f, closed_g = closed
+    """Largest difference between the printed closed forms and the pair's
+    entry table; a domain error of a closed form names its entry."""
     lo, hi = pair.window
-    return worst_of(
-        diff
-        for k in range(lo, hi + 1)
-        for n in range(k, hi + 1)
-        for diff in (closed_f(n, k) - pair.f(n, k), closed_g(n, k) - pair.g(n, k))
-    )
+
+    def diffs():
+        for k in range(lo, hi + 1):
+            for n in range(k, hi + 1):
+                for name, form, rows in zip("FG", closed, pair.table):
+                    try:
+                        yield form(n, k) - rows[n - lo][k - lo]
+                    except VerificationError as exc:
+                        raise located(exc, f"closed-form {name}({n},{k})")
+
+    return worst_of(diffs())
 
 
-# Each check maps a built family ``(kernel, closed, eds_seq)``, its memoised
+# Each check maps a built family ``(kernel, closed, eds_seq)``, its tabulated
 # F/G pair (None unless delta or closed-form runs), the window and the
 # tolerance to its worst residual.  The lambdas look the sweeps up by module
 # name at call time, so wrapping a sweep in this module wraps the check.

@@ -66,3 +66,15 @@ class IndexOutOfTable(VerificationError):
 
 class ConfigError(Exception):
     """Malformed CLI arguments or config file."""
+
+
+def located(exc: VerificationError, where: str) -> VerificationError:
+    """``exc`` again, as the same type with ``where: `` before its message and
+    ``exc`` as its cause; ``exc`` itself when its type takes structured
+    arguments instead."""
+    try:
+        wrapped = type(exc)(f"{where}: {exc}")
+    except TypeError:
+        return exc
+    wrapped.__cause__ = exc
+    return wrapped

@@ -10,15 +10,27 @@ lower-triangular matrices
 
 and :func:`verify_inversion` checks ``sum_i F(n,i) G(i,k) = delta_{n,k}``
 exhaustively over a finite index window, in both composition orders.
+
+A pair tabulates its entries once (:attr:`TriangularPair.table`).
+:func:`pair_from_kernel` reads ``alpha`` and ``beta`` once per window and
+folds each entry in the factor order of :func:`f_entry`/:func:`g_entry`,
+which stay public as the reference; exact tables are first scaled to
+integers by one common denominator, which cancels in every entry.  When
+every entry is exact, :func:`verify_inversion` composes in ``int`` (row
+``n`` of the left factor scaled by its least common denominator ``r_n``,
+column ``k`` of the right factor by ``c_k``) and divides only nonzero
+residuals back by ``r_n c_k``; otherwise products and sums keep the
+reference's left-to-right order, so float values are the same bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache, reduce
 from itertools import chain
 from math import lcm
+from operator import add, mul
 from typing import Callable, Iterable
 
 from .errors import (
@@ -27,8 +39,9 @@ from .errors import (
     VerificationError,
     ZeroDiagonal,
     ZeroDivisor,
+    located,
 )
-from .numerics import Scalar, is_exact, magnitude, reciprocal
+from .numerics import Scalar, exact_div, is_exact, magnitude, reciprocal
 
 Window = tuple[int, int]
 
@@ -46,13 +59,19 @@ def worst_of(values: Iterable[Scalar]) -> Scalar:
     return worst
 
 
-def integer_rows(rows: list[list[Scalar]]) -> tuple[list[list[Scalar]], int | None]:
+def integer_rows(rows: list[list[Scalar]], per_row: bool = False) -> tuple[list[list[Scalar]], object]:
     """``(int_rows, d)`` with ``rows == int_rows / d`` and ``d`` the least
     common denominator, when every value is exact; otherwise ``(rows, None)``
     with the rows unchanged.  A sweep over several tables scales all of them
-    or none, so that exact and float values never meet in one residual."""
+    or none, so that exact and float values never meet in one residual.
+    ``per_row=True`` scales each row by its own least common denominator and
+    returns the list of those as ``d``; to scale the columns of a table,
+    pass its columns as the rows."""
     if not all(is_exact(v) for row in rows for v in row):
         return rows, None
+    if per_row:
+        d = [lcm(*(v.denominator for v in row)) for row in rows]
+        return [[v.numerator * (dn // v.denominator) for v in row] for row, dn in zip(rows, d)], d
     d = lcm(*(v.denominator for row in rows for v in row))
     return [[v.numerator * (d // v.denominator) for v in row] for row in rows], d
 
@@ -113,7 +132,7 @@ class NodeSequences:
 
 @dataclass(frozen=True)
 class TriangularPair:
-    """Memoized F/G entry functions over a closed integer window.
+    """F/G entry functions over a closed integer window, and their table.
 
     Entries are defined for ``n >= k``; for ``n < k`` both matrices are
     conceptually zero and never evaluated.
@@ -123,6 +142,23 @@ class TriangularPair:
     g: Callable[[int, int], Scalar]
     window: Window
     name: str = ""
+
+    @cached_property
+    def table(self) -> tuple[list[list[Scalar]], list[list[Scalar]]]:
+        """``(F, G)`` as lower-triangular list rows, ``F[n-lo][k-lo] = f(n,k)``
+        for ``lo <= k <= n <= hi``, evaluated once, ``k`` outer and ``n``
+        inner; an entry error is re-raised naming its index."""
+        lo, hi = check_window(self.window)
+        F = [[0] * (n - lo + 1) for n in range(lo, hi + 1)]
+        G = [[0] * (n - lo + 1) for n in range(lo, hi + 1)]
+        for k in range(lo, hi + 1):
+            for n in range(k, hi + 1):
+                try:
+                    F[n - lo][k - lo] = self.f(n, k)
+                    G[n - lo][k - lo] = self.g(n, k)
+                except VerificationError as exc:
+                    raise located(exc, f"entry ({n},{k})")
+        return F, G
 
 
 @dataclass(frozen=True)
@@ -269,17 +305,39 @@ def max_antisymmetry_residual(kernel: Kernel, window: Window) -> Scalar:
 
 
 def pair_from_kernel(kernel: Kernel, window: Window) -> TriangularPair:
-    """Build the memoized F/G pair of a kernel over a window.
+    """Build the F/G pair of a kernel over a window.
 
     Preconditions (nonzero diagonal alpha, nonzero off-diagonal beta) are
     checked eagerly so failures are named up front rather than surfacing
-    deep inside a product.
+    deep inside a product.  ``alpha`` and ``beta`` are then read once, and
+    each entry is folded over them with the factors of :func:`f_entry`,
+    respectively :func:`g_entry`, in their order.
     """
-    window = check_window(window)
-    validate_kernel_window(kernel, window)
-    f = lru_cache(maxsize=None)(lambda n, k: f_entry(kernel, n, k))
-    g = lru_cache(maxsize=None)(lambda n, k: g_entry(kernel, n, k))
-    return TriangularPair(f=f, g=g, window=window, name=kernel.name)
+    lo, hi = check_window(window)
+    validate_kernel_window(kernel, (lo, hi))
+    idx = range(lo, hi + 1)
+    # column k of a and b: alpha(i,k) and beta(i,k) for i over the window
+    cols = [[kernel.alpha(i, k) for i in idx] for k in idx]
+    cols += [[kernel.beta(i, k) if i != k else 0 for i in idx] for k in idx]
+    # F(n,k) has as many alpha factors as beta factors, G(n,k) as many alpha
+    # factors above as below, so one common scale cancels in every entry
+    scaled, d = integer_rows(cols)
+    a, b = (cols if d is None else scaled)[: len(idx)], (cols if d is None else scaled)[len(idx) :]
+
+    def at(n: int, k: int) -> tuple[int, int]:
+        if not lo <= k <= n <= hi:
+            raise DomainError(f"entry ({n},{k}) outside the lower triangle of [{lo},{hi}]")
+        return n - lo, k - lo
+
+    def f(n: int, k: int) -> Scalar:
+        n, k = at(n, k)
+        return exact_div(reduce(mul, a[k][k:n], 1), reduce(mul, b[k][k + 1 : n + 1], 1))
+
+    def g(n: int, k: int) -> Scalar:
+        n, k = at(n, k)
+        return exact_div(reduce(mul, a[n][k + 1 : n + 1], a[k][k]), reduce(mul, b[n][k:n], a[n][n]))
+
+    return TriangularPair(f=f, g=g, window=(lo, hi), name=kernel.name)
 
 
 def pair_from_nodes(seqs: NodeSequences, window: Window, name: str = "") -> TriangularPair:
@@ -308,41 +366,41 @@ def pair_from_nodes(seqs: NodeSequences, window: Window, name: str = "") -> Tria
     )
 
 
+def _residuals(left: list[list[Scalar]], right: list[list[Scalar]], lo: int) -> dict:
+    """``sum_{k<=i<=n} left(n,i) right(i,k) - delta_{n,k}`` of two
+    lower-triangular tables, keyed ``(n,k)`` from the window's low end
+    ``lo``, ``k`` outer and ``n`` inner; in ``int`` when both are exact."""
+    columns = [[row[k] for row in right[k:]] for k in range(len(right))]
+    L, r = integer_rows(left, per_row=True)
+    C, c = integer_rows(columns, per_row=True)
+    if r is None or c is None:
+        L, C, r = left, columns, None
+    out: dict[tuple[int, int], Scalar] = {}
+    for k, column in enumerate(C):
+        for n in range(k, len(L)):
+            acc = reduce(add, map(mul, L[n][k:], column), 0)
+            if r is None:
+                out[(n + lo, k + lo)] = acc - (1 if n == k else 0)
+            else:
+                scale = r[n] * c[k]
+                out[(n + lo, k + lo)] = unscale(acc - scale if n == k else acc, scale)
+    return out
+
+
 def verify_inversion(pair: TriangularPair, tol: float | None = None) -> VerificationReport:
     """Check ``F.G = delta`` and ``G.F = delta`` exhaustively on the window.
 
     ``tol=None`` demands exact equality (exact-domain entries); otherwise
-    every residual magnitude must be ``<= tol``.
+    every residual magnitude must be ``<= tol``.  Both orders are computed:
+    over Q one implies the other, so in exact mode a G.F failure next to a
+    passing F.G can only be an arithmetic fault.
     """
     if tol is not None and tol <= 0:
         raise DomainError("tolerance must be positive")
-    lo, hi = check_window(pair.window)
-    fvals: dict[tuple[int, int], Scalar] = {}
-    gvals: dict[tuple[int, int], Scalar] = {}
-    for k in range(lo, hi + 1):
-        for n in range(k, hi + 1):
-            try:
-                fvals[(n, k)] = pair.f(n, k)
-                gvals[(n, k)] = pair.g(n, k)
-            except VerificationError as exc:
-                try:
-                    wrapped = type(exc)(f"entry ({n},{k}): {exc}")
-                except TypeError:
-                    raise  # error types with structured constructors pass through
-                raise wrapped from exc
-
-    def _compose(left, right):
-        out: dict[tuple[int, int], Scalar] = {}
-        for k in range(lo, hi + 1):
-            for n in range(k, hi + 1):
-                acc: Scalar = 0
-                for i in range(k, n + 1):
-                    acc = acc + left[(n, i)] * right[(i, k)]
-                out[(n, k)] = acc - (1 if n == k else 0)
-        return out
-
-    residuals = _compose(fvals, gvals)
-    transposed = _compose(gvals, fvals)
+    lo, _ = check_window(pair.window)
+    F, G = pair.table
+    residuals = _residuals(F, G, lo)
+    transposed = _residuals(G, F, lo)
 
     worst_value = worst_of(chain(residuals.values(), transposed.values()))
     return VerificationReport(

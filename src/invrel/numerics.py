@@ -35,7 +35,10 @@ def reciprocal(value: Scalar) -> Scalar:
 
 
 def exact_div(num: Scalar, den: Scalar) -> Scalar:
-    """num/den without silently leaving the exact domain for int inputs."""
+    """num/den without silently leaving the exact domain for int inputs;
+    two ints make one Fraction."""
+    if isinstance(num, int) and isinstance(den, int) and den != 0:
+        return Fraction(num, den)
     return num * reciprocal(den)
 
 
@@ -131,19 +134,28 @@ def q_pochhammer(a: Scalar, q: Scalar, n: int) -> Scalar:
     ``(a;q)_0 = 1``, ``(a;q)_n = prod_{i=0}^{n-1} (1 - a q^i)`` for positive
     ``n``, and the reciprocal extension
     ``(a;q)_{-m} = 1 / prod_{j=1}^{m} (1 - a q^{-j})`` for negative ``n``.
+    For exact ``a = u/v`` and ``q = s/t`` a factor ``1 - a q^e`` is
+    ``(v t^e - u s^e) / (v t^e)`` (``q^(-j) = (t/s)^j``): numerators and
+    denominators are multiplied as ``int`` and one Fraction is made at the end.
     """
-    if n >= 0:
-        out: Scalar = 1
-        for i in range(n):
-            out = out * (1 - a * power(q, i))
-        return out
-    out = 1
-    for j in range(1, -n + 1):
-        factor = 1 - a * power(q, -j)
-        if factor == 0:
-            raise ZeroDivisor(f"(a;q)_{n}: factor 1 - a*q^(-{j}) vanishes")
-        out = out * factor
-    return reciprocal(out)
+    if n == 0:
+        return 1
+    exact = is_exact(a) and is_exact(q)
+    if exact:
+        u, v = a.numerator, a.denominator
+        s, t = (q.numerator, q.denominator) if n > 0 else (q.denominator, q.numerator)
+        if t == 0:
+            raise ZeroDivisor("0**-1")  # as power(q, -1) would
+    num = den = 1
+    for e in range(n) if n > 0 else range(1, 1 - n):
+        top, bottom = (v * t**e - u * s**e, v * t**e) if exact else (1 - a * power(q, e if n > 0 else -e), 1)
+        if top == 0 and n < 0:
+            raise ZeroDivisor(f"(a;q)_{n}: factor 1 - a*q^(-{e}) vanishes")
+        num, den = num * top, den * bottom
+    if n < 0:
+        return Fraction(den, num) if exact else reciprocal(num)
+    # plain ints stay int, as in the factor-by-factor product
+    return num if not exact or (isinstance(a, int) and isinstance(q, int)) else Fraction(num, den)
 
 
 def q_pochhammer_infinite(a: Scalar, q: Scalar, policy: TruncationPolicy = DEFAULT_POLICY) -> Scalar:

@@ -182,6 +182,18 @@ class TestVerifyCommand:
         assert not doc["passed"]
         assert "DegenerateParams" in doc["error"]
 
+    def test_singular_closed_form_names_the_entry(self, capsys):
+        # the kernel is admissible, but a denominator of the printed G
+        # closed form vanishes at (1,0): a JSON ZeroDivisor naming the entry
+        code, out, _ = run_cli(
+            capsys, "verify", "--family=gasper", "--params=a=5,b=7,p=1/5,q=1/5",
+            "--window=0..16", "--checks=delta,closed-form",
+        )
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["error"] == "ZeroDivisor: closed-form G(1,0): reciprocal of zero"
+        assert [c["name"] for c in doc["checks"]] == ["delta"] and not doc["passed"]
+
     def test_unknown_family_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--family", "nope")
         assert code == 2 and "unknown family" in err

@@ -219,8 +219,17 @@ class TestIntegerRows:
 
     def test_any_float_leaves_the_rows_unchanged(self):
         for rows in ([[Fraction(1, 3), 0.5]], [[1.0]], [[1, 2j]], [[True, 1]]):
-            same, d = integer_rows(rows)
-            assert same is rows and d is None
+            for per_row in (False, True):
+                same, d = integer_rows(rows, per_row=per_row)
+                assert same is rows and d is None
+
+    def test_per_row_scales_each_row_by_its_own_denominator(self):
+        # ragged rows, as lower-triangular tables and their columns are
+        rows = [[Fraction(1, 2)], [Fraction(1, 3), Fraction(-5, 6)], [4, 0, 1], []]
+        int_rows, d = integer_rows(rows, per_row=True)
+        assert d == [2, 6, 1, 1] and int_rows == [[1], [2, -5], [4, 0, 1], []]
+        assert all(type(v) is int for row in int_rows for v in row)
+        assert [[Fraction(v, d[i]) for v in row] for i, row in enumerate(int_rows)] == rows
 
 
 class TestUnscale:

@@ -25,7 +25,7 @@ from invrel import (
     theta,
     weierstrass_addition_residual,
 )
-from invrel.numerics import power
+from invrel.numerics import power, reciprocal
 
 rationals = st.fractions(min_value=-4, max_value=4, max_denominator=12)
 
@@ -94,6 +94,57 @@ class TestQPochhammer:
         except ZeroDivisor:
             return
         assert lhs == rhs
+
+
+
+def reference_q_pochhammer(a, q, n):
+    """The Fraction product ``(a;q)_n`` factor by factor, as ``q_pochhammer``
+    computed it before its integer path."""
+    if n >= 0:
+        out = 1
+        for i in range(n):
+            out = out * (1 - a * power(q, i))
+        return out
+    out = 1
+    for j in range(1, -n + 1):
+        factor = 1 - a * power(q, -j)
+        if factor == 0:
+            raise ZeroDivisor(f"(a;q)_{n}: factor 1 - a*q^(-{j}) vanishes")
+        out = out * factor
+    return reciprocal(out)
+
+
+def outcome(fn, *args):
+    """``(type, repr)`` of the value, or of the error and its message."""
+    try:
+        value = fn(*args)
+    except ZeroDivisor as exc:
+        return ZeroDivisor, str(exc)
+    return type(value), repr(value)
+
+
+class TestIntegerQPochhammer:
+    exact = st.one_of(rationals, st.integers(-5, 5))
+
+    @given(a=exact, q=exact, n=st.integers(-8, 8))
+    def test_matches_the_fraction_product(self, a, q, n):
+        assert outcome(q_pochhammer, a, q, n) == outcome(reference_q_pochhammer, a, q, n)
+
+    def test_vanishing_negative_factor_names_it(self):
+        # 1 - (1/9) q^(-2) = 0 for q = 1/3
+        with pytest.raises(ZeroDivisor, match=r"^\(a;q\)_-3: factor 1 - a\*q\^\(-2\) vanishes$"):
+            q_pochhammer(Fraction(1, 9), Fraction(1, 3), -3)
+
+    def test_zero_base_in_the_negative_branch(self):
+        assert outcome(q_pochhammer, Fraction(1, 2), 0, -2) == (ZeroDivisor, "0**-1")
+
+    @pytest.mark.parametrize(
+        "a, q",
+        [(0.3, Fraction(1, 3)), (Fraction(1, 2), 0.25), (0.3, 0.7), (-1.5, -0.4), (2, 0.5), (0.5 + 0.1j, 0.3)],
+    )
+    @pytest.mark.parametrize("n", [-4, -1, 0, 1, 5])
+    def test_float_and_mixed_arguments_are_bit_identical(self, a, q, n):
+        assert outcome(q_pochhammer, a, q, n) == outcome(reference_q_pochhammer, a, q, n)
 
 
 class TestTheta:
