@@ -59,7 +59,9 @@ def worst_of(values: Iterable[Scalar]) -> Scalar:
     return worst
 
 
-def integer_rows(rows: list[list[Scalar]], per_row: bool = False) -> tuple[list[list[Scalar]], object]:
+def integer_rows(
+    rows: list[list[Scalar]], per_row: bool = False
+) -> tuple[list[list[Scalar]], int | list[int] | None]:
     """``(int_rows, d)`` with ``rows == int_rows / d`` and ``d`` the least
     common denominator, when every value is exact; otherwise ``(rows, None)``
     with the rows unchanged.  A sweep over several tables scales all of them
@@ -319,10 +321,12 @@ def pair_from_kernel(kernel: Kernel, window: Window) -> TriangularPair:
     # column k of a and b: alpha(i,k) and beta(i,k) for i over the window
     cols = [[kernel.alpha(i, k) for i in idx] for k in idx]
     cols += [[kernel.beta(i, k) if i != k else 0 for i in idx] for k in idx]
-    # F(n,k) has as many alpha factors as beta factors, G(n,k) as many alpha
-    # factors above as below, so one common scale cancels in every entry
+    # every entry has as many table factors in its numerator as in its
+    # denominator, so one common scale of both tables cancels in each
     scaled, d = integer_rows(cols)
-    a, b = (cols if d is None else scaled)[: len(idx)], (cols if d is None else scaled)[len(idx) :]
+    if d is not None:
+        cols = scaled
+    a, b = cols[: len(idx)], cols[len(idx) :]
 
     def at(n: int, k: int) -> tuple[int, int]:
         if not lo <= k <= n <= hi:

@@ -148,7 +148,11 @@ def q_pochhammer(a: Scalar, q: Scalar, n: int) -> Scalar:
             raise ZeroDivisor("0**-1")  # as power(q, -1) would
     num = den = 1
     for e in range(n) if n > 0 else range(1, 1 - n):
-        top, bottom = (v * t**e - u * s**e, v * t**e) if exact else (1 - a * power(q, e if n > 0 else -e), 1)
+        if exact:
+            bottom = v * t**e
+            top = bottom - u * s**e
+        else:
+            top, bottom = 1 - a * power(q, e if n > 0 else -e), 1
         if top == 0 and n < 0:
             raise ZeroDivisor(f"(a;q)_{n}: factor 1 - a*q^(-{e}) vanishes")
         num, den = num * top, den * bottom

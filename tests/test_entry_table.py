@@ -15,6 +15,7 @@ import pytest
 from invrel import (
     DEFAULT_POLICY,
     FAMILIES,
+    DomainError,
     FactorSequences,
     Kernel,
     TriangularPair,
@@ -141,6 +142,16 @@ def test_mismatched_pair_matches_the_fraction_sums():
     assert any(v != 0 for v in want.values()) and any(v != 0 for v in want_t.values())
     assert_same_residuals(report.residuals, want, assert_same_exact)
     assert_same_residuals(report.transposed_residuals, want_t, assert_same_exact)
+
+
+def test_kernel_pair_entries_outside_the_window_are_refused():
+    pair = pair_from_kernel(binomial_kernel(), (0, 4))
+    assert pair.f(4, 0) == Fraction(1, 24) and pair.g(4, 3) == -1
+    for n, k in ((5, 0), (2, -1), (1, 2)):
+        with pytest.raises(DomainError, match=rf"entry \({n},{k}\) outside"):
+            pair.f(n, k)
+        with pytest.raises(DomainError, match=rf"entry \({n},{k}\) outside"):
+            pair.g(n, k)
 
 
 def test_callable_pair_tabulates_in_window_order():
