@@ -13,14 +13,14 @@ exhaustively over a finite index window, in both composition orders.
 
 A pair tabulates its entries once (:attr:`TriangularPair.table`).
 :func:`pair_from_kernel` reads ``alpha`` and ``beta`` once per window and
-folds each entry in the factor order of :func:`f_entry`/:func:`g_entry`,
-which stay public as the reference; exact tables are first scaled to
-integers by one common denominator, which cancels in every entry.  When
-every entry is exact, :func:`verify_inversion` composes in ``int`` (row
-``n`` of the left factor scaled by its least common denominator ``r_n``,
-column ``k`` of the right factor by ``c_k``) and divides only nonzero
-residuals back by ``r_n c_k``; otherwise products and sums keep the
-reference's left-to-right order, so float values are the same bits.
+builds each entry with :func:`f_entry`/:func:`g_entry` over those tables;
+exact tables are first scaled to integers by one common denominator, which
+cancels in every entry, so the products run in ``int``.  When every entry
+is exact, :func:`verify_inversion` composes in ``int`` (row ``n`` of the
+left factor scaled by its least common denominator ``r_n``, column ``k`` of
+the right factor by ``c_k``) and divides only nonzero residuals back by
+``r_n c_k``; otherwise products and sums keep the reference's left-to-right
+order, so float values are the same bits.
 """
 
 from __future__ import annotations
@@ -28,9 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from itertools import chain
+from itertools import chain, repeat
 from math import lcm
 from operator import add, mul
+from types import SimpleNamespace
 from typing import Callable, Iterable
 
 from .errors import (
@@ -187,16 +188,15 @@ def f_entry(kernel: Kernel, n: int, k: int) -> Scalar:
     """``F(n,k) = prod_{i=k}^{n-1} alpha(i,k) / prod_{i=k+1}^{n} beta(i,k)``."""
     if n < k:
         raise DomainError(f"f_entry requires n >= k, got ({n},{k})")
-    num: Scalar = 1
-    for i in range(k, n):
-        num = num * kernel.alpha(i, k)
+    beta = kernel.beta
+    num = reduce(mul, map(kernel.alpha, range(k, n), repeat(k)), 1)
     den: Scalar = 1
     for i in range(k + 1, n + 1):
-        b = kernel.beta(i, k)
+        b = beta(i, k)
         if b == 0:
             raise ZeroDivisor(f"beta({i},{k}) = 0 in F({n},{k})")
         den = den * b
-    return num * reciprocal(den)
+    return exact_div(num, den)
 
 
 def g_entry(kernel: Kernel, n: int, k: int) -> Scalar:
@@ -204,19 +204,18 @@ def g_entry(kernel: Kernel, n: int, k: int) -> Scalar:
     / prod_{i=k}^{n-1} beta(i,n)``."""
     if n < k:
         raise DomainError(f"g_entry requires n >= k, got ({n},{k})")
-    diag = kernel.alpha(n, n)
+    alpha, beta = kernel.alpha, kernel.beta
+    diag = alpha(n, n)
     if diag == 0:
         raise ZeroDiagonal(f"alpha({n},{n}) = 0 in G({n},{k})")
-    num = kernel.alpha(k, k)
-    for i in range(k + 1, n + 1):
-        num = num * kernel.alpha(i, n)
+    num = reduce(mul, map(alpha, range(k + 1, n + 1), repeat(n)), alpha(k, k))
     den = diag
     for i in range(k, n):
-        b = kernel.beta(i, n)
+        b = beta(i, n)
         if b == 0:
             raise ZeroDivisor(f"beta({i},{n}) = 0 in G({n},{k})")
         den = den * b
-    return num * reciprocal(den)
+    return exact_div(num, den)
 
 
 def node_entries(seqs: NodeSequences, n: int, k: int) -> tuple[Scalar, Scalar]:
@@ -311,37 +310,32 @@ def pair_from_kernel(kernel: Kernel, window: Window) -> TriangularPair:
 
     Preconditions (nonzero diagonal alpha, nonzero off-diagonal beta) are
     checked eagerly so failures are named up front rather than surfacing
-    deep inside a product.  ``alpha`` and ``beta`` are then read once, and
-    each entry is folded over them with the factors of :func:`f_entry`,
-    respectively :func:`g_entry`, in their order.
+    deep inside a product.  ``alpha`` and ``beta`` are then read once into
+    tables, and the pair's entries are :func:`f_entry` and :func:`g_entry`
+    over those tables, for indices in the window.
     """
     lo, hi = check_window(window)
     validate_kernel_window(kernel, (lo, hi))
     idx = range(lo, hi + 1)
-    # column k of a and b: alpha(i,k) and beta(i,k) for i over the window
-    cols = [[kernel.alpha(i, k) for i in idx] for k in idx]
-    cols += [[kernel.beta(i, k) if i != k else 0 for i in idx] for k in idx]
+    rows = [[kernel.alpha(i, k) for k in idx] for i in idx]
+    rows += [[kernel.beta(i, k) if i != k else 0 for k in idx] for i in idx]
     # every entry has as many table factors in its numerator as in its
     # denominator, so one common scale of both tables cancels in each
-    scaled, d = integer_rows(cols)
+    scaled, d = integer_rows(rows)
     if d is not None:
-        cols = scaled
-    a, b = cols[: len(idx)], cols[len(idx) :]
+        rows = scaled
+    A, B = rows[: len(idx)], rows[len(idx) :]
+    tables = SimpleNamespace(alpha=lambda i, k: A[i - lo][k - lo], beta=lambda i, k: B[i - lo][k - lo])
 
-    def at(n: int, k: int) -> tuple[int, int]:
-        if not lo <= k <= n <= hi:
-            raise DomainError(f"entry ({n},{k}) outside the lower triangle of [{lo},{hi}]")
-        return n - lo, k - lo
+    def within(entry: Callable) -> Callable[[int, int], Scalar]:
+        def at(n: int, k: int) -> Scalar:
+            if not lo <= k <= n <= hi:
+                raise DomainError(f"entry ({n},{k}) outside the lower triangle of [{lo},{hi}]")
+            return entry(tables, n, k)
 
-    def f(n: int, k: int) -> Scalar:
-        n, k = at(n, k)
-        return exact_div(reduce(mul, a[k][k:n], 1), reduce(mul, b[k][k + 1 : n + 1], 1))
+        return at
 
-    def g(n: int, k: int) -> Scalar:
-        n, k = at(n, k)
-        return exact_div(reduce(mul, a[n][k + 1 : n + 1], a[k][k]), reduce(mul, b[n][k:n], a[n][n]))
-
-    return TriangularPair(f=f, g=g, window=(lo, hi), name=kernel.name)
+    return TriangularPair(f=within(f_entry), g=within(g_entry), window=(lo, hi), name=kernel.name)
 
 
 def pair_from_nodes(seqs: NodeSequences, window: Window, name: str = "") -> TriangularPair:
