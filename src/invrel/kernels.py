@@ -325,13 +325,14 @@ def pair_from_kernel(kernel: Kernel, window: Window) -> TriangularPair:
     if d is not None:
         rows = scaled
     A, B = rows[: len(idx)], rows[len(idx) :]
-    tables = SimpleNamespace(alpha=lambda i, k: A[i - lo][k - lo], beta=lambda i, k: B[i - lo][k - lo])
+    # indexed from the window's low end
+    tables = SimpleNamespace(alpha=lambda i, k: A[i][k], beta=lambda i, k: B[i][k])
 
     def within(entry: Callable) -> Callable[[int, int], Scalar]:
         def at(n: int, k: int) -> Scalar:
             if not lo <= k <= n <= hi:
                 raise DomainError(f"entry ({n},{k}) outside the lower triangle of [{lo},{hi}]")
-            return entry(tables, n, k)
+            return entry(tables, n - lo, k - lo)
 
         return at
 

@@ -2,10 +2,11 @@
 
 ``pair_from_kernel`` builds F and G once per window and ``verify_inversion``
 composes the table, in ``int`` when every entry is exact.  The references
-here are the public entry functions ``f_entry``/``g_entry`` and a plain
-left-to-right Fraction sum over them, so the table must agree exactly: equal
-with the same printed Fraction on exact kernels, ``repr``-identical wherever
-a float enters.
+here are the public entry functions ``f_entry``/``g_entry`` on the kernel
+itself, plain factor-by-factor loops over the kernel, and a plain
+left-to-right Fraction sum over the entries, so the table must agree
+exactly: equal with the same printed Fraction on exact kernels,
+``repr``-identical wherever a float enters.
 """
 
 from fractions import Fraction
@@ -29,6 +30,30 @@ from invrel import (
     product_ratio_kernel,
     verify_inversion,
 )
+from invrel.numerics import reciprocal
+
+
+def loop_f(kernel, n, k):
+    """``F(n,k)``: the alpha factors, then the beta factors, each multiplied
+    in from the left, and one quotient."""
+    num = 1
+    for i in range(k, n):
+        num = num * kernel.alpha(i, k)
+    den = 1
+    for i in range(k + 1, n + 1):
+        den = den * kernel.beta(i, k)
+    return num * reciprocal(den)
+
+
+def loop_g(kernel, n, k):
+    """``G(n,k)`` in the same way, from ``alpha(k,k)`` and ``alpha(n,n)``."""
+    num = kernel.alpha(k, k)
+    for i in range(k + 1, n + 1):
+        num = num * kernel.alpha(i, n)
+    den = kernel.alpha(n, n)
+    for i in range(k, n):
+        den = den * kernel.beta(i, n)
+    return num * reciprocal(den)
 
 
 def reference_compose(left, right, window) -> dict:
@@ -114,8 +139,8 @@ class TestExactTable:
         F, G = pair_from_kernel(kernel, (lo, hi)).table
         for k in range(lo, hi + 1):
             for n in range(k, hi + 1):
-                assert_same_exact(F[n - lo][k - lo], f_entry(kernel, n, k))
-                assert_same_exact(G[n - lo][k - lo], g_entry(kernel, n, k))
+                for got, reference in ((F, f_entry), (F, loop_f), (G, g_entry), (G, loop_g)):
+                    assert_same_exact(got[n - lo][k - lo], reference(kernel, n, k))
 
     def test_residuals_match_the_fraction_sums(self, family, perturbation):
         kernel, window = exact_case(family, perturbation)
@@ -179,8 +204,8 @@ class TestFloatAndMixedTables:
         F, G = pair_from_kernel(kernel, (lo, hi)).table
         for k in range(lo, hi + 1):
             for n in range(k, hi + 1):
-                assert repr(F[n - lo][k - lo]) == repr(f_entry(kernel, n, k))
-                assert repr(G[n - lo][k - lo]) == repr(g_entry(kernel, n, k))
+                for got, reference in ((F, f_entry), (F, loop_f), (G, g_entry), (G, loop_g)):
+                    assert repr(got[n - lo][k - lo]) == repr(reference(kernel, n, k))
 
     @pytest.mark.parametrize("name", KERNELS)
     def test_residuals_repr_identical(self, name):
