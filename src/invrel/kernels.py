@@ -12,15 +12,15 @@ and :func:`verify_inversion` checks ``sum_i F(n,i) G(i,k) = delta_{n,k}``
 exhaustively over a finite index window, in both composition orders.
 
 A pair tabulates its entries once (:attr:`TriangularPair.table`).
-:func:`pair_from_kernel` reads ``alpha`` and ``beta`` once per window and
-builds each entry with :func:`f_entry`/:func:`g_entry` over those tables;
-exact tables are first scaled to integers by one common denominator, which
-cancels in every entry, so the products run in ``int``.  When every entry
-is exact, :func:`verify_inversion` composes in ``int`` (row ``n`` of the
-left factor scaled by its least common denominator ``r_n``, column ``k`` of
-the right factor by ``c_k``) and divides only nonzero residuals back by
-``r_n c_k``; otherwise products and sums keep the reference's left-to-right
-order, so float values are the same bits.
+:func:`pair_from_kernel` builds each entry with :func:`f_entry` and
+:func:`g_entry`; when every ``alpha`` and ``beta`` value of the window is
+exact, they run over those values scaled to integers by one common
+denominator, which cancels in every entry, so the products run in ``int``.
+When every entry is exact, :func:`verify_inversion` composes in ``int``
+(row ``n`` of the left factor scaled by its least common denominator
+``r_n``, column ``k`` of the right factor by ``c_k``) and divides only
+nonzero residuals back by ``r_n c_k``; otherwise products and sums keep the
+reference's left-to-right order, so float values are the same bits.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache, reduce
-from itertools import chain, repeat
+from itertools import chain
 from math import lcm
 from operator import add, mul
 from types import SimpleNamespace
@@ -188,11 +188,12 @@ def f_entry(kernel: Kernel, n: int, k: int) -> Scalar:
     """``F(n,k) = prod_{i=k}^{n-1} alpha(i,k) / prod_{i=k+1}^{n} beta(i,k)``."""
     if n < k:
         raise DomainError(f"f_entry requires n >= k, got ({n},{k})")
-    beta = kernel.beta
-    num = reduce(mul, map(kernel.alpha, range(k, n), repeat(k)), 1)
+    num: Scalar = 1
+    for i in range(k, n):
+        num = num * kernel.alpha(i, k)
     den: Scalar = 1
     for i in range(k + 1, n + 1):
-        b = beta(i, k)
+        b = kernel.beta(i, k)
         if b == 0:
             raise ZeroDivisor(f"beta({i},{k}) = 0 in F({n},{k})")
         den = den * b
@@ -204,14 +205,15 @@ def g_entry(kernel: Kernel, n: int, k: int) -> Scalar:
     / prod_{i=k}^{n-1} beta(i,n)``."""
     if n < k:
         raise DomainError(f"g_entry requires n >= k, got ({n},{k})")
-    alpha, beta = kernel.alpha, kernel.beta
-    diag = alpha(n, n)
+    diag = kernel.alpha(n, n)
     if diag == 0:
         raise ZeroDiagonal(f"alpha({n},{n}) = 0 in G({n},{k})")
-    num = reduce(mul, map(alpha, range(k + 1, n + 1), repeat(n)), alpha(k, k))
+    num = kernel.alpha(k, k)
+    for i in range(k + 1, n + 1):
+        num = num * kernel.alpha(i, n)
     den = diag
     for i in range(k, n):
-        b = beta(i, n)
+        b = kernel.beta(i, n)
         if b == 0:
             raise ZeroDivisor(f"beta({i},{n}) = 0 in G({n},{k})")
         den = den * b
@@ -310,9 +312,10 @@ def pair_from_kernel(kernel: Kernel, window: Window) -> TriangularPair:
 
     Preconditions (nonzero diagonal alpha, nonzero off-diagonal beta) are
     checked eagerly so failures are named up front rather than surfacing
-    deep inside a product.  ``alpha`` and ``beta`` are then read once into
-    tables, and the pair's entries are :func:`f_entry` and :func:`g_entry`
-    over those tables, for indices in the window.
+    deep inside a product.  The pair's entries are :func:`f_entry` and
+    :func:`g_entry` for indices in the window: over the window's ``alpha``
+    and ``beta`` values scaled to integers when every one is exact, else
+    over the kernel itself.
     """
     lo, hi = check_window(window)
     validate_kernel_window(kernel, (lo, hi))
@@ -322,17 +325,16 @@ def pair_from_kernel(kernel: Kernel, window: Window) -> TriangularPair:
     # every entry has as many table factors in its numerator as in its
     # denominator, so one common scale of both tables cancels in each
     scaled, d = integer_rows(rows)
+    values = kernel  # it memoises its values; a table pays off once scaled to int
     if d is not None:
-        rows = scaled
-    A, B = rows[: len(idx)], rows[len(idx) :]
-    # indexed from the window's low end
-    tables = SimpleNamespace(alpha=lambda i, k: A[i][k], beta=lambda i, k: B[i][k])
+        A, B = scaled[: len(idx)], scaled[len(idx) :]
+        values = SimpleNamespace(alpha=lambda i, k: A[i - lo][k - lo], beta=lambda i, k: B[i - lo][k - lo])
 
     def within(entry: Callable) -> Callable[[int, int], Scalar]:
         def at(n: int, k: int) -> Scalar:
             if not lo <= k <= n <= hi:
                 raise DomainError(f"entry ({n},{k}) outside the lower triangle of [{lo},{hi}]")
-            return entry(tables, n - lo, k - lo)
+            return entry(values, n, k)
 
         return at
 
