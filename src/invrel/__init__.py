@@ -55,6 +55,7 @@ from .kernels import (
     kernel_to_nodes,
     max_antisymmetry_residual,
     node_entries,
+    pair_from_entries,
     pair_from_kernel,
     pair_from_nodes,
     validate_kernel_window,

@@ -21,7 +21,7 @@ import math
 import sys
 import time
 from fractions import Fraction
-from functools import partial
+from functools import cache, partial
 from pathlib import Path
 from typing import Callable, Iterable
 
@@ -54,6 +54,8 @@ CHECK_NAMES = (
     "antisym", "tsi", "qsi", "cond3", "delta",
     "closed-form", "counterexample", "eds-property",
 )
+PRESET_KEYS = ("family", "params", "window", "tolerance", "checks")
+CONFIG_KEYS = PRESET_KEYS + ("truncation-tail", "truncation-max", "out")
 
 
 # --- scalar/window parsing ------------------------------------------------------
@@ -103,6 +105,8 @@ def parse_params(text: str) -> dict[str, Scalar]:
         if "=" not in item:
             raise ConfigError(f"bad params item {item!r} (expected key=value)")
         key, _, value = item.partition("=")
+        if key.strip() in out:
+            raise ConfigError(f"params key {key.strip()!r} given twice")
         out[key.strip()] = parse_scalar(value)
     return out
 
@@ -160,7 +164,7 @@ def _closed_form_worst(pair: TriangularPair, closed) -> Scalar:
     def diffs():
         for k in range(lo, hi + 1):
             for n in range(k, hi + 1):
-                for name, form, rows in zip("FG", closed, pair.table):
+                for name, form, rows in zip("FG", closed, (pair.F, pair.G)):
                     try:
                         yield form(n, k) - rows[n - lo][k - lo]
                     except VerificationError as exc:
@@ -169,17 +173,16 @@ def _closed_form_worst(pair: TriangularPair, closed) -> Scalar:
     return worst_of(diffs())
 
 
-# Each check maps a built family ``(kernel, closed, eds_seq)``, its tabulated
-# F/G pair (None unless delta or closed-form runs), the window and the
-# tolerance to its worst residual.  The lambdas look the sweeps up by module
-# name at call time, so wrapping a sweep in this module wraps the check.
+# Each check maps a built family ``(kernel, closed, eds_seq)``, a thunk of its F/G
+# pair, the window and the tolerance to its worst residual.  The lambdas look the
+# sweeps up by module name at call time, so wrapping a sweep here wraps the check.
 CHECKS: dict[str, Callable] = {
     "antisym": lambda run, pair, window, tol: max_antisymmetry_residual(run[0], window),
     "tsi": lambda run, pair, window, tol: max_tsi_residual(run[0], window),
     "qsi": lambda run, pair, window, tol: max_qsi_residual(run[0], window),
     "cond3": lambda run, pair, window, tol: max_anchored_tsi_residual(run[0], window),
-    "delta": lambda run, pair, window, tol: verify_inversion(pair, tol).worst_value,
-    "closed-form": lambda run, pair, window, tol: _closed_form_worst(pair, run[1]),
+    "delta": lambda run, pair, window, tol: verify_inversion(pair(), tol).worst_value,
+    "closed-form": lambda run, pair, window, tol: _closed_form_worst(pair(), run[1]),
     "eds-property": lambda run, pair, window, tol: max_eds_property_residual(run[2]),
 }
 
@@ -240,6 +243,8 @@ def cmd_verify(
         bad = set(checks) - set(CHECK_NAMES)
         if bad:
             raise ConfigError(f"unknown checks {sorted(bad)}; known: {CHECK_NAMES}")
+        if len(set(checks)) < len(checks):
+            raise ConfigError(f"checks {list(checks)} name a check twice")
         if "counterexample" in checks:
             raise ConfigError("the counterexample check runs via the counterexample subcommand")
         if "closed-form" in checks and "closed-form" not in preset.checks:
@@ -265,7 +270,7 @@ def cmd_verify(
                 f"{family}: exact mode needs exact params, but {', '.join(floats)} "
                 "given as float; write each as p/q, or pass --tolerance"
             )
-        pair = pair_from_kernel(run[0], window) if {"delta", "closed-form"} & set(checks) else None
+        pair = cache(partial(pair_from_kernel, run[0], window))
         for name in checks:
             yield name, partial(CHECKS[name], run, pair, window, tolerance)
 
@@ -384,6 +389,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _verify_main(args) -> int:
     cfg = load_config_file(args.config) if args.config else {}
+    unknown = set(cfg) - set(CONFIG_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config keys {sorted(unknown)}; known: {CONFIG_KEYS}")
 
     def pick(flag_value, key):
         return flag_value if flag_value is not None else cfg.get(key)
@@ -400,8 +408,7 @@ def _verify_main(args) -> int:
     out = pick(args.out, "out")
 
     if args.all_presets:
-        keys = ("family", "params", "window", "tolerance", "checks")
-        ignored = [f"--{k}" for k in keys if pick(getattr(args, k), k) is not None]
+        ignored = [f"--{k}" for k in PRESET_KEYS if pick(getattr(args, k), k) is not None]
         if ignored:
             raise ConfigError(f"--all-presets runs every preset unchanged; it takes no {', '.join(ignored)}")
         docs = [cmd_verify(name, policy=policy) for name in FAMILIES]

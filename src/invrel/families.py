@@ -505,7 +505,7 @@ def max_eds_property_residual(W: EdsSequence) -> Scalar:
         for p in idx
         for q in idx
     )
-    return unscale(worst, None if d is None else d**4)
+    return unscale(worst, d, 4)
 
 
 def eds_kernel(W: EdsSequence, window: Window | None = None) -> Kernel:
@@ -520,7 +520,8 @@ def eds_kernel(W: EdsSequence, window: Window | None = None) -> Kernel:
     """
     kern = Kernel(
         alpha=lambda i, k: W.w(k) ** 2,
-        beta=lambda i, k: W.w(i + k) * W.w(i - k),
+        # beta(i,i) = W_{2i} W_0 = W_0 without reading W_{2i}, which may lie past the table
+        beta=lambda i, k: W.w(i + k) * W.w(i - k) if i != k else W.w(0),
         beta_antisymmetric=True,
         name="eds",
     )

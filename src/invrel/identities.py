@@ -10,12 +10,12 @@ the quintuple sum identity (QSI) and to its anchored three-term special case
 three exhaustively over finite windows.
 
 The pointwise ``*_residual`` functions are the reference.  Each sweep instead
-reads ``alpha`` and ``beta`` once per window into tables and evaluates the
-same terms, in the same order, on list indices.  When every table value is
-exact, both tables are scaled to integers (:func:`~invrel.kernels.integer_rows`)
-and the sweep runs in ``int`` arithmetic; the worst value is divided back to
-the same Fraction.  Otherwise the tables keep their values, so float
-residuals are bit-identical to the reference.
+reads ``alpha`` and ``beta`` once per window (:func:`~invrel.kernels.window_tables`)
+and evaluates the same terms, in the same order, on list indices.  When every
+value is exact, the tables are scaled to integers by one denominator ``d``,
+the sweep runs in ``int`` and its worst value is divided back by ``d`` to the
+residual's degree, to the same Fraction.  Otherwise the tables keep their
+values, so float residuals are bit-identical to the reference.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import DomainError, DuplicateNodes
-from .kernels import Kernel, Window, check_window, integer_rows, unscale, worst_of
+from .kernels import Kernel, Window, unscale, window_tables, worst_of
 from .numerics import Scalar, reciprocal
 
 
@@ -63,53 +63,35 @@ def qsi_residual(kernel: Kernel, x: int, y: int, p: int, q: int) -> Scalar:
     )
 
 
-def _tables(kernel: Kernel, window: Window) -> tuple[list, list, int | None]:
-    """``alpha`` and ``beta`` over ``window^2`` as rows ``A[i][k]``, ``B[i][k]``
-    (list indices count from the window's low end), evaluated once.  When
-    every value of both is exact, both come back scaled to integers with
-    ``d = dA * dB``, so a product of one alpha and one beta value carries the
-    factor ``d``; otherwise both come back unchanged with ``d = None``."""
-    lo, hi = check_window(window)
-    idx = range(lo, hi + 1)
-    A = [[kernel.alpha(i, k) for k in idx] for i in idx]
-    B = [[kernel.beta(i, k) for k in idx] for i in idx]
-    int_a, d_a = integer_rows(A)
-    int_b, d_b = integer_rows(B)
-    if d_a is None or d_b is None:
-        return A, B, None
-    return int_a, int_b, d_a * d_b
-
-
 def max_tsi_residual(kernel: Kernel, window: Window) -> Scalar:
     """Largest-magnitude TSI residual over all quadruples in ``window^4``,
     in the order and with the terms of :func:`tsi_residual`."""
-    A, B, d = _tables(kernel, window)
+    A, B, d = window_tables(kernel, window)
     return unscale(worst_of(
         An[p] * Bq[k] + An[q] * Bk[p] + An[k] * Bp[q]
         for An in A
         for k, Bk in enumerate(B)
         for p, Bp in enumerate(B)
         for q, Bq in enumerate(B)
-    ), d)
+    ), d, 2)
 
 
 def max_anchored_tsi_residual(kernel: Kernel, window: Window) -> Scalar:
     """Largest-magnitude anchored residual over all triples in ``window^3``,
     in the order and with the terms of :func:`anchored_tsi_residual`."""
-    A, B, d = _tables(kernel, window)
+    A, B, d = window_tables(kernel, window)
     return unscale(worst_of(
         Ap[x] * By[p] + Ap[y] * Bp[x] + Ap[p] * Bx[y]
         for x, Bx in enumerate(B)
         for p, (Ap, Bp) in enumerate(zip(A, B))
         for y, By in enumerate(B)
-    ), d)
+    ), d, 2)
 
 
 def max_qsi_residual(kernel: Kernel, window: Window) -> Scalar:
     """Largest-magnitude QSI residual over all quadruples in ``window^4``,
-    in the order and with the terms of :func:`qsi_residual`; its terms carry
-    two alpha and two beta factors, so an integer sweep divides by ``d^2``."""
-    A, B, d = _tables(kernel, window)
+    in the order and with the terms of :func:`qsi_residual`."""
+    A, B, d = window_tables(kernel, window)
     r = range(len(A))
     return unscale(worst_of(
         Ax[p] * Ap[y] * Bx[p] * Bq[y]
@@ -121,7 +103,7 @@ def max_qsi_residual(kernel: Kernel, window: Window) -> Scalar:
         for y in r
         for p, (Ap, Bp) in enumerate(zip(A, B))
         for q, Bq in enumerate(B)
-    ), None if d is None else d * d)
+    ), d, 4)
 
 
 @dataclass(frozen=True)

@@ -11,15 +11,15 @@ lower-triangular matrices
 and :func:`verify_inversion` checks ``sum_i F(n,i) G(i,k) = delta_{n,k}``
 exhaustively over a finite index window, in both composition orders.
 
-A pair tabulates its entries once (:attr:`TriangularPair.table`).
-:func:`pair_from_kernel` builds each entry with :func:`f_entry` and
-:func:`g_entry`; when every ``alpha`` and ``beta`` value of the window is
-exact, they run over those values scaled to integers by one common
-denominator, which cancels in every entry, so the products run in ``int``.
-When every entry is exact, :func:`verify_inversion` composes in ``int``
-(row ``n`` of the left factor scaled by its least common denominator
-``r_n``, column ``k`` of the right factor by ``c_k``) and divides only
-nonzero residuals back by ``r_n c_k``; otherwise products and sums keep the
+:func:`window_tables` is the one reader of ``alpha`` and ``beta`` over
+``window^2``, scaled to integers by one common denominator when all values
+are exact.  :func:`pair_from_kernel` runs :func:`f_entry` and :func:`g_entry`
+over them into a :class:`TriangularPair` of two tables; the scale cancels,
+as each entry has as many table factors above its fraction bar as below.
+When every entry is exact, :func:`verify_inversion` composes in ``int`` (row
+``n`` of the left factor scaled by its least common denominator ``r_n``,
+column ``k`` of the right factor by ``c_k``) and divides only nonzero
+residuals back by ``r_n c_k``; otherwise products and sums keep the
 reference's left-to-right order, so float values are the same bits.
 """
 
@@ -27,7 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache, reduce
+from functools import lru_cache, partial, reduce
 from itertools import chain
 from math import lcm
 from operator import add, mul
@@ -79,11 +79,11 @@ def integer_rows(
     return [[v.numerator * (d // v.denominator) for v in row] for row in rows], d
 
 
-def unscale(worst: Scalar, d: int | None) -> Scalar:
-    """A worst value of a sweep over integer-scaled tables divided back by the
-    sweep's scale ``d``, as a Fraction; unchanged when ``d`` is None, and an
-    all-zero sweep stays the exact ``0``."""
-    return worst if d is None or worst == 0 else Fraction(worst, d)
+def unscale(worst: Scalar, d: int | None, degree: int = 1) -> Scalar:
+    """A worst value of a sweep over tables scaled by ``d`` divided back by
+    ``d**degree`` (``degree`` table factors per term), as a Fraction; unchanged
+    when ``d`` is None, and an all-zero sweep stays the exact ``0``."""
+    return worst if d is None or worst == 0 else Fraction(worst, d**degree)
 
 
 def passes(worst: Scalar, tol: float | None) -> bool:
@@ -135,33 +135,14 @@ class NodeSequences:
 
 @dataclass(frozen=True)
 class TriangularPair:
-    """F/G entry functions over a closed integer window, and their table.
+    """F and G over a closed integer window as lower-triangular list rows,
+    ``F[n-lo][k-lo]`` for ``lo <= k <= n <= hi``; for ``n < k`` both
+    matrices are conceptually zero and not stored."""
 
-    Entries are defined for ``n >= k``; for ``n < k`` both matrices are
-    conceptually zero and never evaluated.
-    """
-
-    f: Callable[[int, int], Scalar]
-    g: Callable[[int, int], Scalar]
+    F: list[list[Scalar]]
+    G: list[list[Scalar]]
     window: Window
     name: str = ""
-
-    @cached_property
-    def table(self) -> tuple[list[list[Scalar]], list[list[Scalar]]]:
-        """``(F, G)`` as lower-triangular list rows, ``F[n-lo][k-lo] = f(n,k)``
-        for ``lo <= k <= n <= hi``, evaluated once, ``k`` outer and ``n``
-        inner; an entry error is re-raised naming its index."""
-        lo, hi = check_window(self.window)
-        F = [[0] * (n - lo + 1) for n in range(lo, hi + 1)]
-        G = [[0] * (n - lo + 1) for n in range(lo, hi + 1)]
-        for k in range(lo, hi + 1):
-            for n in range(k, hi + 1):
-                try:
-                    F[n - lo][k - lo] = self.f(n, k)
-                    G[n - lo][k - lo] = self.g(n, k)
-                except VerificationError as exc:
-                    raise located(exc, f"entry ({n},{k})")
-        return F, G
 
 
 @dataclass(frozen=True)
@@ -307,42 +288,54 @@ def max_antisymmetry_residual(kernel: Kernel, window: Window) -> Scalar:
     )
 
 
+def window_tables(kernel: Kernel, window: Window) -> tuple[list, list, int | None]:
+    """``alpha`` and ``beta`` over ``window^2`` as rows ``A[i][k]``, ``B[i][k]``
+    (list indices count from the window's low end), each value read once.
+    When every value is exact, both come back scaled to integers by one common
+    denominator ``d``; otherwise both come back unchanged with ``d = None``."""
+    lo, hi = check_window(window)
+    idx = range(lo, hi + 1)
+    rows = [[kernel.alpha(i, k) for k in idx] for i in idx]
+    rows += [[kernel.beta(i, k) for k in idx] for i in idx]
+    scaled, d = integer_rows(rows)
+    return scaled[: len(idx)], scaled[len(idx) :], d
+
+
+def pair_from_entries(entries: Callable[[int, int], tuple], window: Window, name: str = "") -> TriangularPair:
+    """The pair whose entries ``(F(n,k), G(n,k)) = entries(n, k)`` are
+    evaluated once each, ``k`` outer and ``n`` inner; an entry error is
+    re-raised naming its index."""
+    lo, hi = check_window(window)
+    F = [[0] * (n - lo + 1) for n in range(lo, hi + 1)]
+    G = [[0] * (n - lo + 1) for n in range(lo, hi + 1)]
+    for k in range(lo, hi + 1):
+        for n in range(k, hi + 1):
+            try:
+                F[n - lo][k - lo], G[n - lo][k - lo] = entries(n, k)
+            except VerificationError as exc:
+                raise located(exc, f"entry ({n},{k})")
+    return TriangularPair(F, G, (lo, hi), name)
+
+
 def pair_from_kernel(kernel: Kernel, window: Window) -> TriangularPair:
     """Build the F/G pair of a kernel over a window.
 
     Preconditions (nonzero diagonal alpha, nonzero off-diagonal beta) are
     checked eagerly so failures are named up front rather than surfacing
-    deep inside a product.  The pair's entries are :func:`f_entry` and
-    :func:`g_entry` for indices in the window: over the window's ``alpha``
-    and ``beta`` values scaled to integers when every one is exact, else
-    over the kernel itself.
+    deep inside a product.  Entries are :func:`f_entry` and :func:`g_entry`
+    over :func:`window_tables`.
     """
     lo, hi = check_window(window)
     validate_kernel_window(kernel, (lo, hi))
-    idx = range(lo, hi + 1)
-    rows = [[kernel.alpha(i, k) for k in idx] for i in idx]
-    rows += [[kernel.beta(i, k) if i != k else 0 for k in idx] for i in idx]
-    # every entry has as many table factors in its numerator as in its
-    # denominator, so one common scale of both tables cancels in each
-    scaled, d = integer_rows(rows)
-    values = kernel  # it memoises its values; a table pays off once scaled to int
-    if d is not None:
-        A, B = scaled[: len(idx)], scaled[len(idx) :]
-        values = SimpleNamespace(alpha=lambda i, k: A[i - lo][k - lo], beta=lambda i, k: B[i - lo][k - lo])
-
-    def within(entry: Callable) -> Callable[[int, int], Scalar]:
-        def at(n: int, k: int) -> Scalar:
-            if not lo <= k <= n <= hi:
-                raise DomainError(f"entry ({n},{k}) outside the lower triangle of [{lo},{hi}]")
-            return entry(values, n, k)
-
-        return at
-
-    return TriangularPair(f=within(f_entry), g=within(g_entry), window=(lo, hi), name=kernel.name)
+    A, B, _ = window_tables(kernel, (lo, hi))
+    values = SimpleNamespace(alpha=lambda i, k: A[i - lo][k - lo], beta=lambda i, k: B[i - lo][k - lo])
+    return pair_from_entries(
+        lambda n, k: (f_entry(values, n, k), g_entry(values, n, k)), (lo, hi), kernel.name
+    )
 
 
 def pair_from_nodes(seqs: NodeSequences, window: Window, name: str = "") -> TriangularPair:
-    """Build the memoized F/G pair of node sequences over a window.
+    """Build the F/G pair of node sequences over a window.
 
     Distinctness of the nodes ``s`` and nonvanishing of ``a``, ``b`` on the
     window are checked eagerly.
@@ -358,13 +351,7 @@ def pair_from_nodes(seqs: NodeSequences, window: Window, name: str = "") -> Tria
             raise ZeroDivisor(f"a({n}) = 0 on window [{lo},{hi}]")
         if seqs.b(n) == 0:
             raise ZeroDivisor(f"b({n}) = 0 on window [{lo},{hi}]")
-    entries = lru_cache(maxsize=None)(lambda n, k: node_entries(seqs, n, k))
-    return TriangularPair(
-        f=lambda n, k: entries(n, k)[0],
-        g=lambda n, k: entries(n, k)[1],
-        window=(lo, hi),
-        name=name,
-    )
+    return pair_from_entries(partial(node_entries, seqs), (lo, hi), name)
 
 
 def _residuals(left: list[list[Scalar]], right: list[list[Scalar]], lo: int) -> dict:
@@ -399,9 +386,8 @@ def verify_inversion(pair: TriangularPair, tol: float | None = None) -> Verifica
     if tol is not None and tol <= 0:
         raise DomainError("tolerance must be positive")
     lo, _ = check_window(pair.window)
-    F, G = pair.table
-    residuals = _residuals(F, G, lo)
-    transposed = _residuals(G, F, lo)
+    residuals = _residuals(pair.F, pair.G, lo)
+    transposed = _residuals(pair.G, pair.F, lo)
 
     worst_value = worst_of(chain(residuals.values(), transposed.values()))
     return VerificationReport(

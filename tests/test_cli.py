@@ -110,12 +110,23 @@ class TestParsing:
             ("eds", "--n=-3"),
             ("counterexample", "--k=0"),
             ("counterexample", "--k=-1..2"),
+            ("verify", "--family=binomial", "--checks=delta,delta"),
+            ("verify", "--family=gasper", "--params=a=2,a=3"),
         ],
     )
     def test_bad_input_exits_2(self, capsys, argv):
         code, out, err = run_cli(capsys, *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("line", ["tolerence=1e-9", "all-presets=1"])
+    def test_unknown_config_key_exits_2(self, capsys, tmp_path, line):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text(f"family=gasper\nparams=q=0.2\n{line}\n")
+        code, out, err = run_cli(capsys, "verify", f"--config={cfg}")
+        assert code == 2 and out == ""
+        assert err.startswith("error: unknown config keys") and line.split("=")[0] in err
+        assert err.count("\n") == 1
 
     def test_undecodable_config_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "binary.cfg"
@@ -403,6 +414,12 @@ class TestEdsCommand:
         doc = json.loads(out)
         assert doc["window"] == "1..2"
         assert doc["passed"]
+
+    def test_window_reaching_the_table_end(self, capsys):
+        # the delta check over 1..6 needs W_1..W_11, not W_12 for beta(6,6)
+        code, out, _ = run_cli(capsys, "eds", "--n=11", "--window=1..6")
+        doc = json.loads(out)
+        assert code == 0 and doc["passed"] and [c["name"] for c in doc["checks"]][-1] == "delta"
 
     def test_table_too_short_is_reported(self, capsys):
         code, out, _ = run_cli(capsys, "eds", "--n=2")

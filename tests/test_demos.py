@@ -1,0 +1,23 @@
+"""Every demo script runs to completion without writing to stderr."""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parent.parent
+DEMOS = sorted((ROOT / "demos").glob("*.py"))
+
+
+@pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
+def test_demo_runs(demo):
+    done = subprocess.run(
+        [sys.executable, str(demo)],
+        capture_output=True,
+        text=True,
+        env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
+        timeout=60,
+    )
+    assert done.returncode == 0 and done.stderr == ""

@@ -1,7 +1,7 @@
 """The tabulated entries and integer compositions against the reference.
 
 ``pair_from_kernel`` builds F and G once per window and ``verify_inversion``
-composes the table, in ``int`` when every entry is exact.  The references
+composes the two tables, in ``int`` when every entry is exact.  The references
 here are the public entry functions ``f_entry``/``g_entry`` on the kernel
 itself, plain factor-by-factor loops over the kernel, and a plain
 left-to-right Fraction sum over the entries, so the table must agree
@@ -16,7 +16,6 @@ import pytest
 from invrel import (
     DEFAULT_POLICY,
     FAMILIES,
-    DomainError,
     FactorSequences,
     Kernel,
     TriangularPair,
@@ -26,6 +25,7 @@ from invrel import (
     f_entry,
     g_entry,
     gasper_kernel,
+    pair_from_entries,
     pair_from_kernel,
     product_ratio_kernel,
     verify_inversion,
@@ -136,7 +136,8 @@ def assert_same_residuals(got: dict, want: dict, same):
 class TestExactTable:
     def test_entries_match_the_entry_functions(self, family, perturbation):
         kernel, (lo, hi) = exact_case(family, perturbation)
-        F, G = pair_from_kernel(kernel, (lo, hi)).table
+        pair = pair_from_kernel(kernel, (lo, hi))
+        F, G = pair.F, pair.G
         for k in range(lo, hi + 1):
             for n in range(k, hi + 1):
                 for got, reference in ((F, f_entry), (F, loop_f), (G, g_entry), (G, loop_g)):
@@ -157,33 +158,22 @@ class TestExactTable:
 
 
 def test_mismatched_pair_matches_the_fraction_sums():
-    # F of one kernel against G of another, tabulated through the callables
+    # F of one kernel against G of another
     window = (0, 5)
-    binom = pair_from_kernel(binomial_kernel(), window)
-    gasp = pair_from_kernel(gasper_kernel(Fraction(2), Fraction(3), Fraction(1, 5), Fraction(1, 7)), window)
-    report = verify_inversion(TriangularPair(f=binom.f, g=gasp.g, window=window))
-    want = reference_compose(binom.f, gasp.g, window)
-    want_t = reference_compose(gasp.g, binom.f, window)
+    binom, gasp = binomial_kernel(), gasper_kernel(Fraction(2), Fraction(3), Fraction(1, 5), Fraction(1, 7))
+    pair = TriangularPair(pair_from_kernel(binom, window).F, pair_from_kernel(gasp, window).G, window)
+    report = verify_inversion(pair)
+    f, g = (lambda n, k: f_entry(binom, n, k)), (lambda n, k: g_entry(gasp, n, k))
+    want, want_t = reference_compose(f, g, window), reference_compose(g, f, window)
     assert any(v != 0 for v in want.values()) and any(v != 0 for v in want_t.values())
     assert_same_residuals(report.residuals, want, assert_same_exact)
     assert_same_residuals(report.transposed_residuals, want_t, assert_same_exact)
 
 
-def test_kernel_pair_entries_outside_the_window_are_refused():
-    pair = pair_from_kernel(binomial_kernel(), (0, 4))
-    assert pair.f(4, 0) == Fraction(1, 24) and pair.g(4, 3) == -1
-    for n, k in ((5, 0), (2, -1), (1, 2)):
-        with pytest.raises(DomainError, match=rf"entry \({n},{k}\) outside"):
-            pair.f(n, k)
-        with pytest.raises(DomainError, match=rf"entry \({n},{k}\) outside"):
-            pair.g(n, k)
-
-
 def test_callable_pair_tabulates_in_window_order():
-    pair = TriangularPair(f=lambda n, k: Fraction(n, k or 1), g=lambda n, k: n - k, window=(-1, 2))
-    F, G = pair.table
-    assert F == [[1], [0, 0], [-1, 1, 1], [-2, 2, 2, 1]]
-    assert G == [[0], [1, 0], [2, 1, 0], [3, 2, 1, 0]]
+    pair = pair_from_entries(lambda n, k: (Fraction(n, k or 1), n - k), (-1, 2))
+    assert pair.F == [[1], [0, 0], [-1, 1, 1], [-2, 2, 2, 1]]
+    assert pair.G == [[0], [1, 0], [2, 1, 0], [3, 2, 1, 0]]
 
 
 class TestFloatAndMixedTables:
@@ -201,7 +191,8 @@ class TestFloatAndMixedTables:
     @pytest.mark.parametrize("name", KERNELS)
     def test_entries_repr_identical(self, name):
         kernel, (lo, hi), _ = self.KERNELS[name]
-        F, G = pair_from_kernel(kernel, (lo, hi)).table
+        pair = pair_from_kernel(kernel, (lo, hi))
+        F, G = pair.F, pair.G
         for k in range(lo, hi + 1):
             for n in range(k, hi + 1):
                 for got, reference in ((F, f_entry), (F, loop_f), (G, g_entry), (G, loop_g)):

@@ -12,6 +12,7 @@ from invrel import (
     NodeSequences,
     PivotDegenerate,
     TriangularPair,
+    ZeroDenominator,
     ZeroDiagonal,
     ZeroDivisor,
     binomial_kernel,
@@ -24,6 +25,7 @@ from invrel import (
     max_qsi_residual,
     max_tsi_residual,
     node_entries,
+    pair_from_entries,
     pair_from_kernel,
     pair_from_nodes,
     validate_kernel_window,
@@ -76,7 +78,7 @@ class TestEntryBuilders:
 class TestVerifyInversion:
     def test_identity_pair(self):
         delta = lambda n, k: 1 if n == k else 0
-        pair = TriangularPair(f=delta, g=delta, window=(-3, 3))
+        pair = pair_from_entries(lambda n, k: (delta(n, k), delta(n, k)), (-3, 3))
         report = verify_inversion(pair)
         assert report.passed and report.worst == 0 and report.mode == "exact"
 
@@ -91,22 +93,22 @@ class TestVerifyInversion:
         # mismatched F and G fail in both orders; matched ones pass in both
         binom = pair_from_kernel(binomial_kernel(), (0, 5))
         gasp = pair_from_kernel(gasper_kernel(*GASPER_PARAMS), (0, 5))
-        broken = TriangularPair(f=binom.f, g=gasp.g, window=(0, 5))
+        broken = TriangularPair(binom.F, gasp.G, (0, 5))
         report = verify_inversion(broken)
         assert not report.passed
         assert any(v != 0 for v in report.residuals.values())
         assert any(v != 0 for v in report.transposed_residuals.values())
 
     def test_tolerance_mode(self):
-        delta = lambda n, k: (1.0 if n == k else 0.0) + 1e-12
-        pair = TriangularPair(f=delta, g=lambda n, k: 1.0 if n == k else 0.0, window=(0, 3))
+        delta = lambda n, k: 1.0 if n == k else 0.0
+        pair = pair_from_entries(lambda n, k: (delta(n, k) + 1e-12, delta(n, k)), (0, 3))
         ok = verify_inversion(pair, tol=1e-6)
         assert ok.passed and ok.mode == "tolerance" and ok.tol == 1e-6
         assert not verify_inversion(pair, tol=1e-15).passed
 
     def test_exact_mode_rejects_drift(self):
-        delta = lambda n, k: Fraction(1 if n == k else 0) + Fraction(1, 10**30)
-        pair = TriangularPair(f=delta, g=lambda n, k: 1 if n == k else 0, window=(0, 2))
+        delta = lambda n, k: 1 if n == k else 0
+        pair = pair_from_entries(lambda n, k: (delta(n, k) + Fraction(1, 10**30), delta(n, k)), (0, 2))
         assert not verify_inversion(pair).passed
 
     def test_nonpositive_tolerance_rejected(self):
@@ -119,11 +121,31 @@ class TestVerifyInversion:
     def test_nonpositive_tolerance_rejected_before_entries(self):
         from invrel import DomainError
 
-        def entry(n, k):
-            raise AssertionError("entries built before the tolerance was checked")
-
+        # tables that cannot be composed: only the tolerance check can raise
         with pytest.raises(DomainError):
-            verify_inversion(TriangularPair(f=entry, g=entry, window=(0, 2)), tol=-1.0)
+            verify_inversion(TriangularPair(None, None, (0, 2)), tol=-1.0)
+
+
+class TestPairFromEntries:
+    def test_entry_error_names_its_entry(self):
+        def entries(n, k):
+            if (n, k) == (2, 1):
+                raise ZeroDivisor("beta(2,1) = 0")
+            return 1, 1
+
+        with pytest.raises(ZeroDivisor, match=r"^entry \(2,1\): beta\(2,1\) = 0$") as info:
+            pair_from_entries(entries, (0, 3))
+        assert str(info.value.__cause__) == "beta(2,1) = 0"
+
+    def test_structured_error_passes_through(self):
+        error = ZeroDenominator(1, 3, (0, 0))
+
+        def entries(n, k):
+            raise error
+
+        with pytest.raises(ZeroDenominator) as info:
+            pair_from_entries(entries, (0, 3))
+        assert info.value is error
 
 
 class TestWindowValidation:
