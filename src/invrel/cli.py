@@ -356,7 +356,9 @@ def _emit(doc: dict, out: str | None) -> int:
     return 0 if doc["passed"] else 1
 
 
+@cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: ``parse_args`` leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="invrel",
         description="Window-exhaustive verification of triangular inversion pairs.",

@@ -5,9 +5,13 @@ Given ``alpha`` and the seed ``t(k) = beta(k, k+1)``, the full antisymmetric
 
 * the triple-sum-identity route (:func:`beta_step_tsi`,
   :func:`beta_closed_tsi`), a first-order recursion in the gap ``n - k``;
-* the window-delta route (:func:`beta_from_inversion`), which solves the
-  lowest nontrivial orthogonality constraint of the induced F/G pair for
-  ``beta(k, n)``, consuming all shorter-gap values.
+* the window-delta route (:func:`beta_table_inversion`), which solves the
+  lowest nontrivial orthogonality constraint of the induced F/G pair,
+  ``sum_{i=k}^{n} F(n,i) G(i,k) = 0``, for ``beta(k, n)``, gap by gap on
+  the pair's own F/G tables.  :func:`beta_from_inversion` solves the same
+  constraint through the cleared-denominator weights :func:`f_weight` and
+  :func:`g_weight`; it is the reference, and the table route falls back on
+  it where the induced pair is undefined.
 
 The two routes agree at gap 2 for every seed but diverge from gap 3 on;
 :func:`counterexample_discrepancies` exhibits the canonical divergent seed
@@ -170,13 +174,57 @@ def beta_table_tsi(seed: BetaSeed) -> dict[tuple[int, int], Scalar]:
 def beta_table_inversion(seed: BetaSeed) -> dict[tuple[int, int], Scalar]:
     """Every ``beta(k,n)``, ``lo <= k < n <= hi`` on the seed window, by the window-delta route.
 
-    Built bottom-up by gap, since each gap consumes every shorter one.
+    Built bottom-up by gap, since each gap consumes every shorter one, on the
+    induced pair's entries ``F(n,k)``, ``G(n,k)`` for ``k < n``, seeded by
+    ``F(k+1,k) = -alpha(k,k)/t(k)`` and ``G(k+1,k) = alpha(k,k)/t(k)``.  The
+    constraint ``sum_{i=k}^{n} F(n,i) G(i,k) = 0`` is
+    ``(Gm - Fm)/beta(k,n) + S = 0`` with ``Fm = F(n-1,k) alpha(n-1,k)``,
+    ``Gm = G(n,k+1) alpha(k,k) alpha(k+1,n)/alpha(k+1,k+1)`` and
+    ``S = sum_{i=k+1}^{n-1} F(n,i) G(i,k)``, so
+    ``beta(k,n) = (Fm - Gm)/S``, ``F(n,k) = -Fm/beta(k,n)`` and
+    ``G(n,k) = Gm/beta(k,n)``: the weight equation of
+    :func:`beta_from_inversion` divided by ``alpha(k,k)`` and every
+    shorter-gap beta in ``[k,n]``.
+
+    Where a divisor vanishes, :func:`beta_from_inversion` takes over: for
+    every beta when some ``t(k)`` is zero, from the entry on when ``S = 0``,
+    and after the entry when a solved beta is zero (the induced pair is
+    undefined past a zero beta).  It raises
+    :class:`~invrel.errors.ZeroDenominator` when the constraint leaves
+    ``beta(k,n)`` undetermined.
     """
     lo, hi = seed.window
+    alpha = seed.alpha
     table = {(k, k + 1): seed.t(k) for k in range(lo, hi)}
+    F: dict[tuple[int, int], Scalar] = {}
+    G: dict[tuple[int, int], Scalar] = {}
+    on_pair = all(t != 0 for t in table.values())
+    if on_pair:
+        for k in range(lo, hi):
+            ratio = alpha(k, k) * reciprocal(table[(k, k + 1)])
+            F[(k + 1, k)] = -ratio
+            G[(k + 1, k)] = ratio
     for gap in range(2, hi - lo + 1):
         for k in range(lo, hi - gap + 1):
-            table[(k, k + gap)] = beta_from_inversion(seed, k, k + gap, table)
+            n = k + gap
+            if on_pair:
+                s: Scalar = 0
+                for i in range(k + 1, n):
+                    s = s + F[(n, i)] * G[(i, k)]
+                on_pair = s != 0
+            if not on_pair:
+                table[(k, n)] = beta_from_inversion(seed, k, n, table)
+                continue
+            fm = F[(n - 1, k)] * alpha(n - 1, k)
+            gm = G[(n, k + 1)] * alpha(k, k) * alpha(k + 1, n) * reciprocal(alpha(k + 1, k + 1))
+            beta = (fm - gm) * reciprocal(s)
+            table[(k, n)] = beta
+            if beta == 0:
+                on_pair = False
+                continue
+            inv = reciprocal(beta)
+            F[(n, k)] = -fm * inv
+            G[(n, k)] = gm * inv
     return table
 
 

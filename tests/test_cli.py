@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from invrel import ConfigError, VerificationError
 from invrel.cli import (
     CHECK_NAMES,
+    _build_parser,
     cmd_counterexample,
     cmd_eds,
     cmd_verify,
@@ -138,6 +139,30 @@ class TestParsing:
         target = tmp_path / "missing-dir" / "report.json"
         code, out, err = run_cli(capsys, "counterexample", "--k=1", f"--out={target}")
         assert code == 2 and out == "" and err.startswith("error: cannot write")
+
+
+class TestCallsInARow:
+    # The parser is built once per process; no call may leave state behind.
+
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def test_flag_does_not_leak_into_the_next_call(self, capsys):
+        checks = ("verify", "--family=binomial", "--checks=delta")
+        code, out, _ = run_cli(capsys, *checks, "--window=0..3")
+        assert code == 0 and json.loads(out)["window"] == "0..3"
+        code, out, _ = run_cli(capsys, *checks)
+        assert code == 0 and json.loads(out)["window"] == "0..8"
+
+    def test_bad_input_then_good_input(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["verify", "--no-such-flag"])
+        assert excinfo.value.code == 2 and "--no-such-flag" in capsys.readouterr().err
+        code, _, err = run_cli(capsys, "counterexample", "--k=0")
+        assert code == 2 and err.startswith("error: ")
+        code, out, err = run_cli(capsys, "counterexample", "--k=2")
+        assert code == 0 and err == ""
+        assert [row["k"] for row in json.loads(out)["rows"]] == [2]
 
 
 class TestVerifyCommand:

@@ -53,6 +53,32 @@ def random_seed(rng, window):
     )
 
 
+def reference_inversion_table(seed):
+    # the window-delta route solved through the weights alone, gap by gap
+    lo, hi = seed.window
+    table = {(k, k + 1): seed.t(k) for k in range(lo, hi)}
+    for gap in range(2, hi - lo + 1):
+        for k in range(lo, hi - gap + 1):
+            table[(k, k + gap)] = beta_from_inversion(seed, k, k + gap, table)
+    return table
+
+
+def table_or_error(build, seed):
+    try:
+        return build(seed)
+    except ZeroDenominator as err:
+        return (err.k, err.n, err.g_values)
+
+
+def antisymmetric_kernel(seed, table):
+    def beta(i, k):
+        if i == k:
+            return Fraction(0)
+        return table[(i, k)] if i < k else -table[(k, i)]
+
+    return Kernel(alpha=seed.alpha, beta=beta, name="inversion-route")
+
+
 class TestTripleSumRoute:
     def test_gap_one_is_the_seed(self):
         seed = sum_seed((1, 5))
@@ -170,6 +196,69 @@ class TestInversionRoute:
         err = excinfo.value
         assert (err.k, err.n) == (0, 3)
         assert sum(err.g_values) == 0 and any(g != 0 for g in err.g_values)
+        # the table route meets the same undetermined constraint, with the same payload
+        with pytest.raises(ZeroDenominator) as excinfo:
+            beta_table_inversion(seed)
+        assert (excinfo.value.k, excinfo.value.n, excinfo.value.g_values) == (0, 3, err.g_values)
+
+
+class TestInversionTable:
+    # beta_table_inversion solves each constraint on the induced pair's F/G
+    # tables; the weights of beta_from_inversion are the reference.
+
+    def test_equals_the_weight_route_on_random_seeds(self):
+        rng = random.Random(2024)
+        outcomes = {"table": 0, "error": 0, "zero t": 0}
+        for _ in range(120):
+            lo = rng.randint(-2, 3)
+            seed = random_seed(rng, (lo, lo + rng.randint(1, 7)))
+            got = table_or_error(beta_table_inversion, seed)
+            assert got == table_or_error(reference_inversion_table, seed)
+            outcomes["table" if isinstance(got, dict) else "error"] += 1
+            lo, hi = seed.window
+            outcomes["zero t"] += any(seed.t(k) == 0 for k in range(lo, hi))
+        # both outcomes occur, and some seeds have a zero t, which takes the fallback
+        assert min(outcomes.values()) >= 10, outcomes
+
+    def test_equals_the_weight_route_on_the_canonical_seed(self):
+        for window in ((1, 5), (1, 8), (3, 9)):
+            seed = sum_seed(window)
+            assert beta_table_inversion(seed) == reference_inversion_table(seed)
+
+    def test_zero_solved_beta_takes_the_fallback(self):
+        # beta(0,3) solves to 0, so F(3,0) and G(3,0) are undefined and every
+        # later entry comes from the weights
+        t_values = (-2, 2, 2, -2, 1)
+        seed = BetaSeed(
+            alpha=lambda i, j: Fraction(1 if i == j else i + j + 1),
+            t=lambda j: Fraction(t_values[j]),
+            window=(0, 5),
+        )
+        table = beta_table_inversion(seed)
+        assert table[(0, 3)] == 0
+        assert table == reference_inversion_table(seed)
+
+    def test_table_passes_delta_exactly_and_a_perturbation_fails(self):
+        rng = random.Random(99)
+        checked = 0
+        while checked < 25:
+            lo = rng.randint(-1, 2)
+            window = (lo, lo + rng.randint(2, 5))
+            seed = random_seed(rng, window)
+            try:
+                table = beta_table_inversion(seed)
+            except ZeroDenominator:
+                continue
+            if any(v == 0 for v in table.values()):
+                continue  # the induced pair is undefined
+            report = verify_inversion(pair_from_kernel(antisymmetric_kernel(seed, table), window))
+            assert report.passed and report.mode == "exact" and report.worst_value == 0
+            # negative control: one entry of gap 2 or more, moved by 1, breaks delta
+            k, n = rng.choice([kn for kn, v in table.items() if kn[1] - kn[0] >= 2 and v != -1])
+            table[(k, n)] += 1
+            report = verify_inversion(pair_from_kernel(antisymmetric_kernel(seed, table), window))
+            assert not report.passed and report.worst_value != 0
+            checked += 1
 
 
 class TestCounterexample:
@@ -203,14 +292,7 @@ class TestCounterexample:
         # route's beta, extended antisymmetrically, gives a pair that passes
         # the delta check exactly while the triple sum identity fails.
         seed = sum_seed((1, 5))
-        table = beta_table_inversion(seed)
-
-        def beta(i, k):
-            if i == k:
-                return Fraction(0)
-            return table[(i, k)] if i < k else -table[(k, i)]
-
-        kernel = Kernel(alpha=seed.alpha, beta=beta, name="inversion-route")
+        kernel = antisymmetric_kernel(seed, beta_table_inversion(seed))
         report = verify_inversion(pair_from_kernel(kernel, (1, 5)))
         assert report.passed and report.mode == "exact" and report.worst_value == 0
         assert max_tsi_residual(kernel, (1, 5)) == Fraction(-3124407, 123340)
