@@ -149,6 +149,8 @@ def load_config_file(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"bad config line {line!r}")
         key, _, value = line.partition("=")
+        if key.strip() in out:
+            raise ConfigError(f"config key {key.strip()!r} given twice")
         out[key.strip()] = value.strip()
     return out
 

@@ -44,6 +44,7 @@ from .numerics import (
     DEFAULT_POLICY,
     Scalar,
     TruncationPolicy,
+    elliptic_pochhammer,
     exact_div,
     partial_theta,
     partial_theta_slope_series,
@@ -361,12 +362,8 @@ def elliptic_sum_closed_entries(
         F(n,k) = prod_{i=k+1}^{n} 1 / ((x;q,p)_i (y;q,p)_{i-1} S(i,k))
         G(n,k) = prod_{i=k}^{n-1} 1 / ((x;q,p)_{i+1} (y;q,p)_i S(i,n))
     """
-    E = lru_cache(maxsize=None)(
-        lambda m: prod_range(lambda j: theta(x * power(q, j - 1), p, policy), 1, m)
-    )
-    D = lru_cache(maxsize=None)(
-        lambda m: prod_range(lambda j: theta(y * power(q, j - 1), p, policy), 1, m)
-    )
+    E = lru_cache(maxsize=None)(lambda m: elliptic_pochhammer(x, q, p, m, policy))
+    D = lru_cache(maxsize=None)(lambda m: elliptic_pochhammer(y, q, p, m, policy))
 
     @lru_cache(maxsize=None)
     def sigma(m: int) -> Scalar:

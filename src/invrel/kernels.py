@@ -11,11 +11,12 @@ lower-triangular matrices
 and :func:`verify_inversion` checks ``sum_i F(n,i) G(i,k) = delta_{n,k}``
 exhaustively over a finite index window, in both composition orders.
 
-:func:`window_tables` is the one reader of ``alpha`` and ``beta`` over
-``window^2``, scaled to integers by one common denominator when all values
-are exact.  :func:`pair_from_kernel` runs :func:`f_entry` and :func:`g_entry`
-over them into a :class:`TriangularPair` of two tables; the scale cancels,
-as each entry has as many table factors above its fraction bar as below.
+:func:`window_tables` reads ``alpha`` and ``beta`` over ``window^2`` for the
+sweeps and the pair, scaled to integers by one common denominator when all
+values are exact.  :func:`pair_from_kernel` runs :func:`f_entry` and
+:func:`g_entry`, whose guards name any zero divisor, over them into a
+:class:`TriangularPair` of two tables; the scale cancels, as each entry has
+as many table factors above its fraction bar as below.
 When every entry is exact, :func:`verify_inversion` composes in ``int`` (row
 ``n`` of the left factor scaled by its least common denominator ``r_n``,
 column ``k`` of the right factor by ``c_k``) and divides only nonzero
@@ -42,7 +43,7 @@ from .errors import (
     ZeroDivisor,
     located,
 )
-from .numerics import Scalar, exact_div, is_exact, magnitude, reciprocal
+from .numerics import Scalar, exact_div, is_exact, magnitude, passes, reciprocal
 
 Window = tuple[int, int]
 
@@ -84,12 +85,6 @@ def unscale(worst: Scalar, d: int | None, degree: int = 1) -> Scalar:
     ``d**degree`` (``degree`` table factors per term), as a Fraction; unchanged
     when ``d`` is None, and an all-zero sweep stays the exact ``0``."""
     return worst if d is None or worst == 0 else Fraction(worst, d**degree)
-
-
-def passes(worst: Scalar, tol: float | None) -> bool:
-    """The verdict on a worst residual: exactly zero when ``tol`` is None,
-    else ``|worst| <= tol`` (never true for NaN)."""
-    return worst == 0 if tol is None else magnitude(worst) <= tol
 
 
 def check_window(window: Window) -> Window:
@@ -303,13 +298,14 @@ def window_tables(kernel: Kernel, window: Window) -> tuple[list, list, int | Non
 
 def pair_from_entries(entries: Callable[[int, int], tuple], window: Window, name: str = "") -> TriangularPair:
     """The pair whose entries ``(F(n,k), G(n,k)) = entries(n, k)`` are
-    evaluated once each, ``k`` outer and ``n`` inner; an entry error is
-    re-raised naming its index."""
+    evaluated once each, by gap ``n - k`` and then ``k``, so the diagonal
+    comes first; an entry error is re-raised naming its index."""
     lo, hi = check_window(window)
     F = [[0] * (n - lo + 1) for n in range(lo, hi + 1)]
     G = [[0] * (n - lo + 1) for n in range(lo, hi + 1)]
-    for k in range(lo, hi + 1):
-        for n in range(k, hi + 1):
+    for gap in range(hi - lo + 1):
+        for k in range(lo, hi - gap + 1):
+            n = k + gap
             try:
                 F[n - lo][k - lo], G[n - lo][k - lo] = entries(n, k)
             except VerificationError as exc:
@@ -318,15 +314,13 @@ def pair_from_entries(entries: Callable[[int, int], tuple], window: Window, name
 
 
 def pair_from_kernel(kernel: Kernel, window: Window) -> TriangularPair:
-    """Build the F/G pair of a kernel over a window.
-
-    Preconditions (nonzero diagonal alpha, nonzero off-diagonal beta) are
-    checked eagerly so failures are named up front rather than surfacing
-    deep inside a product.  Entries are :func:`f_entry` and :func:`g_entry`
-    over :func:`window_tables`.
+    """Build the F/G pair of a kernel over a window: :func:`f_entry` and
+    :func:`g_entry` over :func:`window_tables`.  Their guards refuse what
+    :func:`validate_kernel_window` refuses, with the same types, and name
+    the entry: a zero ``alpha(n,n)`` divides ``G(n,n)``, a zero ``beta(i,k)``
+    divides ``F(hi,k)`` below the diagonal and ``G(k,lo)`` above it.
     """
     lo, hi = check_window(window)
-    validate_kernel_window(kernel, (lo, hi))
     A, B, _ = window_tables(kernel, (lo, hi))
     values = SimpleNamespace(alpha=lambda i, k: A[i - lo][k - lo], beta=lambda i, k: B[i - lo][k - lo])
     return pair_from_entries(
@@ -337,21 +331,11 @@ def pair_from_kernel(kernel: Kernel, window: Window) -> TriangularPair:
 def pair_from_nodes(seqs: NodeSequences, window: Window, name: str = "") -> TriangularPair:
     """Build the F/G pair of node sequences over a window.
 
-    Distinctness of the nodes ``s`` and nonvanishing of ``a``, ``b`` on the
-    window are checked eagerly.
+    The guards of :func:`node_entries` name the failing entry: a zero
+    ``b(k)`` or ``a(n)`` divides the diagonal entry, and two equal nodes
+    ``s(i) = s(j)``, ``i < j``, meet in ``F(j,i)``.
     """
-    lo, hi = check_window(window)
-    svals = {n: seqs.s(n) for n in range(lo, hi + 1)}
-    for i in range(lo, hi + 1):
-        for j in range(i + 1, hi + 1):
-            if svals[i] == svals[j]:
-                raise ZeroDivisor(f"s({i}) = s({j}) on window [{lo},{hi}]")
-    for n in range(lo, hi + 1):
-        if seqs.a(n) == 0:
-            raise ZeroDivisor(f"a({n}) = 0 on window [{lo},{hi}]")
-        if seqs.b(n) == 0:
-            raise ZeroDivisor(f"b({n}) = 0 on window [{lo},{hi}]")
-    return pair_from_entries(partial(node_entries, seqs), (lo, hi), name)
+    return pair_from_entries(partial(node_entries, seqs), window, name)
 
 
 def _residuals(left: list[list[Scalar]], right: list[list[Scalar]], lo: int) -> dict:

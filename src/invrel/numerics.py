@@ -66,9 +66,13 @@ def scalars_close(a: Scalar, b: Scalar, tol: float | None = None) -> bool:
         return a == b
     if tol <= 0:
         raise DomainError("tolerance must be positive")
-    from .kernels import passes  # kernels imports this module
-
     return passes(a - b, tol)
+
+
+def passes(worst: Scalar, tol: float | None) -> bool:
+    """The verdict on a worst residual: exactly zero when ``tol`` is None,
+    else ``|worst| <= tol`` (never true for NaN)."""
+    return worst == 0 if tol is None else magnitude(worst) <= tol
 
 
 @dataclass(frozen=True)

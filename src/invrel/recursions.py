@@ -84,20 +84,24 @@ def beta_closed_tsi(seed: BetaSeed, k: int, n: int) -> Scalar:
     return total
 
 
-def _pair_beta_product(
-    betas: Mapping[tuple[int, int], Scalar], k: int, n: int, i: int,
-    max_gap: int | None = None,
+def _weight(
+    alpha: Callable[[int, int], Scalar],
+    betas: Mapping[tuple[int, int], Scalar],
+    k: int, n: int, i: int, max_gap: int,
 ) -> Scalar:
     out: Scalar = 1
     for j1, j2 in combinations(range(k, n + 1), 2):
-        if j1 == i or j2 == i:
-            continue
-        if max_gap is not None and j2 - j1 > max_gap:
+        if j1 == i or j2 == i or j2 - j1 > max_gap:
             continue
         try:
             out = out * betas[(j1, j2)]
         except KeyError:
             raise MissingBeta(f"beta({j1},{j2}) required but not yet determined") from None
+    # the sign goes on after the betas: -1 times an int 0 beta product would
+    # lose the sign that a float zero keeps
+    out = (-1) ** (n - i) * out
+    for j in range(k + 1, n):
+        out = out * alpha(j, i)
     return out
 
 
@@ -108,10 +112,7 @@ def f_weight(
 ) -> Scalar:
     """``f(k,n;i) = (-1)^{n-i} prod_{k<=j1<j2<=n, j1,j2 != i} beta(j1,j2)
     * prod_{j=k+1}^{n-1} alpha(j,i)``."""
-    out = (-1) ** (n - i) * _pair_beta_product(betas, k, n, i)
-    for j in range(k + 1, n):
-        out = out * alpha(j, i)
-    return out
+    return _weight(alpha, betas, k, n, i, n - k)
 
 
 def g_weight(
@@ -122,16 +123,7 @@ def g_weight(
     """Like :func:`f_weight` but with pairs restricted to gap ``<= n-k-1``,
     so the unknown ``beta(k,n)`` is excluded: ``f(k,n;i) = g(k,n;i) beta(k,n)``
     for interior ``i``."""
-    out = (-1) ** (n - i) * _pair_beta_product(betas, k, n, i, max_gap=n - k - 1)
-    for j in range(k + 1, n):
-        out = out * alpha(j, i)
-    return out
-
-
-def _with_seed_gap1(seed: BetaSeed, known: Mapping[tuple[int, int], Scalar], k: int, n: int) -> dict:
-    betas = {(j, j + 1): seed.t(j) for j in range(k, n)}
-    betas.update(known)
-    return betas
+    return _weight(alpha, betas, k, n, i, n - k - 1)
 
 
 def beta_from_inversion(
@@ -149,7 +141,8 @@ def beta_from_inversion(
     """
     if n - k < 2:
         raise DomainError(f"beta_from_inversion needs gap >= 2, got ({k},{n})")
-    betas = _with_seed_gap1(seed, known_betas, k, n)
+    betas = {(j, j + 1): seed.t(j) for j in range(k, n)}
+    betas.update(known_betas)
     num = f_weight(seed.alpha, betas, k, n, k) + f_weight(seed.alpha, betas, k, n, n)
     g_values = [g_weight(seed.alpha, betas, k, n, i) for i in range(k + 1, n)]
     den: Scalar = 0

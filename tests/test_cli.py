@@ -129,6 +129,13 @@ class TestParsing:
         assert err.startswith("error: unknown config keys") and line.split("=")[0] in err
         assert err.count("\n") == 1
 
+    def test_repeated_config_key_exits_2(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("family=binomial\nwindow=0..3\nwindow=0..2\n")
+        code, out, err = run_cli(capsys, "verify", f"--config={cfg}")
+        assert code == 2 and out == ""
+        assert err == "error: config key 'window' given twice\n"
+
     def test_undecodable_config_exits_2(self, capsys, tmp_path):
         cfg = tmp_path / "binary.cfg"
         cfg.write_bytes(b"\x80\x81\xff\n")
@@ -379,6 +386,9 @@ class TestVerifyCommand:
         cfg = tmp_path / "broken.cfg"
         cfg.write_text("family gasper\n")
         with pytest.raises(ConfigError):
+            load_config_file(str(cfg))
+        cfg.write_text("window=0..3\nfamily=gasper\n window = 0..2\n")
+        with pytest.raises(ConfigError, match="'window' given twice"):
             load_config_file(str(cfg))
 
     def test_exact_report_is_deterministic(self, capsys):

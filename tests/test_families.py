@@ -23,6 +23,7 @@ from invrel import (
     eds_generate,
     eds_kernel,
     eds_property_residual,
+    elliptic_pochhammer,
     elliptic_sum_closed_entries,
     elliptic_sum_kernel,
     f_entry,
@@ -39,11 +40,13 @@ from invrel import (
     prod_range,
     schlosser_closed_entries,
     schlosser_kernel,
+    theta,
     tsi_residual,
     verify_inversion,
     warnaar_kernel,
     weierstrass_addition_residual,
 )
+from invrel.numerics import power
 
 
 def rational_nonzero(rng, span=5):
@@ -291,6 +294,21 @@ class TestEllipticSumFamily:
 
     def test_triple_sum_numeric(self):
         assert abs(max_tsi_residual(self.kernel(), (0, 3))) < 1e-9
+
+    def test_closed_form_factorials_are_the_theta_products(self):
+        """``(z;q,p)_m`` in the closed form is the product of
+        ``theta(z q^(j-1); p)`` over ``j = 1..m``, bit for bit, for every
+        integer ``m``."""
+        rng = random.Random(77)
+        draws = [self.ARGS] + [
+            (rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9), rng.uniform(0.2, 0.6), rng.uniform(0.05, 0.3))
+            for _ in range(2)
+        ]
+        for x, y, q, p in draws:
+            for z in (x, y):
+                for m in range(-4, 7):
+                    old = prod_range(lambda j: theta(z * power(q, j - 1), p, DEFAULT_POLICY), 1, m)
+                    assert repr(elliptic_pochhammer(z, q, p, m, DEFAULT_POLICY)) == repr(old)
 
 
 PT_Q = 0.1

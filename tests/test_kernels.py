@@ -2,6 +2,7 @@
 
 import dataclasses
 import random
+import re
 from collections import Counter
 from fractions import Fraction
 
@@ -12,6 +13,7 @@ from invrel import (
     NodeSequences,
     PivotDegenerate,
     TriangularPair,
+    VerificationError,
     ZeroDenominator,
     ZeroDiagonal,
     ZeroDivisor,
@@ -160,9 +162,58 @@ class TestWindowValidation:
             validate_kernel_window(kernel, (-1, 1))
 
     def test_pair_from_kernel_validates_eagerly(self):
-        kernel = Kernel(alpha=lambda i, k: 1, beta=lambda i, k: i - k - 1)
-        with pytest.raises(ZeroDivisor):
-            pair_from_kernel(kernel, (0, 3))
+        cases = [
+            # beta(i,i-1) = 0, below the diagonal only
+            (Kernel(alpha=lambda i, k: 1, beta=lambda i, k: i - k - 1), ZeroDivisor),
+            # beta(0,2) = 0 above the diagonal, beta(2,0) = 2
+            (Kernel(alpha=lambda i, k: 1, beta=lambda i, k: 0 if (i, k) == (0, 2) else i - k), ZeroDivisor),
+            # alpha(1,1) = 0
+            (Kernel(alpha=lambda i, k: i + k - 2, beta=lambda i, k: i - k), ZeroDiagonal),
+        ]
+        for kernel, error in cases:
+            with pytest.raises(error, match=r"^entry \(\d+,\d+\): ") as info:
+                pair_from_kernel(kernel, (0, 3))
+            assert type(info.value.__cause__) is error
+            assert str(info.value).endswith(f": {info.value.__cause__}")
+            with pytest.raises(error):
+                validate_kernel_window(kernel, (0, 3))
+
+    def test_pair_from_kernel_refuses_what_the_window_check_refuses(self):
+        rng = random.Random(4711)
+        outcomes = Counter()
+
+        def value():
+            return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+
+        for _ in range(400):
+            lo = rng.randint(-3, 3)
+            hi = lo + rng.randint(0, 4)
+            idx = range(lo, hi + 1)
+            alpha = {(i, k): value() for i in idx for k in idx}
+            beta = {(i, k): value() for i in idx for k in idx}
+            spots = [(alpha, (n, n)) for n in idx] + [(beta, (i, k)) for i in idx for k in idx if i != k]
+            for table, key in rng.sample(spots, min(len(spots), rng.randint(0, 2))):
+                table[key] = 0
+            kernel = Kernel(alpha=lambda i, k, t=alpha: t[i, k], beta=lambda i, k, t=beta: t[i, k])
+            try:
+                validate_kernel_window(kernel, (lo, hi))
+                expected = None
+            except VerificationError as exc:
+                expected = type(exc)
+            try:
+                pair = pair_from_kernel(kernel, (lo, hi))
+            except VerificationError as exc:
+                assert type(exc) is expected and type(exc.__cause__) is expected
+                assert re.match(r"entry \(-?\d+,-?\d+\): ", str(exc))
+                outcomes[expected.__name__] += 1
+                continue
+            assert expected is None
+            for k in idx:
+                for n in range(k, hi + 1):
+                    assert pair.F[n - lo][k - lo] == f_entry(kernel, n, k)
+                    assert pair.G[n - lo][k - lo] == g_entry(kernel, n, k)
+            outcomes["built"] += 1
+        assert min(outcomes[key] for key in ("ZeroDiagonal", "ZeroDivisor", "built")) >= 50
 
     def test_antisymmetry_residual(self):
         assert max_antisymmetry_residual(binomial_kernel(), (-3, 3)) == 0
@@ -280,6 +331,20 @@ class TestPasses:
         assert not passes(nan, None) and not passes(nan, 1.0) and not passes(complex(nan, 0), 1.0)
 
 
+def eager_node_check(seqs: NodeSequences, lo: int, hi: int) -> None:
+    """The window check that ``pair_from_nodes`` ran before its entries."""
+    svals = {n: seqs.s(n) for n in range(lo, hi + 1)}
+    for i in range(lo, hi + 1):
+        for j in range(i + 1, hi + 1):
+            if svals[i] == svals[j]:
+                raise ZeroDivisor(f"s({i}) = s({j}) on window [{lo},{hi}]")
+    for n in range(lo, hi + 1):
+        if seqs.a(n) == 0:
+            raise ZeroDivisor(f"a({n}) = 0 on window [{lo},{hi}]")
+        if seqs.b(n) == 0:
+            raise ZeroDivisor(f"b({n}) = 0 on window [{lo},{hi}]")
+
+
 class TestNodeSequences:
     def test_diagonal(self):
         seqs = NodeSequences(
@@ -344,6 +409,52 @@ class TestNodeSequences:
         )
         with pytest.raises(ZeroDivisor, match="s"):
             pair_from_nodes(seqs, (-2, 2))  # s(-1) == s(1)
+        distinct = dataclasses.replace(seqs, s=lambda n: n)
+        for seqs, factor in (
+            (seqs, "s(-1) = s(1)"),
+            (dataclasses.replace(distinct, a=lambda n: 1 - n), "a(1) = 0"),
+            (dataclasses.replace(distinct, b=lambda n: 1 - n), "b(1) = 0"),
+        ):
+            with pytest.raises(ZeroDivisor, match=r"^entry \(-?\d+,-?\d+\): " + re.escape(factor)) as info:
+                pair_from_nodes(seqs, (-2, 2))
+            assert type(info.value.__cause__) is ZeroDivisor
+            assert str(info.value).endswith(f": {info.value.__cause__}")
+
+    def test_pair_from_nodes_refuses_what_the_window_check_refuses(self):
+        rng = random.Random(1729)
+        outcomes = Counter()
+
+        def nonzero():
+            return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+
+        for _ in range(400):
+            lo = rng.randint(-3, 3)
+            hi = lo + rng.randint(0, 4)
+            idx = range(lo, hi + 1)
+            vals = {field: {n: nonzero() for n in idx} for field in "abm"}
+            vals["s"] = dict(zip(idx, rng.sample(range(-20, 20), len(idx))))
+            for _ in range(rng.randint(0, 2)):
+                field, n = rng.choice("abs"), rng.choice(idx)
+                vals[field][n] = vals["s"][rng.choice(idx)] if field == "s" else 0
+            seqs = NodeSequences(*(lambda n, t=vals[field]: t[n] for field in "absm"))
+            try:
+                eager_node_check(seqs, lo, hi)
+                expected = None
+            except ZeroDivisor:
+                expected = ZeroDivisor
+            try:
+                pair = pair_from_nodes(seqs, (lo, hi))
+            except VerificationError as exc:
+                assert type(exc) is expected and type(exc.__cause__) is expected
+                assert re.match(r"entry \(-?\d+,-?\d+\): ", str(exc))
+                outcomes["refused"] += 1
+                continue
+            assert expected is None
+            for k in idx:
+                for n in range(k, hi + 1):
+                    assert (pair.F[n - lo][k - lo], pair.G[n - lo][k - lo]) == node_entries(seqs, n, k)
+            outcomes["built"] += 1
+        assert min(outcomes.values()) >= 50 and len(outcomes) == 2
 
 
 class TestKernelToNodes:

@@ -1,5 +1,6 @@
 """Tests for the two beta reconstruction routes and their divergence."""
 
+import math
 import random
 from fractions import Fraction
 
@@ -150,6 +151,14 @@ class TestWeights:
         seed = sum_seed((1, 5))
         with pytest.raises(MissingBeta, match=r"beta\(1,3\)"):
             f_weight(seed.alpha, {(1, 2): 1, (2, 3): 1, (2, 4): 1, (3, 4): 1}, 1, 4, 2)
+
+    def test_sign_of_a_zero_float_weight(self):
+        # f(0,3;0) = -beta(1,2) beta(1,3) beta(2,3) alpha(1,0) alpha(2,0): an
+        # exact 0 beta times float betas is 0.0, and the sign makes it -0.0
+        betas = {(1, 2): 0, (1, 3): 2.0, (2, 3): 3.0}
+        for weight in (f_weight, g_weight):
+            value = weight(lambda i, k: 1.5, betas, 0, 3, 0)
+            assert value == 0 and math.copysign(1, value) == -1
 
 
 class TestInversionRoute:
