@@ -410,7 +410,7 @@ def partial_theta_kernel(
     def beta(i: int, k: int) -> Scalar:
         bi, bk = b_seq(i), b_seq(k)
         if i != k and bi == bk:
-            raise DegenerateParams(f"partial-theta: b({i}) == b({k})")
+            raise DegenerateParams(f"b({i}) == b({k})")
         return (bi - bk) * partial_theta_slope_series(bi, bk, q, policy)
 
     return _validated(Kernel(alpha, beta, True, "partial-theta"), window)

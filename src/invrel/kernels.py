@@ -137,7 +137,6 @@ class TriangularPair:
     F: list[list[Scalar]]
     G: list[list[Scalar]]
     window: Window
-    name: str = ""
 
 
 @dataclass(frozen=True)
@@ -157,7 +156,6 @@ class VerificationReport:
     passed: bool
     mode: str
     tol: float | None = None
-    name: str = ""
 
 
 def f_entry(kernel: Kernel, n: int, k: int) -> Scalar:
@@ -296,7 +294,7 @@ def window_tables(kernel: Kernel, window: Window) -> tuple[list, list, int | Non
     return scaled[: len(idx)], scaled[len(idx) :], d
 
 
-def pair_from_entries(entries: Callable[[int, int], tuple], window: Window, name: str = "") -> TriangularPair:
+def pair_from_entries(entries: Callable[[int, int], tuple], window: Window) -> TriangularPair:
     """The pair whose entries ``(F(n,k), G(n,k)) = entries(n, k)`` are
     evaluated once each, by gap ``n - k`` and then ``k``, so the diagonal
     comes first; an entry error is re-raised naming its index."""
@@ -310,7 +308,7 @@ def pair_from_entries(entries: Callable[[int, int], tuple], window: Window, name
                 F[n - lo][k - lo], G[n - lo][k - lo] = entries(n, k)
             except VerificationError as exc:
                 raise located(exc, f"entry ({n},{k})")
-    return TriangularPair(F, G, (lo, hi), name)
+    return TriangularPair(F, G, (lo, hi))
 
 
 def pair_from_kernel(kernel: Kernel, window: Window) -> TriangularPair:
@@ -323,19 +321,17 @@ def pair_from_kernel(kernel: Kernel, window: Window) -> TriangularPair:
     lo, hi = check_window(window)
     A, B, _ = window_tables(kernel, (lo, hi))
     values = SimpleNamespace(alpha=lambda i, k: A[i - lo][k - lo], beta=lambda i, k: B[i - lo][k - lo])
-    return pair_from_entries(
-        lambda n, k: (f_entry(values, n, k), g_entry(values, n, k)), (lo, hi), kernel.name
-    )
+    return pair_from_entries(lambda n, k: (f_entry(values, n, k), g_entry(values, n, k)), (lo, hi))
 
 
-def pair_from_nodes(seqs: NodeSequences, window: Window, name: str = "") -> TriangularPair:
+def pair_from_nodes(seqs: NodeSequences, window: Window) -> TriangularPair:
     """Build the F/G pair of node sequences over a window.
 
     The guards of :func:`node_entries` name the failing entry: a zero
     ``b(k)`` or ``a(n)`` divides the diagonal entry, and two equal nodes
     ``s(i) = s(j)``, ``i < j``, meet in ``F(j,i)``.
     """
-    return pair_from_entries(partial(node_entries, seqs), window, name)
+    return pair_from_entries(partial(node_entries, seqs), window)
 
 
 def _residuals(left: list[list[Scalar]], right: list[list[Scalar]], lo: int) -> dict:
@@ -382,5 +378,4 @@ def verify_inversion(pair: TriangularPair, tol: float | None = None) -> Verifica
         passed=passes(worst_value, tol),
         mode="exact" if tol is None else "tolerance",
         tol=tol,
-        name=pair.name,
     )

@@ -10,8 +10,9 @@ Given ``alpha`` and the seed ``t(k) = beta(k, k+1)``, the full antisymmetric
   ``sum_{i=k}^{n} F(n,i) G(i,k) = 0``, for ``beta(k, n)``, gap by gap on
   the pair's own F/G tables.  :func:`beta_from_inversion` solves the same
   constraint through the cleared-denominator weights :func:`f_weight` and
-  :func:`g_weight`; it is the reference, and the table route falls back on
-  it where the induced pair is undefined.
+  :func:`g_weight`; it is the reference.  A table comes from the pair
+  route, or the reference route for the whole table where the induced pair
+  is undefined.
 
 The two routes agree at gap 2 for every seed but diverge from gap 3 on;
 :func:`counterexample_discrepancies` exhibits the canonical divergent seed
@@ -25,7 +26,7 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Callable, Mapping
 
-from .errors import DomainError, MissingBeta, ZeroDenominator, ZeroDiagonal
+from .errors import DomainError, MissingBeta, ZeroDenominator, ZeroDiagonal, ZeroDivisor
 from .kernels import Window, check_window
 from .numerics import Scalar, reciprocal
 
@@ -179,45 +180,39 @@ def beta_table_inversion(seed: BetaSeed) -> dict[tuple[int, int], Scalar]:
     :func:`beta_from_inversion` divided by ``alpha(k,k)`` and every
     shorter-gap beta in ``[k,n]``.
 
-    Where a divisor vanishes, :func:`beta_from_inversion` takes over: for
-    every beta when some ``t(k)`` is zero, from the entry on when ``S = 0``,
-    and after the entry when a solved beta is zero (the induced pair is
-    undefined past a zero beta).  It raises
-    :class:`~invrel.errors.ZeroDenominator` when the constraint leaves
-    ``beta(k,n)`` undetermined.
+    Where the induced pair is undefined (a zero ``t(k)``, ``S`` or solved
+    beta), the reference route :func:`beta_from_inversion` fills the whole
+    table instead.  It raises :class:`~invrel.errors.ZeroDenominator` when
+    the constraint leaves ``beta(k,n)`` undetermined.
     """
     lo, hi = seed.window
     alpha = seed.alpha
     table = {(k, k + 1): seed.t(k) for k in range(lo, hi)}
     F: dict[tuple[int, int], Scalar] = {}
     G: dict[tuple[int, int], Scalar] = {}
-    on_pair = all(t != 0 for t in table.values())
-    if on_pair:
+    try:
         for k in range(lo, hi):
             ratio = alpha(k, k) * reciprocal(table[(k, k + 1)])
             F[(k + 1, k)] = -ratio
             G[(k + 1, k)] = ratio
-    for gap in range(2, hi - lo + 1):
-        for k in range(lo, hi - gap + 1):
-            n = k + gap
-            if on_pair:
+        for gap in range(2, hi - lo + 1):
+            for k in range(lo, hi - gap + 1):
+                n = k + gap
                 s: Scalar = 0
                 for i in range(k + 1, n):
                     s = s + F[(n, i)] * G[(i, k)]
-                on_pair = s != 0
-            if not on_pair:
-                table[(k, n)] = beta_from_inversion(seed, k, n, table)
-                continue
-            fm = F[(n - 1, k)] * alpha(n - 1, k)
-            gm = G[(n, k + 1)] * alpha(k, k) * alpha(k + 1, n) * reciprocal(alpha(k + 1, k + 1))
-            beta = (fm - gm) * reciprocal(s)
-            table[(k, n)] = beta
-            if beta == 0:
-                on_pair = False
-                continue
-            inv = reciprocal(beta)
-            F[(n, k)] = -fm * inv
-            G[(n, k)] = gm * inv
+                fm = F[(n - 1, k)] * alpha(n - 1, k)
+                gm = G[(n, k + 1)] * alpha(k, k) * alpha(k + 1, n) * reciprocal(alpha(k + 1, k + 1))
+                beta = (fm - gm) * reciprocal(s)
+                inv = reciprocal(beta)
+                table[(k, n)] = beta
+                F[(n, k)] = -fm * inv
+                G[(n, k)] = gm * inv
+    except ZeroDivisor:
+        # no induced pair: the weights solve every entry, from shorter gaps only
+        for gap in range(2, hi - lo + 1):
+            for k in range(lo, hi - gap + 1):
+                table[(k, k + gap)] = beta_from_inversion(seed, k, k + gap, table)
     return table
 
 

@@ -225,6 +225,13 @@ class TestVerifyCommand:
         assert not doc["passed"]
         assert "DegenerateParams" in doc["error"]
 
+    def test_repeated_b_names_the_family_once(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "verify", "--family=partial-theta", "--params=bstep=0", "--checks=tsi",
+        )
+        assert code == 1
+        assert json.loads(out)["error"] == "DegenerateParams: partial-theta: b(1) == b(0)"
+
     def test_singular_closed_form_names_the_entry(self, capsys):
         # the kernel is admissible, but a denominator of the printed G
         # closed form vanishes at (1,0): a JSON ZeroDivisor naming the entry

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from invrel import recursions
 from invrel import (
     BetaSeed,
     DomainError,
@@ -234,9 +235,26 @@ class TestInversionTable:
             seed = sum_seed(window)
             assert beta_table_inversion(seed) == reference_inversion_table(seed)
 
-    def test_zero_solved_beta_takes_the_fallback(self):
-        # beta(0,3) solves to 0, so F(3,0) and G(3,0) are undefined and every
-        # later entry comes from the weights
+    @pytest.fixture
+    def weight_route_calls(self, monkeypatch):
+        # every (k, n) that beta_table_inversion hands to the reference route
+        calls = []
+
+        def counted(seed, k, n, known_betas):
+            calls.append((k, n))
+            return beta_from_inversion(seed, k, n, known_betas)
+
+        monkeypatch.setattr(recursions, "beta_from_inversion", counted)
+        return calls
+
+    @staticmethod
+    def every_entry_of_gap_two_or_more(seed):
+        lo, hi = seed.window
+        return [(k, k + gap) for gap in range(2, hi - lo + 1) for k in range(lo, hi - gap + 1)]
+
+    def test_zero_solved_beta_takes_the_fallback(self, weight_route_calls):
+        # beta(0,3) solves to 0, so F(3,0) and G(3,0) are undefined and the
+        # weights solve the whole table
         t_values = (-2, 2, 2, -2, 1)
         seed = BetaSeed(
             alpha=lambda i, j: Fraction(1 if i == j else i + j + 1),
@@ -246,6 +264,29 @@ class TestInversionTable:
         table = beta_table_inversion(seed)
         assert table[(0, 3)] == 0
         assert table == reference_inversion_table(seed)
+        assert weight_route_calls == self.every_entry_of_gap_two_or_more(seed)
+
+    def test_defined_pair_never_calls_the_weights(self, weight_route_calls):
+        seeds = [sum_seed(window) for window in ((1, 5), (1, 8), (3, 9))]
+        rng = random.Random(7)
+        while len(seeds) < 28:
+            lo = rng.randint(-2, 3)
+            seed = random_seed(rng, (lo, lo + rng.randint(2, 7)))
+            reference = table_or_error(reference_inversion_table, seed)
+            if isinstance(reference, dict) and all(v != 0 for v in reference.values()):
+                seeds.append(seed)  # every t, S and solved beta is nonzero
+        for seed in seeds:
+            assert beta_table_inversion(seed) == reference_inversion_table(seed)
+        assert weight_route_calls == []
+
+    def test_zero_t_takes_the_weights_for_every_entry(self, weight_route_calls):
+        seed = BetaSeed(
+            alpha=lambda i, j: Fraction(1 if i == j else i + j + 1),
+            t=lambda j: Fraction(j),
+            window=(0, 5),
+        )
+        assert beta_table_inversion(seed) == reference_inversion_table(seed)
+        assert weight_route_calls == self.every_entry_of_gap_two_or_more(seed)
 
     def test_table_passes_delta_exactly_and_a_perturbation_fails(self):
         rng = random.Random(99)
