@@ -47,7 +47,7 @@ from .kernels import (
     verify_inversion,
     worst_of,
 )
-from .numerics import DEFAULT_POLICY, Scalar, TruncationPolicy, is_exact
+from .numerics import DEFAULT_POLICY, Ratio, Scalar, TruncationPolicy, is_exact
 from .recursions import counterexample_discrepancies, counterexample_reference
 
 CHECK_NAMES = (
@@ -81,7 +81,10 @@ def serialize_scalar(value: Scalar):
     """Exact values render as strings ('0', 'num/den'); finite floats stay
     numbers, and non-finite ones become 'nan', 'inf' or '-inf' (valid JSON)."""
     if is_exact(value):
-        return str(Fraction(value))
+        try:
+            return str(Fraction(value))
+        except ValueError as exc:  # past the interpreter's limit on int string digits
+            raise DomainError(f"exact value past the {sys.get_int_max_str_digits()}-digit int str limit") from exc
     out = float(abs(value)) if isinstance(value, complex) else float(value)
     return out if math.isfinite(out) else str(out)
 
@@ -160,7 +163,8 @@ def load_config_file(path: str) -> dict[str, str]:
 
 def _closed_form_worst(pair: TriangularPair, closed) -> Scalar:
     """Largest difference between the printed closed forms and the pair's
-    entry table; a domain error of a closed form names its entry."""
+    entry table; a domain error of a closed form names its entry.  An exact
+    :class:`Ratio` is compared by cross-multiplication, with no Fraction for 0."""
     lo, hi = pair.window
 
     def diffs():
@@ -168,9 +172,13 @@ def _closed_form_worst(pair: TriangularPair, closed) -> Scalar:
             for n in range(k, hi + 1):
                 for name, form, rows in zip("FG", closed, (pair.F, pair.G)):
                     try:
-                        yield form(n, k) - rows[n - lo][k - lo]
+                        c, e = form(n, k), rows[n - lo][k - lo]
                     except VerificationError as exc:
                         raise located(exc, f"closed-form {name}({n},{k})")
+                    if not isinstance(c, Ratio):
+                        yield c - e
+                    elif cross := c.numerator * e.denominator - e.numerator * c.denominator:
+                        yield Fraction(cross, c.denominator * e.denominator)
 
     return worst_of(diffs())
 

@@ -10,16 +10,20 @@ passing ``window`` validates admissibility (nonzero diagonal alpha, nonzero
 off-diagonal beta) up front and reports violations as
 :class:`~invrel.errors.DegenerateParams`.  Where an independent closed form
 of the entries exists, ``*_closed_entries`` returns ``(F, G)`` callables to
-compare against the generic builders.  :data:`FAMILIES` registers each
-family's reproducible preset, its checks and its builder.
+compare against the generic builders.  The gasper, schlosser and eds forms
+write an entry once: a monomial ``(c, ((b, e), ...))`` = ``c b^e ...`` and
+``(numerator, denominator)`` groups of factors (monomials, q-Pochhammers
+``(x, q, m)``), one unreduced int pair (a ``Ratio``) for exact parameters,
+else ``(mono * prod N_1) * 1/prod D_1 ...`` in the printed order, bit for
+bit.  :data:`FAMILIES` registers each family's preset, checks and builder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from math import factorial
+from functools import lru_cache, reduce
+from math import factorial, prod
 from typing import Callable
 
 from .errors import (
@@ -42,10 +46,12 @@ from .kernels import (
 )
 from .numerics import (
     DEFAULT_POLICY,
+    Ratio,
     Scalar,
     TruncationPolicy,
     elliptic_pochhammer,
     exact_div,
+    is_exact,
     partial_theta,
     partial_theta_slope_series,
     power,
@@ -63,11 +69,6 @@ def affine_sequence(start: Scalar, step: Scalar) -> Callable[[int], Scalar]:
 
 def constant_sequence(value: Scalar) -> Callable[[int], Scalar]:
     return lambda i: value
-
-
-def _binom2(m: int) -> int:
-    # m(m-1)/2 for any integer m, consistent with the binomial extension
-    return m * (m - 1) // 2
 
 
 def _validated(kernel: Kernel, window: Window | None) -> Kernel:
@@ -154,6 +155,52 @@ def bilinear_kernel(
     )
 
 
+def _scalar(f: tuple) -> Scalar:
+    if len(f) == 3:
+        return q_pochhammer(_scalar(f[0]), f[1], f[2])
+    c, powers = f
+    return reduce(lambda out, be: out * power(*be), powers, c)
+
+
+def _scalar_form(mono: tuple, groups: list) -> Scalar:
+    out = _scalar(mono)
+    for nums, dens in groups:
+        out = out * prod(map(_scalar, nums)) * reciprocal(prod(map(_scalar, dens)))
+    return out
+
+
+def _pair(f: tuple) -> tuple[int, int]:
+    if len(f) == 3:  # with x = u/v and q = s/t, 1 - x q^e is (v t^e - u s^e) / (v t^e)
+        (u, v), s, t, m = _pair(f[0]), f[1].numerator, f[1].denominator, f[2]
+        num, sp, tp = 1, 1, 1
+        for _ in range(m):
+            num, sp, tp = num * (v * tp - u * sp), sp * s, tp * t
+        return num, v**m * t ** (m * (m - 1) // 2)
+    c, powers = f
+    num, den = c.numerator, c.denominator
+    for base, e in powers:
+        u, v = (base.numerator, base.denominator) if e >= 0 else (base.denominator, base.numerator)
+        num, den = num * u ** abs(e), den * v ** abs(e)
+    return num, den
+
+
+def _ratio_form(mono: tuple, groups: list) -> Ratio:
+    num, den = _pair(mono)
+    for nums, dens in groups:
+        for a, b in [*map(_pair, nums), *(_pair(f)[::-1] for f in dens)]:
+            num, den = num * a, den * b
+    if den == 0:
+        raise ZeroDivisor("reciprocal of zero")
+    return Ratio(num, den)
+
+
+def _domain(*params: Scalar) -> tuple[Callable, Callable]:
+    """``(form, lift)``: int pairs over values lifted to fast-reading Ratios if all are exact."""
+    if all(map(is_exact, params)):
+        return _ratio_form, lambda x: Ratio(x.numerator, x.denominator)
+    return _scalar_form, lambda x: x
+
+
 # --- exact q-series families --------------------------------------------------
 
 
@@ -172,13 +219,8 @@ def binomial_kernel() -> Kernel:
 
 
 def binomial_closed_entries() -> tuple[Callable, Callable]:
-    def f_closed(n: int, k: int) -> Fraction:
-        return Fraction(1, factorial(n - k))
-
-    def g_closed(n: int, k: int) -> Fraction:
-        return Fraction((-1) ** (n - k), factorial(n - k))
-
-    return f_closed, g_closed
+    """``F(n,k) = 1/(n-k)!`` and ``G(n,k) = (-1)^(n-k)/(n-k)!`` as :class:`Ratio` pairs."""
+    return lambda n, k: Ratio(1, factorial(n - k)), lambda n, k: Ratio((-1) ** (n - k), factorial(n - k))
 
 
 def gasper_kernel(
@@ -206,31 +248,28 @@ def gasper_kernel(
 
 
 def gasper_closed_entries(a: Scalar, b: Scalar, p: Scalar, q: Scalar) -> tuple[Callable, Callable]:
-    """Printed closed forms of the bibasic entries (q- and p-shifted
-    factorials with an explicit sign and power prefactor)."""
-    ba = exact_div(b, a)
+    """Printed closed forms of the bibasic entries, with ``m = n - k`` and ``(x; 1)_1 = 1 - x``:
+
+        F(n,k) = (-1)^m p^{-mk} (a p^k q^k, b p^{-k} q^k; q)_m / (p, (b/a) p^{-n-k}; p)_m
+        G(n,k) = p^{binom(k,2) - binom(n,2)} (a p^k q^k, b p^{-k} q^k; 1)_1 (a p^n q^k, b q^k p^{-n}; q)_m
+                 / ((a p^n q^k, b p^{-n} q^k; 1)_1 (p, (b/a) p^{1-2n}; p)_m)
+    """
+    form, lift = _domain(a, b, p, q)
+    a, b, p, q, ba = map(lift, (a, b, p, q, exact_div(b, a)))
 
     def f_closed(n: int, k: int) -> Scalar:
-        num = q_pochhammer(a * power(p, k) * power(q, k), q, n - k) * q_pochhammer(
-            b * power(p, -k) * power(q, k), q, n - k
-        )
-        den = q_pochhammer(p, p, n - k) * q_pochhammer(ba * power(p, -n - k), p, n - k)
-        return (-1) ** (n - k) * power(p, -(n - k) * k) * num * reciprocal(den)
+        m = n - k
+        return form(((-1) ** m, ((p, -m * k),)), [(
+            [((a, ((p, k), (q, k))), q, m), ((b, ((p, -k), (q, k))), q, m)],
+            [((p, ()), p, m), ((ba, ((p, -n - k),)), p, m)])])
 
     def g_closed(n: int, k: int) -> Scalar:
-        num = (
-            (1 - a * power(p, k) * power(q, k))
-            * (1 - b * power(p, -k) * power(q, k))
-            * q_pochhammer(a * power(p, n) * power(q, k), q, n - k)
-            * q_pochhammer(b * power(q, k) * power(p, -n), q, n - k)
-        )
-        den = (
-            (1 - a * power(p, n) * power(q, k))
-            * (1 - b * power(p, -n) * power(q, k))
-            * q_pochhammer(p, p, n - k)
-            * q_pochhammer(ba * power(p, 1 - 2 * n), p, n - k)
-        )
-        return power(p, -_binom2(n) + _binom2(k)) * num * reciprocal(den)
+        m = n - k
+        return form((1, ((p, (k * (k - 1) - n * (n - 1)) // 2),)), [(
+            [((a, ((p, k), (q, k))), 1, 1), ((b, ((p, -k), (q, k))), 1, 1),
+             ((a, ((p, n), (q, k))), q, m), ((b, ((q, k), (p, -n))), q, m)],
+            [((a, ((p, n), (q, k))), 1, 1), ((b, ((p, -n), (q, k))), 1, 1),
+             ((p, ()), p, m), ((ba, ((p, 1 - 2 * n),)), p, m)])])
 
     return f_closed, g_closed
 
@@ -261,36 +300,32 @@ def schlosser_kernel(
 
 
 def schlosser_closed_entries(a: Scalar, b: Scalar, c: Scalar, q: Scalar) -> tuple[Callable, Callable]:
-    """Printed closed forms of the three-parameter entries, with the
-    sign/power factor carried by the G entries."""
+    """Printed closed forms of the three-parameter entries, with ``m = n - k``,
+    ``B_j = a + b q^j``, ``R_j = c - a B_j`` and ``C_j = c - B_j (a + q^j)``
+    (each built once per index):
+
+        F(n,k) = (1/b, B_k q^k / R_k; q)_m / (q, B_k b q^{k+1} / R_k; q)_m
+        G(n,k) = (-1)^m q^{binom(m,2)} (C_k / C_n) (q^{1-m} / b, B_n q^{k+1} / R_n; q)_m
+                 / (q, B_n b q^k / R_n; q)_m
+    """
+    form, lift = _domain(a, b, c, q)
+    big = lru_cache(maxsize=None)(lambda j: a + b * power(q, j))
+    row = lru_cache(maxsize=None)(lambda j: (lift(big(j)), lift(reciprocal(c - a * big(j)))))
+    lam = lru_cache(maxsize=None)(lambda j: lift(c - big(j) * (a + power(q, j))))
+    inv_b, b_, q_ = map(lift, (reciprocal(b), b, q))
 
     def f_closed(n: int, k: int) -> Scalar:
-        big = a + b * power(q, k)
-        rest = c - a * big
-        num = q_pochhammer(reciprocal(b), q, n - k) * q_pochhammer(
-            big * power(q, k) * reciprocal(rest), q, n - k
-        )
-        den = q_pochhammer(q, q, n - k) * q_pochhammer(
-            big * b * power(q, k + 1) * reciprocal(rest), q, n - k
-        )
-        return num * reciprocal(den)
+        m, (big_k, inv_rest) = n - k, row(k)
+        return form((1, ()), [(
+            [((inv_b, ()), q_, m), ((big_k, ((q_, k), (inv_rest, 1))), q_, m)],
+            [((q_, ()), q_, m), ((big_k, ((b_, 1), (q_, k + 1), (inv_rest, 1))), q_, m)])])
 
     def g_closed(n: int, k: int) -> Scalar:
-        big = a + b * power(q, n)
-        rest = c - a * big
-        lam = (
-            (-1) ** (n - k)
-            * power(q, _binom2(n - k))
-            * (c - (a + b * power(q, k)) * (a + power(q, k)))
-            * reciprocal(c - (a + b * power(q, n)) * (a + power(q, n)))
-        )
-        num = q_pochhammer(power(q, k - n + 1) * reciprocal(b), q, n - k) * q_pochhammer(
-            big * power(q, k + 1) * reciprocal(rest), q, n - k
-        )
-        den = q_pochhammer(q, q, n - k) * q_pochhammer(
-            big * b * power(q, k) * reciprocal(rest), q, n - k
-        )
-        return lam * num * reciprocal(den)
+        m, (big_n, inv_rest) = n - k, row(n)
+        return form(((-1) ** m, ((q_, m * (m - 1) // 2),)), [
+            ([(lam(k), ())], [(lam(n), ())]),
+            ([((inv_b, ((q_, 1 - m),)), q_, m), ((big_n, ((q_, k + 1), (inv_rest, 1))), q_, m)],
+             [((q_, ()), q_, m), ((big_n, ((b_, 1), (q_, k), (inv_rest, 1))), q_, m)])])
 
     return f_closed, g_closed
 
@@ -535,21 +570,23 @@ def eds_kernel(W: EdsSequence, window: Window | None = None) -> Kernel:
 
 
 def eds_closed_entries(W: EdsSequence) -> tuple[Callable, Callable]:
-    """Printed closed forms of the divisibility-sequence entries:
+    """Printed closed forms of the divisibility-sequence entries, with ``m = n - k``:
 
-        F(n,k) = W_k^{2(n-k)} / (prod_{i=2k+1}^{n+k} W_i * prod_{i=1}^{n-k} W_i)
-        G(n,k) = (-1)^{n-k} (W_k^2/W_n^2) W_n^{2(n-k)}
-                 * prod_{i=1}^{n+k-1} W_i / (prod_{i=1}^{2n-1} W_i * prod_{i=1}^{n-k} W_i)
-    """
+        F(n,k) = W_k^{2m} / (prod_{i=2k+1}^{n+k} W_i * prod_{i=1}^{m} W_i)
+        G(n,k) = (-1)^m (W_k^2/W_n^2) W_n^{2m} / (prod_{i=n+k}^{2n-1} W_i * prod_{i=1}^{m} W_i)
 
-    def f_closed(n: int, k: int) -> Fraction:
-        den = prod_range(W.w, 2 * k + 1, n + k) * prod_range(W.w, 1, n - k)
-        return W.w(k) ** (2 * (n - k)) * reciprocal(den)
+    Each product has ``m`` factors, so none crosses ``W_0 = 0`` where the pair is defined."""
 
-    def g_closed(n: int, k: int) -> Fraction:
-        num = W.w(k) ** 2 * W.w(n) ** (2 * (n - k)) * prod_range(W.w, 1, n + k - 1)
-        den = W.w(n) ** 2 * prod_range(W.w, 1, 2 * n - 1) * prod_range(W.w, 1, n - k)
-        return (-1) ** (n - k) * num * reciprocal(den)
+    def den(lo: int, hi: int) -> tuple:  # prod_{i=lo}^{hi} W_i prod_{i=1}^{hi-lo+1} W_i
+        return (1, tuple((W.w(i), 1) for i in [*range(lo, hi + 1), *range(1, hi - lo + 2)]))
+
+    def f_closed(n: int, k: int) -> Ratio:
+        return _ratio_form((1, ((W.w(k), 2 * (n - k)),)), [((), (den(2 * k + 1, n + k),))])
+
+    def g_closed(n: int, k: int) -> Ratio:
+        wn = W.w(n)
+        mono = ((-1) ** (n - k), ((W.w(k), 2), (wn, 2 * (n - k)), (wn, -2)))
+        return _ratio_form(mono, [((), (den(n + k, 2 * n - 1),))])
 
     return f_closed, g_closed
 

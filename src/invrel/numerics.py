@@ -25,6 +25,19 @@ def is_exact(value: Scalar) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
+class Ratio:
+    """An exact value as an unreduced int pair ``numerator/denominator`` (the
+    denominator nonzero, of either sign); ``==`` cross-multiplies, with no gcd."""
+
+    def __init__(self, numerator: int, denominator: int):
+        self.numerator, self.denominator = numerator, denominator
+
+    def __eq__(self, other) -> bool:
+        if not (is_exact(other) or isinstance(other, Ratio)):
+            return NotImplemented
+        return self.numerator * other.denominator == other.numerator * self.denominator
+
+
 def reciprocal(value: Scalar) -> Scalar:
     """1/value, staying exact for exact input."""
     if value == 0:
@@ -138,32 +151,14 @@ def q_pochhammer(a: Scalar, q: Scalar, n: int) -> Scalar:
     ``(a;q)_0 = 1``, ``(a;q)_n = prod_{i=0}^{n-1} (1 - a q^i)`` for positive
     ``n``, and the reciprocal extension
     ``(a;q)_{-m} = 1 / prod_{j=1}^{m} (1 - a q^{-j})`` for negative ``n``.
-    For exact ``a = u/v`` and ``q = s/t`` a factor ``1 - a q^e`` is
-    ``(v t^e - u s^e) / (v t^e)`` (``q^(-j) = (t/s)^j``): numerators and
-    denominators are multiplied as ``int`` and one Fraction is made at the end.
     """
-    if n == 0:
-        return 1
-    exact = is_exact(a) and is_exact(q)
-    if exact:
-        u, v = a.numerator, a.denominator
-        s, t = (q.numerator, q.denominator) if n > 0 else (q.denominator, q.numerator)
-        if t == 0:
-            raise ZeroDivisor("0**-1")  # as power(q, -1) would
-    num = den = 1
-    for e in range(n) if n > 0 else range(1, 1 - n):
-        if exact:
-            bottom = v * t**e
-            top = bottom - u * s**e
-        else:
-            top, bottom = 1 - a * power(q, e if n > 0 else -e), 1
-        if top == 0 and n < 0:
+    out: Scalar = 1
+    for e in range(n) if n >= 0 else range(1, 1 - n):
+        factor = 1 - a * power(q, e if n > 0 else -e)
+        if factor == 0 and n < 0:
             raise ZeroDivisor(f"(a;q)_{n}: factor 1 - a*q^(-{e}) vanishes")
-        num, den = num * top, den * bottom
-    if n < 0:
-        return Fraction(den, num) if exact else reciprocal(num)
-    # plain ints stay int, as in the factor-by-factor product
-    return num if not exact or (isinstance(a, int) and isinstance(q, int)) else Fraction(num, den)
+        out = out * factor
+    return out if n >= 0 else reciprocal(out)
 
 
 def q_pochhammer_infinite(a: Scalar, q: Scalar, policy: TruncationPolicy = DEFAULT_POLICY) -> Scalar:

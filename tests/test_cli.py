@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import sys
 from fractions import Fraction
 
 import pytest
@@ -244,6 +245,16 @@ class TestVerifyCommand:
         assert doc["error"] == "ZeroDivisor: closed-form G(1,0): reciprocal of zero"
         assert [c["name"] for c in doc["checks"]] == ["delta"] and not doc["passed"]
 
+    def test_eds_closed_form_below_zero(self, capsys):
+        # the pair is defined on -3..-1 and so is the printed G, whose products
+        # no longer reach across W_0 = 0
+        code, out, _ = run_cli(
+            capsys, "verify", "--family=eds", "--window=-3..-1", "--checks=delta,closed-form",
+        )
+        doc = json.loads(out)
+        assert code == 0 and doc["passed"]
+        assert [(c["name"], c["worst_residual"]) for c in doc["checks"]] == [("delta", "0"), ("closed-form", "0")]
+
     def test_unknown_family_is_config_error(self, capsys):
         code, _, err = run_cli(capsys, "verify", "--family", "nope")
         assert code == 2 and "unknown family" in err
@@ -478,6 +489,16 @@ class TestEdsCommand:
         assert code == 1
         doc = json.loads(out)
         assert "ZeroDivisor" in doc["error"]
+
+    def test_value_past_the_digit_limit_is_reported(self, capsys):
+        # W_n of these seeds passes the interpreter's digit limit for int
+        # strings near n = 240: a JSON error, not a traceback
+        code, out, _ = run_cli(capsys, "eds", "--seeds=1,4,4", "--n=250")
+        assert code == 1
+        doc = json.loads(out)
+        limit = sys.get_int_max_str_digits()
+        assert doc["error"] == f"DomainError: exact value past the {limit}-digit int str limit"
+        assert "table" not in doc and not doc["passed"]
 
     def test_document_shape(self):
         doc = cmd_eds((Fraction(1), Fraction(-1), Fraction(1)), 12)

@@ -400,13 +400,15 @@ class TestEdsKernel:
         assert verify_inversion(pair_from_kernel(kernel, (1, 6))).passed
 
     def test_closed_entries(self):
+        # below 0 as well: no product of the closed forms crosses W_0 = 0
         seq = self.seq()
         kernel = eds_kernel(seq)
         closed_f, closed_g = eds_closed_entries(seq)
-        for k in range(1, 7):
-            for n in range(k, 7):
-                assert closed_f(n, k) == f_entry(kernel, n, k)
-                assert closed_g(n, k) == g_entry(kernel, n, k)
+        for lo, hi in ((1, 6), (-3, -1), (-5, -2), (-6, -1)):
+            for k in range(lo, hi + 1):
+                for n in range(k, hi + 1):
+                    assert closed_f(n, k) == f_entry(kernel, n, k)
+                    assert closed_g(n, k) == g_entry(kernel, n, k)
 
     def test_window_with_vanishing_beta_rejected(self):
         # seeds (1,1,1) give W_5 = 0, so beta(2,3) = W_5 W_{-1} = 0

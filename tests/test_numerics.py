@@ -98,8 +98,8 @@ class TestQPochhammer:
 
 
 def reference_q_pochhammer(a, q, n):
-    """The Fraction product ``(a;q)_n`` factor by factor, as ``q_pochhammer``
-    computed it before its integer path."""
+    """The Fraction product ``(a;q)_n`` factor by factor, kept apart from
+    ``q_pochhammer`` as its reference."""
     if n >= 0:
         out = 1
         for i in range(n):
