@@ -58,7 +58,6 @@ from .kernels import (
     pair_from_entries,
     pair_from_kernel,
     pair_from_nodes,
-    validate_kernel_window,
     verify_inversion,
 )
 from .identities import (

@@ -244,7 +244,8 @@ def cmd_verify(
     ``window``, ``tolerance`` and ``checks`` left as None fall back to the
     family preset (respectively every check the family offers).  Exact mode
     (no tolerance) takes exact params only: a float param ends the run as a
-    domain error, raised after the build, so a build failure is named first.
+    domain error, raised after the build (which reads no kernel value), so
+    a degenerate parameter is named first.
     """
     if family not in FAMILIES:
         raise ConfigError(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
@@ -343,7 +344,7 @@ def cmd_eds(seeds: tuple[Scalar, Scalar, Scalar], n_max: int, window=None) -> di
         )
         yield "eds-property", lambda: max_eds_property_residual(seq)
         yield "delta", lambda: verify_inversion(
-            pair_from_kernel(eds_kernel(seq, window=window), window)
+            pair_from_kernel(eds_kernel(seq), window)
         ).worst_value
         doc["window"] = f"{window[0]}..{window[1]}"
 

@@ -56,8 +56,9 @@ class DegenerateParams(VerificationError):
     """Family parameters violate admissibility on the requested window."""
 
 
-class ZeroBeta(VerificationError):
-    """A divisibility-sequence kernel has beta(i, k) = 0 off the diagonal."""
+# A zero off-diagonal beta is a ZeroDivisor; the benchmark harness still names
+# this alias, which goes once it stops calling the constructors' ``window=``.
+ZeroBeta = ZeroDivisor
 
 
 class IndexOutOfTable(VerificationError):

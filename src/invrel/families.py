@@ -5,10 +5,11 @@ the two generic solution patterns, divisibility sequences) run over exact
 rationals; the theta-based families run over floats under a
 :class:`~invrel.numerics.TruncationPolicy`.
 
-Each ``*_kernel`` constructor returns a :class:`~invrel.kernels.Kernel`;
-passing ``window`` validates admissibility (nonzero diagonal alpha, nonzero
-off-diagonal beta) up front and reports violations as
-:class:`~invrel.errors.DegenerateParams`.  Where an independent closed form
+Each ``*_kernel`` constructor returns a :class:`~invrel.kernels.Kernel`.  A
+zero diagonal alpha or off-diagonal beta on a window is refused only by the
+guard of an entry it divides; passing ``window`` builds the pair there up
+front and reports a refusal as :class:`~invrel.errors.DegenerateParams`
+(eds: as the entry's own error).  Where an independent closed form
 of the entries exists, ``*_closed_entries`` returns ``(F, G)`` callables to
 compare against the generic builders.  The gasper, schlosser and eds forms
 write an entry once: a monomial ``(c, ((b, e), ...))`` = ``c b^e ...`` and
@@ -31,17 +32,14 @@ from .errors import (
     DegenerateParams,
     IndexOutOfTable,
     VerificationError,
-    ZeroBeta,
-    ZeroDiagonal,
     ZeroDivisor,
 )
 from .kernels import (
     Kernel,
     Window,
-    check_window,
     integer_rows,
+    pair_from_kernel,
     unscale,
-    validate_kernel_window,
     worst_of,
 )
 from .numerics import (
@@ -72,9 +70,12 @@ def constant_sequence(value: Scalar) -> Callable[[int], Scalar]:
 
 
 def _validated(kernel: Kernel, window: Window | None) -> Kernel:
+    """``kernel``, once its pair builds on ``window`` (when one is given)."""
     if window is not None:
         try:
-            validate_kernel_window(kernel, window)
+            pair_from_kernel(kernel, window)
+        except DegenerateParams:
+            raise
         except VerificationError as exc:
             raise DegenerateParams(f"{kernel.name}: {exc}") from exc
     return kernel
@@ -445,7 +446,7 @@ def partial_theta_kernel(
     def beta(i: int, k: int) -> Scalar:
         bi, bk = b_seq(i), b_seq(k)
         if i != k and bi == bk:
-            raise DegenerateParams(f"b({i}) == b({k})")
+            raise DegenerateParams(f"partial-theta: b({i}) == b({k})")
         return (bi - bk) * partial_theta_slope_series(bi, bk, q, policy)
 
     return _validated(Kernel(alpha, beta, True, "partial-theta"), window)
@@ -548,7 +549,7 @@ def eds_kernel(W: EdsSequence, window: Window | None = None) -> Kernel:
     Antisymmetry comes from the odd extension; the triple sum identity is
     exactly :func:`eds_property_residual` = 0.  Windows must avoid index
     pairs where ``W_{i+k} W_{i-k} = 0`` (in particular ``k = 0`` and
-    ``i = -k``).
+    ``i = -k``); with ``window``, the pair is built there first.
     """
     kern = Kernel(
         alpha=lambda i, k: W.w(k) ** 2,
@@ -558,14 +559,7 @@ def eds_kernel(W: EdsSequence, window: Window | None = None) -> Kernel:
         name="eds",
     )
     if window is not None:
-        lo, hi = check_window(window)
-        for k in range(lo, hi + 1):
-            if W.w(k) == 0:
-                raise ZeroDiagonal(f"alpha({k},{k}) = W({k})^2 = 0 on window [{lo},{hi}]")
-        for k in range(lo, hi + 1):
-            for i in range(lo, hi + 1):
-                if i != k and kern.beta(i, k) == 0:
-                    raise ZeroBeta(f"W({i + k}) W({i - k}) = 0 at ({i},{k}) on window [{lo},{hi}]")
+        pair_from_kernel(kern, window)
     return kern
 
 
@@ -623,13 +617,13 @@ class Family:
 
 def _build_elliptic_sum(p: dict, window: Window, policy: TruncationPolicy) -> tuple:
     args = (p["x"], p["y"], p["q"], p["p"], constant_sequence(p["t"]), policy)
-    return elliptic_sum_kernel(*args, window), elliptic_sum_closed_entries(*args), None
+    return elliptic_sum_kernel(*args), elliptic_sum_closed_entries(*args), None
 
 
 def _build_eds(p: dict, window: Window, policy: TruncationPolicy) -> tuple:
     check_eds_w2(p["w2"])
     seq = eds_generate(p["w2"], p["w3"], p["w4"], n_max=2 * max(abs(window[0]), abs(window[1])))
-    return eds_kernel(seq, window=window), eds_closed_entries(seq), seq
+    return eds_kernel(seq), eds_closed_entries(seq), seq
 
 
 # the checks every family offers, then those that also have a printed closed form
@@ -643,16 +637,16 @@ FAMILIES: dict[str, Family] = {
     ),
     "gasper": Family(
         {"a": Fraction(2), "b": Fraction(3), "p": Fraction(1, 5), "q": Fraction(1, 7)}, (0, 6), None, _CLOSED,
-        lambda p, w, policy: (gasper_kernel(**p, window=w), gasper_closed_entries(**p), None),
+        lambda p, w, policy: (gasper_kernel(**p), gasper_closed_entries(**p), None),
     ),
     "schlosser": Family(
         {"a": Fraction(1, 2), "b": Fraction(2), "c": Fraction(7), "q": Fraction(1, 3)}, (0, 6), None, _CLOSED,
-        lambda p, w, policy: (schlosser_kernel(**p, window=w), schlosser_closed_entries(**p), None),
+        lambda p, w, policy: (schlosser_kernel(**p), schlosser_closed_entries(**p), None),
     ),
     "warnaar": Family(
         {"q": 0.1, "b0": 2.0, "bstep": 0.1, "x0": 0.3, "xstep": 0.05}, (0, 4), 1e-9, _COMMON,
         lambda p, w, policy: (warnaar_kernel(
-            p["q"], affine_sequence(p["b0"], p["bstep"]), affine_sequence(p["x0"], p["xstep"]), policy, w
+            p["q"], affine_sequence(p["b0"], p["bstep"]), affine_sequence(p["x0"], p["xstep"]), policy
         ), None, None),
     ),
     "elliptic-sum": Family(
@@ -661,7 +655,7 @@ FAMILIES: dict[str, Family] = {
     "partial-theta": Family(
         {"q": 0.1, "a0": 1.0, "astep": 0.1, "b0": 0.2, "bstep": 0.05}, (0, 3), 1e-8, _COMMON,
         lambda p, w, policy: (partial_theta_kernel(
-            p["q"], affine_sequence(p["a0"], p["astep"]), affine_sequence(p["b0"], p["bstep"]), policy, w
+            p["q"], affine_sequence(p["a0"], p["astep"]), affine_sequence(p["b0"], p["bstep"]), policy
         ), None, None),
     ),
     "eds": Family({"w2": Fraction(1), "w3": Fraction(-1), "w4": Fraction(1)}, (1, 6), None,

@@ -256,23 +256,6 @@ def kernel_to_nodes(kernel: Kernel, pivot: int) -> NodeSequences:
     )
 
 
-def validate_kernel_window(kernel: Kernel, window: Window) -> None:
-    """Eagerly check entry-builder preconditions over a window.
-
-    Raises :class:`ZeroDiagonal` for a vanishing ``alpha(n,n)`` and
-    :class:`ZeroDivisor` for a vanishing off-diagonal ``beta(i,k)``, naming
-    the offending indices.
-    """
-    lo, hi = check_window(window)
-    for n in range(lo, hi + 1):
-        if kernel.alpha(n, n) == 0:
-            raise ZeroDiagonal(f"alpha({n},{n}) = 0 on window [{lo},{hi}]")
-    for k in range(lo, hi + 1):
-        for i in range(lo, hi + 1):
-            if i != k and kernel.beta(i, k) == 0:
-                raise ZeroDivisor(f"beta({i},{k}) = 0 on window [{lo},{hi}]")
-
-
 def max_antisymmetry_residual(kernel: Kernel, window: Window) -> Scalar:
     """Largest ``beta(i,k) + beta(k,i)`` over the window (0 if antisymmetric)."""
     lo, hi = check_window(window)
@@ -313,10 +296,10 @@ def pair_from_entries(entries: Callable[[int, int], tuple], window: Window) -> T
 
 def pair_from_kernel(kernel: Kernel, window: Window) -> TriangularPair:
     """Build the F/G pair of a kernel over a window: :func:`f_entry` and
-    :func:`g_entry` over :func:`window_tables`.  Their guards refuse what
-    :func:`validate_kernel_window` refuses, with the same types, and name
-    the entry: a zero ``alpha(n,n)`` divides ``G(n,n)``, a zero ``beta(i,k)``
-    divides ``F(hi,k)`` below the diagonal and ``G(k,lo)`` above it.
+    :func:`g_entry` over :func:`window_tables`.  Their guards are the only
+    admissibility check of a window, and they name the entry: a zero
+    ``alpha(n,n)`` divides ``G(n,n)``, a zero ``beta(i,k)`` divides
+    ``F(hi,k)`` below the diagonal and ``G(k,lo)`` above it.
     """
     lo, hi = check_window(window)
     A, B, _ = window_tables(kernel, (lo, hi))

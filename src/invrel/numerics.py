@@ -107,9 +107,6 @@ class TruncationPolicy:
         if self.max_terms < 8:
             raise DomainError("max_terms must be at least 8")
 
-    def tightened(self) -> "TruncationPolicy":
-        return TruncationPolicy(self.tail_bound / 2, self.max_terms * 2)
-
 
 DEFAULT_POLICY = TruncationPolicy()
 

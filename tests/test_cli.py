@@ -231,7 +231,30 @@ class TestVerifyCommand:
             capsys, "verify", "--family=partial-theta", "--params=bstep=0", "--checks=tsi",
         )
         assert code == 1
-        assert json.loads(out)["error"] == "DegenerateParams: partial-theta: b(1) == b(0)"
+        assert json.loads(out)["error"] == "DegenerateParams: partial-theta: b(0) == b(1)"
+
+    def test_sweeps_run_where_only_entries_divide_by_zero(self, capsys):
+        # b/a = p^3 makes beta(i,k) vanish where i+k = 3, but TSI and QSI divide by nothing
+        code, out, _ = run_cli(capsys, "verify", "--family=gasper", "--params=b=2/125", "--checks=tsi,qsi")
+        doc = json.loads(out)
+        assert code == 0 and doc["passed"] and "error" not in doc
+        assert [(c["name"], c["worst_residual"]) for c in doc["checks"]] == [("tsi", "0"), ("qsi", "0")]
+
+    def test_zero_beta_is_refused_by_the_entry_it_divides(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "--family=gasper", "--params=b=2/125")
+        doc = json.loads(out)
+        assert code == 1 and not doc["passed"]
+        assert [(c["name"], c["worst_residual"]) for c in doc["checks"]] == [
+            ("antisym", "0"), ("tsi", "0"), ("qsi", "0"), ("cond3", "0")
+        ]
+        assert doc["error"] == "ZeroDivisor: entry (2,1): beta(2,1) = 0 in F(2,1)"
+
+    def test_eds_sweeps_across_w0(self, capsys):
+        # alpha(0,0) = W_0^2 = 0 divides only the entries, not the sweeps
+        code, out, _ = run_cli(capsys, "verify", "--family=eds", "--window=-2..3", "--checks=tsi,cond3")
+        doc = json.loads(out)
+        assert code == 0 and doc["passed"]
+        assert [(c["name"], c["worst_residual"]) for c in doc["checks"]] == [("tsi", "0"), ("cond3", "0")]
 
     def test_singular_closed_form_names_the_entry(self, capsys):
         # the kernel is admissible, but a denominator of the printed G
@@ -329,7 +352,7 @@ class TestVerifyCommand:
     @pytest.mark.parametrize(
         "argv",
         [
-            ("verify", "--family=gasper", "--params=p=1e200"),
+            ("verify", "--family=gasper", "--params=p=1e200", "--tolerance=1e-9"),
             ("verify", "--family=elliptic-sum", "--params=q=1e300"),
             ("verify", "--family=warnaar", "--params=x0=" + "1" + "0" * 400, "--window=0..2"),
         ],
@@ -340,6 +363,12 @@ class TestVerifyCommand:
         doc = json.loads(out)
         assert "Overflow" in doc["error"] or "overflows" in doc["error"]
         assert not doc["passed"]
+
+    def test_float_param_is_refused_before_any_kernel_value_is_read(self, capsys):
+        # in exact mode p = 1e200 is refused as a float before p**2 can overflow
+        code, out, _ = run_cli(capsys, "verify", "--family=gasper", "--params=p=1e200")
+        assert code == 1
+        assert json.loads(out)["error"].startswith("DomainError: gasper: exact mode needs exact params")
 
     def test_no_checks_is_no_pass(self):
         doc = cmd_verify(family="binomial", window=(0, 2), checks=())
@@ -479,6 +508,15 @@ class TestEdsCommand:
         assert code == 1
         doc = json.loads(out)
         assert doc["error"].startswith("IndexOutOfTable: W(3)") and not doc["passed"]
+
+    def test_window_with_zero_diagonal_fails_the_delta_check(self, capsys):
+        code, out, _ = run_cli(capsys, "eds", "--window=-2..2")
+        assert code == 1
+        doc = json.loads(out)
+        assert [(c["name"], c["worst_residual"]) for c in doc["checks"]] == [
+            ("recurrence", "0"), ("eds-property", "0")
+        ]
+        assert doc["error"] == "ZeroDiagonal: entry (0,0): alpha(0,0) = 0 in G(0,0)" and not doc["passed"]
 
     def test_zero_w2_rejected(self, capsys):
         code, _, err = run_cli(capsys, "eds", "--seeds", "0,1,1", "--n", "8")

@@ -187,6 +187,10 @@ class TestGasperFamily:
         p = Fraction(1, 5)
         with pytest.raises(DegenerateParams, match=r"beta"):
             gasper_kernel(Fraction(2), 2 * p**5, p, Fraction(1, 7), window=(0, 4))
+        # built without a window, the kernel is refused by its pair, in the first entry beta(3,2) divides
+        kernel = gasper_kernel(Fraction(2), 2 * p**5, p, Fraction(1, 7))
+        with pytest.raises(ZeroDivisor, match=r"^entry \(3,2\): beta\(3,2\) = 0 in F\(3,2\)$"):
+            pair_from_kernel(kernel, (0, 4))
 
 
 class TestSchlosserFamily:
@@ -224,6 +228,8 @@ class TestSchlosserFamily:
         c = (a + b) * (a + b * q)
         with pytest.raises(DegenerateParams):
             schlosser_kernel(a, b, c, q, window=(0, 3))
+        with pytest.raises(ZeroDivisor, match=r"^entry \(1,0\): beta\(1,0\) = 0 in F\(1,0\)$"):
+            pair_from_kernel(schlosser_kernel(a, b, c, q), (0, 3))
 
 
 WARNAAR_Q = 0.1
@@ -415,6 +421,8 @@ class TestEdsKernel:
         seq = eds_generate(1, 1, 1, 8)
         with pytest.raises(ZeroBeta):
             eds_kernel(seq, window=(1, 4))
+        with pytest.raises(ZeroDivisor, match=r"^entry \(3,2\): beta\(3,2\) = 0 in F\(3,2\)$"):
+            pair_from_kernel(eds_kernel(seq), (1, 4))
 
 
 @pytest.mark.parametrize("name", sorted(FAMILIES))

@@ -30,7 +30,6 @@ from invrel import (
     pair_from_entries,
     pair_from_kernel,
     pair_from_nodes,
-    validate_kernel_window,
     verify_inversion,
 )
 from invrel.kernels import integer_rows, passes, unscale, worst_of
@@ -150,16 +149,32 @@ class TestPairFromEntries:
         assert info.value is error
 
 
+def validate_kernel_window(kernel: Kernel, window) -> None:
+    """The window check that the families ran before any entry was built."""
+    lo, hi = window
+    for n in range(lo, hi + 1):
+        if kernel.alpha(n, n) == 0:
+            raise ZeroDiagonal(f"alpha({n},{n}) = 0 on window [{lo},{hi}]")
+    for k in range(lo, hi + 1):
+        for i in range(lo, hi + 1):
+            if i != k and kernel.beta(i, k) == 0:
+                raise ZeroDivisor(f"beta({i},{k}) = 0 on window [{lo},{hi}]")
+
+
 class TestWindowValidation:
     def test_off_diagonal_zero_beta(self):
         kernel = Kernel(alpha=lambda i, k: 1, beta=lambda i, k: i - k - 1)
         with pytest.raises(ZeroDivisor, match=r"beta\(1,0\)"):
             validate_kernel_window(kernel, (0, 3))
+        with pytest.raises(ZeroDivisor, match=r"^entry \(1,0\): beta\(1,0\) = 0 in F\(1,0\)$"):
+            pair_from_kernel(kernel, (0, 3))
 
     def test_zero_diagonal_alpha(self):
         kernel = Kernel(alpha=lambda i, k: i + k, beta=lambda i, k: i - k)
         with pytest.raises(ZeroDiagonal):
             validate_kernel_window(kernel, (-1, 1))
+        with pytest.raises(ZeroDiagonal, match=r"^entry \(0,0\): alpha\(0,0\) = 0 in G\(0,0\)$"):
+            pair_from_kernel(kernel, (-1, 1))
 
     def test_pair_from_kernel_validates_eagerly(self):
         cases = [

@@ -165,7 +165,7 @@ class TestTheta:
     def test_policy_refinement_stability(self):
         policy = TruncationPolicy(tail_bound=1e-8, max_terms=64)
         v1 = theta(0.45, 0.35, policy)
-        v2 = theta(0.45, 0.35, policy.tightened())
+        v2 = theta(0.45, 0.35, TruncationPolicy(policy.tail_bound / 2, policy.max_terms * 2))
         assert abs(v1 - v2) < policy.tail_bound
 
     def test_domain_errors(self):
