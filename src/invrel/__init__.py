@@ -40,7 +40,6 @@ from .numerics import (
     prod_range,
     q_pochhammer,
     q_pochhammer_infinite,
-    scalars_close,
     theta,
     theta_product,
     weierstrass_addition_residual,

@@ -50,10 +50,6 @@ from .kernels import (
 from .numerics import DEFAULT_POLICY, Ratio, Scalar, TruncationPolicy, is_exact
 from .recursions import counterexample_discrepancies, counterexample_reference
 
-CHECK_NAMES = (
-    "antisym", "tsi", "qsi", "cond3", "delta",
-    "closed-form", "counterexample", "eds-property",
-)
 PRESET_KEYS = ("family", "params", "window", "tolerance", "checks")
 CONFIG_KEYS = PRESET_KEYS + ("truncation-tail", "truncation-max", "out")
 
@@ -183,20 +179,6 @@ def _closed_form_worst(pair: TriangularPair, closed) -> Scalar:
     return worst_of(diffs())
 
 
-# Each check maps a built family ``(kernel, closed, eds_seq)``, a thunk of its F/G
-# pair, the window and the tolerance to its worst residual.  The lambdas look the
-# sweeps up by module name at call time, so wrapping a sweep here wraps the check.
-CHECKS: dict[str, Callable] = {
-    "antisym": lambda run, pair, window, tol: max_antisymmetry_residual(run[0], window),
-    "tsi": lambda run, pair, window, tol: max_tsi_residual(run[0], window),
-    "qsi": lambda run, pair, window, tol: max_qsi_residual(run[0], window),
-    "cond3": lambda run, pair, window, tol: max_anchored_tsi_residual(run[0], window),
-    "delta": lambda run, pair, window, tol: verify_inversion(pair(), tol).worst_value,
-    "closed-form": lambda run, pair, window, tol: _closed_form_worst(pair(), run[1]),
-    "eds-property": lambda run, pair, window, tol: max_eds_property_residual(run[2]),
-}
-
-
 def check_record(name: str, worst: Scalar, tol: float | None, start: float) -> dict:
     """The report entry of one check whose timing began at ``start``."""
     return {
@@ -242,7 +224,9 @@ def cmd_verify(
     """Run one family's suite; returns the report document.
 
     ``window``, ``tolerance`` and ``checks`` left as None fall back to the
-    family preset (respectively every check the family offers).  Exact mode
+    family preset (respectively every check the family offers).  A check
+    that ``FAMILIES[family].checks``, the only list consulted, does not name,
+    or one named twice, is a ConfigError raised before the build.  Exact mode
     (no tolerance) takes exact params only: a float param ends the run as a
     domain error, raised after the build (which reads no kernel value), so
     a degenerate parameter is named first.
@@ -251,17 +235,11 @@ def cmd_verify(
         raise ConfigError(f"unknown family {family!r}; known: {sorted(FAMILIES)}")
     preset = FAMILIES[family]
     if checks is not None:
-        bad = set(checks) - set(CHECK_NAMES)
-        if bad:
-            raise ConfigError(f"unknown checks {sorted(bad)}; known: {CHECK_NAMES}")
+        if refused := sorted(set(checks) - set(preset.checks)):
+            offered = ", ".join(preset.checks)
+            raise ConfigError(f"{family} offers {offered}; refused: {', '.join(map(repr, refused))}")
         if len(set(checks)) < len(checks):
             raise ConfigError(f"checks {list(checks)} name a check twice")
-        if "counterexample" in checks:
-            raise ConfigError("the counterexample check runs via the counterexample subcommand")
-        if "closed-form" in checks and "closed-form" not in preset.checks:
-            raise ConfigError(f"{family}: no independent closed form is available")
-        if "eds-property" in checks and "eds-property" not in preset.checks:
-            raise ConfigError(f"{family}: eds-property applies only to the eds family")
     params = params or {}
     unknown = set(params) - set(preset.params)
     if unknown:
@@ -274,16 +252,27 @@ def cmd_verify(
     checks = preset.checks if checks is None else checks
 
     def steps():
-        run = preset.build(merged, window, policy)
+        kernel, closed, seq = preset.build(merged, window, policy)
         floats = [k for k, v in merged.items() if not is_exact(v)]
         if tolerance is None and floats:
             raise DomainError(
                 f"{family}: exact mode needs exact params, but {', '.join(floats)} "
                 "given as float; write each as p/q, or pass --tolerance"
             )
-        pair = cache(partial(pair_from_kernel, run[0], window))
+        pair = cache(partial(pair_from_kernel, kernel, window))
+        # One thunk of its worst residual per check.  The lambdas look the sweeps up
+        # by module name at call time, so wrapping a sweep here wraps the check.
+        worst = {
+            "antisym": lambda: max_antisymmetry_residual(kernel, window),
+            "tsi": lambda: max_tsi_residual(kernel, window),
+            "qsi": lambda: max_qsi_residual(kernel, window),
+            "cond3": lambda: max_anchored_tsi_residual(kernel, window),
+            "delta": lambda: verify_inversion(pair(), tolerance).worst_value,
+            "closed-form": lambda: _closed_form_worst(pair(), closed),
+            "eds-property": lambda: max_eds_property_residual(seq),
+        }
         for name in checks:
-            yield name, partial(CHECKS[name], run, pair, window, tolerance)
+            yield name, worst[name]
 
     doc = _report(
         family=family,
@@ -339,6 +328,7 @@ def cmd_eds(seeds: tuple[Scalar, Scalar, Scalar], n_max: int, window=None) -> di
     def steps():
         seq = eds_generate(*seeds, n_max)
         doc["table"] = [[n, serialize_scalar(seq.w(n))] for n in range(0, seq.n_max + 1)]
+        doc["window"] = f"{window[0]}..{window[1]}"
         yield "recurrence", lambda: worst_of(
             seq.recurrence_residual(n) for n in range(-(seq.n_max - 2), seq.n_max - 1)
         )
@@ -346,7 +336,6 @@ def cmd_eds(seeds: tuple[Scalar, Scalar, Scalar], n_max: int, window=None) -> di
         yield "delta", lambda: verify_inversion(
             pair_from_kernel(eds_kernel(seq), window)
         ).worst_value
-        doc["window"] = f"{window[0]}..{window[1]}"
 
     return _run_checks(doc, steps(), None)
 
@@ -383,7 +372,8 @@ def _build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--tolerance", help="residual tolerance for float families")
     pv.add_argument("--truncation-tail", help="series/product tail bound")
     pv.add_argument("--truncation-max", help="series/product term cap")
-    pv.add_argument("--checks", help=f"comma-separated subset of {CHECK_NAMES}")
+    pv.add_argument("--checks", help="comma-separated checks the family offers (default: all; a refusal "
+                    "lists them); the counterexample runs as its own subcommand")
     pv.add_argument("--config", help="key=value config file (flags override)")
     pv.add_argument("--all-presets", action="store_true", help="run every family preset")
     pv.add_argument("--out", help="write the JSON report here instead of stdout")

@@ -140,7 +140,6 @@ def bilinear_kernel(
     b: Callable[[int], Scalar],
     x: Callable[[int], Scalar],
     y: Callable[[int], Scalar],
-    name: str = "bilinear",
 ) -> Kernel:
     """Kernel with bilinear alpha and determinant beta:
 
@@ -152,7 +151,6 @@ def bilinear_kernel(
         alpha=lambda i, k: x(i) * a(k) + y(i) * b(k),
         beta=lambda i, k: a(k) * b(i) - a(i) * b(k),
         beta_antisymmetric=True,
-        name=name,
     )
 
 
@@ -600,9 +598,10 @@ class Family:
 
     ``params`` names every accepted parameter with its preset value; a
     ``tolerance`` of None marks an exact family.  ``checks`` lists, in report
-    order, every check the family offers: its default suite.  ``build(params,
-    window, policy)`` returns ``(kernel, closed, eds_seq)``; ``closed`` (the
-    printed ``(F, G)`` pair) and ``eds_seq`` are None unless ``checks`` lists
+    order, every check the family offers: its default suite, and the only list
+    ``verify`` consults.  ``build(params, window, policy)`` returns ``(kernel,
+    closed, eds_seq)``: the kernel, the printed ``(F, G)`` closed forms and the
+    divisibility sequence, the last two None exactly when ``checks`` lacks
     ``closed-form``, respectively ``eds-property``.  Builders call the
     constructors through their module names, so wrapping a constructor in
     this module also wraps the registry.

@@ -73,15 +73,6 @@ def magnitude(value: Scalar) -> float:
     return float(abs(value))
 
 
-def scalars_close(a: Scalar, b: Scalar, tol: float | None = None) -> bool:
-    """Exact equality when ``tol`` is None, else ``|a - b| <= tol``."""
-    if tol is None:
-        return a == b
-    if tol <= 0:
-        raise DomainError("tolerance must be positive")
-    return passes(a - b, tol)
-
-
 def passes(worst: Scalar, tol: float | None) -> bool:
     """The verdict on a worst residual: exactly zero when ``tol`` is None,
     else ``|worst| <= tol`` (never true for NaN)."""

@@ -10,9 +10,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invrel import ConfigError, VerificationError
+from invrel import DEFAULT_POLICY, FAMILIES, ConfigError, VerificationError
 from invrel.cli import (
-    CHECK_NAMES,
     _build_parser,
     cmd_counterexample,
     cmd_eds,
@@ -292,13 +291,16 @@ class TestVerifyCommand:
         code, _, err = run_cli(
             capsys, "verify", "--family", "warnaar", "--checks", "closed-form",
         )
-        assert code == 2 and "closed form" in err
+        assert code == 2 and "refused: 'closed-form'" in err
 
     @pytest.mark.parametrize(
         "argv",
         [
             ("--family=warnaar", "--params=x0=5", "--checks=closed-form"),
             ("--family=partial-theta", "--params=bstep=0", "--checks=eds-property"),
+            ("--family=partial-theta", "--params=bstep=0", "--checks=counterexample"),
+            ("--family=warnaar", "--params=x0=5", "--checks=tsi,bogus"),
+            ("--family=partial-theta", "--params=bstep=0", "--checks="),
         ],
     )
     def test_unavailable_check_refused_before_build(self, capsys, argv):
@@ -306,6 +308,8 @@ class TestVerifyCommand:
         code, out, err = run_cli(capsys, "verify", *argv)
         assert code == 2 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+        refused = argv[-1].removeprefix("--checks=").split(",")[-1]
+        assert err.endswith(f"refused: {refused!r}\n")
 
     @pytest.mark.parametrize(
         "flag", ["--family=nope", "--params=q=0.2", "--window=0..3", "--tolerance=inf", "--checks=bogus"]
@@ -331,7 +335,11 @@ class TestVerifyCommand:
         code, _, err = run_cli(
             capsys, "verify", "--family", "gasper", "--checks", "counterexample",
         )
-        assert code == 2 and "subcommand" in err
+        assert code == 2 and "refused: 'counterexample'" in err
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        help_text = " ".join(capsys.readouterr().out.split())
+        assert "the counterexample runs as its own subcommand" in help_text
 
     def test_run_config_object(self):
         doc = cmd_verify(family="gasper", checks=("antisym",))
@@ -461,6 +469,25 @@ class TestVerifyCommand:
         assert doc["truncation"] == {"tail_bound": 1e-15, "max_terms": 128}
 
 
+class TestRegistry:
+    """A family's registry entry is the only list of its checks: what it
+    builds and what ``verify`` runs follow that list."""
+
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_build_matches_the_offered_checks(self, family):
+        preset = FAMILIES[family]
+        _, closed, seq = preset.build(preset.params, preset.window, DEFAULT_POLICY)
+        assert (closed is not None) == ("closed-form" in preset.checks)
+        assert (seq is not None) == ("eds-property" in preset.checks)
+
+    @pytest.mark.parametrize(
+        "family,check", [(f, c) for f in sorted(FAMILIES) for c in FAMILIES[f].checks]
+    )
+    def test_each_offered_check_runs_alone(self, family, check):
+        doc = cmd_verify(family, checks=(check,))
+        assert "error" not in doc and [c["name"] for c in doc["checks"]] == [check]
+
+
 class TestCounterexampleCommand:
     def test_known_rows(self, capsys):
         code, out, _ = run_cli(capsys, "counterexample", "--k", "1..5")
@@ -517,6 +544,7 @@ class TestEdsCommand:
             ("recurrence", "0"), ("eds-property", "0")
         ]
         assert doc["error"] == "ZeroDiagonal: entry (0,0): alpha(0,0) = 0 in G(0,0)" and not doc["passed"]
+        assert doc["window"] == "-2..2"
 
     def test_zero_w2_rejected(self, capsys):
         code, _, err = run_cli(capsys, "eds", "--seeds", "0,1,1", "--n", "8")
@@ -552,6 +580,7 @@ def _strict_json(text):
 
 
 _SCALARS = ("0", "1", "-1", "2", "1/3", "0.1", "0.5", "1e200", "1e999", "nan", "x")
+_CHECKS = sorted({c for f in FAMILIES.values() for c in f.checks}) + ["counterexample", "bogus"]
 _WINDOWS = st.builds(lambda lo, w: f"{lo}..{lo + w}", st.integers(-2, 3), st.integers(0, 3))
 _VERIFY = st.tuples(
     st.sampled_from(("binomial", "gasper", "schlosser", "warnaar", "elliptic-sum",
@@ -565,7 +594,7 @@ _VERIFY = st.tuples(
         max_size=2,
     ).map(lambda kv: "--params=" + ",".join(f"{k}={v}" for k, v in kv)),
     _WINDOWS.map(lambda w: f"--window={w}"),
-    st.lists(st.sampled_from(CHECK_NAMES + ("bogus",)), min_size=1, max_size=3, unique=True)
+    st.lists(st.sampled_from(_CHECKS), min_size=1, max_size=3, unique=True)
     .map(lambda c: "--checks=" + ",".join(c)),
     st.lists(
         st.sampled_from(("--tolerance=1e-9", "--tolerance=inf", "--tolerance=nan",

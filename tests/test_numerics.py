@@ -21,7 +21,6 @@ from invrel import (
     prod_range,
     q_pochhammer,
     q_pochhammer_infinite,
-    scalars_close,
     theta,
     weierstrass_addition_residual,
 )
@@ -278,16 +277,6 @@ class TestScalarDomain:
     def test_is_exact(self):
         assert is_exact(3) and is_exact(Fraction(1, 2))
         assert not is_exact(0.5) and not is_exact(1 + 2j) and not is_exact(True)
-
-    def test_scalars_close_exact_mode(self):
-        assert scalars_close(Fraction(1, 3), Fraction(2, 6))
-        assert not scalars_close(Fraction(1, 3), 0.3333333333333333)
-
-    def test_scalars_close_tolerance_mode(self):
-        assert scalars_close(1.0, 1.0 + 1e-12, tol=1e-9)
-        assert not scalars_close(1.0, 1.1, tol=1e-9)
-        with pytest.raises(DomainError):
-            scalars_close(1.0, 1.0, tol=0.0)
 
     def test_power_overflow_is_a_domain_error(self):
         for base, exponent in ((1e200, 2), (1e-300, -2), (-1e300, 3)):
