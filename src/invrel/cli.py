@@ -110,27 +110,28 @@ def parse_params(text: str) -> dict[str, Scalar]:
     return out
 
 
-def parse_window(text: str) -> tuple[int, int]:
+def parse_window(text: str, what: str = "window") -> tuple[int, int]:
     parts = text.split("..")
     if len(parts) != 2:
-        raise ConfigError(f"bad window {text!r} (expected lo..hi)")
+        raise ConfigError(f"bad {what} {text!r} (expected lo..hi)")
     try:
         lo, hi = int(parts[0]), int(parts[1])
     except ValueError as exc:
-        raise ConfigError(f"bad window {text!r}") from exc
+        raise ConfigError(f"bad {what} {text!r}") from exc
     if lo > hi:
-        raise ConfigError(f"empty window {text!r}")
+        raise ConfigError(f"empty {what} {text!r}")
     return lo, hi
 
 
 def parse_int_range(text: str) -> range:
+    """The ``--k`` values: one integer or a closed range ``lo..hi``."""
     if ".." in text:
-        lo, hi = parse_window(text)
+        lo, hi = parse_window(text, "--k range")
         return range(lo, hi + 1)
     try:
         k = int(text)
     except ValueError as exc:
-        raise ConfigError(f"bad integer range {text!r}") from exc
+        raise ConfigError(f"bad --k range {text!r} (expected k or lo..hi)") from exc
     return range(k, k + 1)
 
 

@@ -9,7 +9,8 @@ lower-triangular matrices
              * prod_{i=k+1}^{n} alpha(i,n) / prod_{i=k}^{n-1} beta(i,n)
 
 and :func:`verify_inversion` checks ``sum_i F(n,i) G(i,k) = delta_{n,k}``
-exhaustively over a finite index window, in both composition orders.
+exhaustively over a finite index window, G.F first and F.G unless G.F is an
+exact-mode ``int`` zero (over Q, a square ``G.F = I`` gives ``F.G = I``).
 
 :func:`window_tables` reads ``alpha`` and ``beta`` over ``window^2`` for the
 sweeps and the pair, scaled to integers by one common denominator when all
@@ -21,7 +22,10 @@ When every entry is exact, :func:`verify_inversion` composes in ``int`` (row
 ``n`` of the left factor scaled by its least common denominator ``r_n``,
 column ``k`` of the right factor by ``c_k``) and divides only nonzero
 residuals back by ``r_n c_k``; otherwise products and sums keep the
-reference's left-to-right order, so float values are the same bits.
+reference's left-to-right order, so float values are the same bits.  G.F has
+small scales: a row of G has denominators ``alpha(n,n) prod_{i=k}^{n-1}
+beta(i,n)``, nested as ``k`` falls, a column of F ``prod_{i=k+1}^{n} beta(i,k)``,
+nested as ``n`` grows.
 """
 
 from __future__ import annotations
@@ -90,6 +94,8 @@ def unscale(worst: Scalar, d: int | None, degree: int = 1) -> Scalar:
 def check_window(window: Window) -> Window:
     """Validate a closed integer window ``(lo, hi)`` and normalize it."""
     lo, hi = window
+    if not all(isinstance(b, int) and not isinstance(b, bool) for b in (lo, hi)):
+        raise DomainError(f"window {window!r}: each bound must be an int")
     if lo > hi:
         raise DomainError(f"empty window [{lo},{hi}]")
     return int(lo), int(hi)
@@ -144,7 +150,8 @@ class VerificationReport:
     """Residual table for a delta check, with a verdict.
 
     ``residuals`` holds ``sum_i F(n,i)G(i,k) - delta_{n,k}`` per ``(n,k)``,
-    ``transposed_residuals`` the same for the G.F composition.  ``mode`` is
+    ``transposed_residuals`` the same for the G.F composition; an exact-mode
+    G.F that is zero in ``int`` stands for F.G, all exact ``0``.  ``mode`` is
     ``"exact"`` (every residual must be zero) or ``"tolerance"`` (every
     magnitude must be ``<= tol``).
     """
@@ -317,10 +324,10 @@ def pair_from_nodes(seqs: NodeSequences, window: Window) -> TriangularPair:
     return pair_from_entries(partial(node_entries, seqs), window)
 
 
-def _residuals(left: list[list[Scalar]], right: list[list[Scalar]], lo: int) -> dict:
+def _residuals(left: list[list[Scalar]], right: list[list[Scalar]], lo: int) -> tuple[dict, bool]:
     """``sum_{k<=i<=n} left(n,i) right(i,k) - delta_{n,k}`` of two
-    lower-triangular tables, keyed ``(n,k)`` from the window's low end
-    ``lo``, ``k`` outer and ``n`` inner; in ``int`` when both are exact."""
+    lower-triangular tables, keyed ``(n,k)`` from the window's low end ``lo``,
+    ``k`` outer and ``n`` inner, and whether it ran in ``int`` (both exact)."""
     columns = [[row[k] for row in right[k:]] for k in range(len(right))]
     L, r = integer_rows(left, per_row=True)
     C, c = integer_rows(columns, per_row=True)
@@ -335,22 +342,24 @@ def _residuals(left: list[list[Scalar]], right: list[list[Scalar]], lo: int) -> 
             else:
                 scale = r[n] * c[k]
                 out[(n + lo, k + lo)] = unscale(acc - scale if n == k else acc, scale)
-    return out
+    return out, r is not None
 
 
 def verify_inversion(pair: TriangularPair, tol: float | None = None) -> VerificationReport:
     """Check ``F.G = delta`` and ``G.F = delta`` exhaustively on the window.
 
     ``tol=None`` demands exact equality (exact-domain entries); otherwise
-    every residual magnitude must be ``<= tol``.  Both orders are computed:
-    over Q one implies the other, so in exact mode a G.F failure next to a
-    passing F.G can only be an arithmetic fault.
+    every residual magnitude must be ``<= tol``.  G.F is composed first;
+    F.G is skipped only in exact mode when G.F ran in ``int`` and is zero.
     """
     if tol is not None and tol <= 0:
         raise DomainError("tolerance must be positive")
     lo, _ = check_window(pair.window)
-    residuals = _residuals(pair.F, pair.G, lo)
-    transposed = _residuals(pair.G, pair.F, lo)
+    transposed, exact = _residuals(pair.G, pair.F, lo)
+    if exact and tol is None and not any(transposed.values()):
+        residuals = dict.fromkeys(transposed, 0)  # square G.F = I over Q: G = F^-1
+    else:
+        residuals, _ = _residuals(pair.F, pair.G, lo)
 
     worst_value = worst_of(chain(residuals.values(), transposed.values()))
     return VerificationReport(

@@ -66,6 +66,18 @@ class TestParsing:
         assert list(parse_int_range("5")) == [5]
 
     @pytest.mark.parametrize(
+        "k, message",
+        [
+            ("3..1", "error: empty --k range '3..1'"),
+            ("a..b", "error: bad --k range 'a..b'"),
+            ("x", "error: bad --k range 'x' (expected k or lo..hi)"),
+        ],
+    )
+    def test_bad_k_range_names_the_flag(self, capsys, k, message):
+        code, out, err = run_cli(capsys, "counterexample", f"--k={k}")
+        assert (code, out, err) == (2, "", message + "\n")
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ("verify", "--tolerance=abc"),

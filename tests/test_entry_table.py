@@ -1,7 +1,8 @@
 """The tabulated entries and integer compositions against the reference.
 
 ``pair_from_kernel`` builds F and G once per window and ``verify_inversion``
-composes the two tables, in ``int`` when every entry is exact.  The references
+composes the two tables, in ``int`` when every entry is exact, G.F first and
+F.G only when G.F is not an exact-mode ``int`` zero.  The references
 here are the public entry functions ``f_entry``/``g_entry`` on the kernel
 itself, plain factor-by-factor loops over the kernel, and a plain
 left-to-right Fraction sum over the entries, so the table must agree
@@ -9,7 +10,9 @@ exactly: equal with the same printed Fraction on exact kernels,
 ``repr``-identical wherever a float enters.
 """
 
+import random
 from fractions import Fraction
+from itertools import chain
 
 import pytest
 
@@ -19,6 +22,7 @@ from invrel import (
     FactorSequences,
     Kernel,
     TriangularPair,
+    VerificationError,
     affine_sequence,
     bilinear_kernel,
     binomial_kernel,
@@ -28,6 +32,7 @@ from invrel import (
     pair_from_entries,
     pair_from_kernel,
     product_ratio_kernel,
+    kernels,
     verify_inversion,
 )
 from invrel.numerics import reciprocal
@@ -89,6 +94,29 @@ def fraction_sequence(start: int, step: int, den: int):
     return affine_sequence(Fraction(start, den), Fraction(step, den))
 
 
+def random_exact_kernel(family: str, seed: int, window=None) -> tuple[Kernel, tuple[int, int]]:
+    """A bilinear or product-ratio kernel over affine sequences with small
+    random Fraction coefficients, on ``window`` or else a random window of
+    width 5 to 7, drawn again until its pair builds there."""
+    rng = random.Random(f"{family}:{seed}")
+
+    def sequence():
+        return fraction_sequence(rng.randint(-9, 9), rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 9))
+
+    while True:
+        lo = rng.randint(-3, 3)
+        drawn = window or (lo, lo + rng.randint(4, 6))
+        if family == "bilinear":
+            kernel = bilinear_kernel(sequence(), sequence(), sequence(), sequence())
+        else:
+            kernel = product_ratio_kernel(FactorSequences(x=sequence(), y=sequence(), t=sequence()))
+        try:
+            pair_from_kernel(kernel, drawn)
+        except VerificationError:
+            continue
+        return kernel, drawn
+
+
 EXACT = {
     **{name: preset(name) for name in ("binomial", "gasper", "schlosser", "eds")},
     "bilinear": (
@@ -104,6 +132,11 @@ EXACT = {
         )),
         (0, 4),
     ),
+    **{
+        f"{family}-random-{seed}": random_exact_kernel(family, seed)
+        for family in ("bilinear", "product-ratio")
+        for seed in range(3)
+    },
 }
 
 # where one off-diagonal alpha is perturbed, relative to the window's low
@@ -131,6 +164,43 @@ def assert_same_residuals(got: dict, want: dict, same):
         same(got[key], want[key])
 
 
+@pytest.fixture
+def compositions(monkeypatch):
+    """The ``(left, right)`` tables of every composition ``verify_inversion``
+    runs, in order."""
+    calls = []
+    compose = kernels._residuals
+
+    def counted(left, right, lo):
+        calls.append((left, right))
+        return compose(left, right, lo)
+
+    monkeypatch.setattr(kernels, "_residuals", counted)
+    return calls
+
+
+def assert_orders(calls: list, pair: TriangularPair, orders: list[str]):
+    tables = {"G.F": (pair.G, pair.F), "F.G": (pair.F, pair.G)}
+    assert len(calls) == len(orders)
+    for (left, right), order in zip(calls, orders):
+        assert left is tables[order][0] and right is tables[order][1]
+
+
+def assert_exact_report(pair: TriangularPair, f, g, calls: list):
+    """``verify_inversion(pair)`` in exact mode against the two-order
+    Fraction sums of the entry functions ``f`` and ``g``: every report field
+    is the same, and F.G is composed, after G.F, unless G.F is all zero."""
+    report = verify_inversion(pair)
+    want, want_t = reference_compose(f, g, pair.window), reference_compose(g, f, pair.window)
+    assert_same_residuals(report.residuals, want, assert_same_exact)
+    assert_same_residuals(report.transposed_residuals, want_t, assert_same_exact)
+    worst = max(chain(want.values(), want_t.values()), key=abs)
+    assert_same_exact(report.worst_value, worst)
+    assert report.passed == (worst == 0)
+    assert_orders(calls, pair, ["G.F"] if all(v == 0 for v in want_t.values()) else ["G.F", "F.G"])
+    return report
+
+
 @pytest.mark.parametrize("perturbation", PERTURBATIONS)
 @pytest.mark.parametrize("family", EXACT)
 class TestExactTable:
@@ -143,31 +213,34 @@ class TestExactTable:
                 for got, reference in ((F, f_entry), (F, loop_f), (G, g_entry), (G, loop_g)):
                     assert_same_exact(got[n - lo][k - lo], reference(kernel, n, k))
 
-    def test_residuals_match_the_fraction_sums(self, family, perturbation):
+    def test_residuals_match_the_fraction_sums(self, family, perturbation, compositions):
         kernel, window = exact_case(family, perturbation)
-        report = verify_inversion(pair_from_kernel(kernel, window))
         f, g = (lambda n, k: f_entry(kernel, n, k)), (lambda n, k: g_entry(kernel, n, k))
-        want, want_t = reference_compose(f, g, window), reference_compose(g, f, window)
-        assert_same_residuals(report.residuals, want, assert_same_exact)
-        assert_same_residuals(report.transposed_residuals, want_t, assert_same_exact)
+        report = assert_exact_report(pair_from_kernel(kernel, window), f, g, compositions)
         if perturbation == "preset":
             assert report.passed and report.worst_value == 0
         else:
-            assert any(v != 0 for v in want.values()) and any(v != 0 for v in want_t.values())
+            assert any(report.residuals.values()) and any(report.transposed_residuals.values())
             assert not report.passed
 
 
-def test_mismatched_pair_matches_the_fraction_sums():
+def test_mismatched_pair_matches_the_fraction_sums(compositions):
     # F of one kernel against G of another
     window = (0, 5)
     binom, gasp = binomial_kernel(), gasper_kernel(Fraction(2), Fraction(3), Fraction(1, 5), Fraction(1, 7))
     pair = TriangularPair(pair_from_kernel(binom, window).F, pair_from_kernel(gasp, window).G, window)
-    report = verify_inversion(pair)
     f, g = (lambda n, k: f_entry(binom, n, k)), (lambda n, k: g_entry(gasp, n, k))
-    want, want_t = reference_compose(f, g, window), reference_compose(g, f, window)
-    assert any(v != 0 for v in want.values()) and any(v != 0 for v in want_t.values())
-    assert_same_residuals(report.residuals, want, assert_same_exact)
-    assert_same_residuals(report.transposed_residuals, want_t, assert_same_exact)
+    report = assert_exact_report(pair, f, g, compositions)
+    assert any(report.residuals.values()) and any(report.transposed_residuals.values())
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_random_mismatched_pair_matches_the_fraction_sums(seed, compositions):
+    one, window = random_exact_kernel("bilinear", seed)
+    other, _ = random_exact_kernel("product-ratio", seed, window)
+    pair = TriangularPair(pair_from_kernel(one, window).F, pair_from_kernel(other, window).G, window)
+    f, g = (lambda n, k: f_entry(one, n, k)), (lambda n, k: g_entry(other, n, k))
+    assert not assert_exact_report(pair, f, g, compositions).passed
 
 
 def test_callable_pair_tabulates_in_window_order():
@@ -199,9 +272,10 @@ class TestFloatAndMixedTables:
                     assert repr(got[n - lo][k - lo]) == repr(reference(kernel, n, k))
 
     @pytest.mark.parametrize("name", KERNELS)
-    def test_residuals_repr_identical(self, name):
+    def test_residuals_repr_identical(self, name, compositions):
         kernel, window, tol = self.KERNELS[name]
-        report = verify_inversion(pair_from_kernel(kernel, window), tol)
+        pair = pair_from_kernel(kernel, window)
+        report = verify_inversion(pair, tol)
         f, g = (lambda n, k: f_entry(kernel, n, k)), (lambda n, k: g_entry(kernel, n, k))
 
         def same(got, want):
@@ -210,3 +284,27 @@ class TestFloatAndMixedTables:
         assert_same_residuals(report.residuals, reference_compose(f, g, window), same)
         assert_same_residuals(report.transposed_residuals, reference_compose(g, f, window), same)
         assert any(isinstance(v, float) for v in report.residuals.values())
+        assert_orders(compositions, pair, ["G.F", "F.G"])
+
+
+class TestBothCompositions:
+    """F.G is composed, after G.F, whenever G.F did not run in ``int`` or
+    the check has a tolerance, even where every residual is zero."""
+
+    @pytest.mark.parametrize("one, zero", [(1.0, 0.0), (1, 0.0), (Fraction(1), 0.0)])
+    def test_float_pair_with_all_zero_residuals(self, one, zero, compositions):
+        pair = pair_from_entries(lambda n, k: (one, one) if n == k else (zero, zero), (-2, 3))
+        report = verify_inversion(pair)
+        for residuals in (report.residuals, report.transposed_residuals):
+            assert all(v == 0 for v in residuals.values())
+            assert any(isinstance(v, float) for v in residuals.values())
+        assert report.passed and report.worst_value == 0
+        assert_orders(compositions, pair, ["G.F", "F.G"])
+
+    @pytest.mark.parametrize("name", EXACT)
+    def test_exact_tables_under_a_tolerance(self, name, compositions):
+        kernel, window = EXACT[name]
+        pair = pair_from_kernel(kernel, window)
+        report = verify_inversion(pair, 1e-9)
+        assert report.passed and report.worst_value == 0
+        assert_orders(compositions, pair, ["G.F", "F.G"])

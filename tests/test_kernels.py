@@ -32,7 +32,7 @@ from invrel import (
     pair_from_nodes,
     verify_inversion,
 )
-from invrel.kernels import integer_rows, passes, unscale, worst_of
+from invrel.kernels import check_window, integer_rows, passes, unscale, worst_of
 
 GASPER_PARAMS = (Fraction(2), Fraction(3), Fraction(1, 5), Fraction(1, 7))
 
@@ -147,6 +147,33 @@ class TestPairFromEntries:
         with pytest.raises(ZeroDenominator) as info:
             pair_from_entries(entries, (0, 3))
         assert info.value is error
+
+
+class TestCheckWindow:
+    def test_int_bounds(self):
+        assert check_window((-2, 3)) == (-2, 3)
+        assert check_window((4, 4)) == (4, 4)
+
+    @pytest.mark.parametrize(
+        "window, shown",
+        [
+            ((0, 2.7), "(0, 2.7)"),
+            ((2.0, 3), "(2.0, 3)"),
+            ((Fraction(1, 2), 3), "(Fraction(1, 2), 3)"),
+            ((Fraction(1), 3), "(Fraction(1, 1), 3)"),
+            ((True, 3), "(True, 3)"),
+            ((0, False), "(0, False)"),
+        ],
+    )
+    def test_bound_that_is_not_an_int_is_refused(self, window, shown):
+        from invrel import DomainError
+
+        message = f"window {shown}: each bound must be an int"
+        with pytest.raises(DomainError, match=re.escape(message)):
+            check_window(window)
+        # the window is refused before any entry is built, not truncated
+        with pytest.raises(DomainError, match=re.escape(message)):
+            pair_from_kernel(binomial_kernel(), window)
 
 
 def validate_kernel_window(kernel: Kernel, window) -> None:
