@@ -99,7 +99,9 @@ from .families import (
     elliptic_sum_kernel,
     gasper_closed_entries,
     gasper_kernel,
+    max_closed_form_residual,
     max_eds_property_residual,
+    max_recurrence_residual,
     partial_theta_kernel,
     product_ratio_kernel,
     schlosser_closed_entries,

@@ -1,4 +1,5 @@
-"""Command-line front end: verification suites with machine-readable reports.
+"""Command-line front end: it parses input, runs checks from the library and
+writes machine-readable reports; it computes no verdict itself.
 
 Subcommands:
 
@@ -9,8 +10,9 @@ Subcommands:
 * ``eds`` -- divisibility-sequence table, recurrence/property checks, and the
   delta verification of the induced kernel.
 
-Exact residuals are serialized as ``"0"`` or ``"num/den"`` strings, never
-floats, so exact-mode reports are reproducible bit for bit.
+Bad input exits 2 with one ``error:`` line; a domain failure exits 1 with the
+report's ``error`` field.  Exact residuals serialize as ``"0"`` or ``"num/den"``
+strings, never floats, so exact-mode reports are reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -26,28 +28,22 @@ from pathlib import Path
 from typing import Callable, Iterable
 
 from . import __version__
-from .errors import ConfigError, DomainError, VerificationError, located
+from .errors import ConfigError, DomainError, VerificationError
 from .families import (
     FAMILIES,
-    check_eds_w2,
     eds_generate,
     eds_kernel,
+    max_closed_form_residual,
     max_eds_property_residual,
+    max_recurrence_residual,
 )
 from .identities import (
     max_anchored_tsi_residual,
     max_qsi_residual,
     max_tsi_residual,
 )
-from .kernels import (
-    TriangularPair,
-    max_antisymmetry_residual,
-    pair_from_kernel,
-    passes,
-    verify_inversion,
-    worst_of,
-)
-from .numerics import DEFAULT_POLICY, Ratio, Scalar, TruncationPolicy, is_exact
+from .kernels import max_antisymmetry_residual, pair_from_kernel, verify_inversion
+from .numerics import DEFAULT_POLICY, Scalar, TruncationPolicy, is_exact, passes
 from .recursions import counterexample_discrepancies, counterexample_reference
 
 PRESET_KEYS = ("family", "params", "window", "tolerance", "checks")
@@ -158,28 +154,6 @@ def load_config_file(path: str) -> dict[str, str]:
 # --- check execution ---------------------------------------------------------------
 
 
-def _closed_form_worst(pair: TriangularPair, closed) -> Scalar:
-    """Largest difference between the printed closed forms and the pair's
-    entry table; a domain error of a closed form names its entry.  An exact
-    :class:`Ratio` is compared by cross-multiplication, with no Fraction for 0."""
-    lo, hi = pair.window
-
-    def diffs():
-        for k in range(lo, hi + 1):
-            for n in range(k, hi + 1):
-                for name, form, rows in zip("FG", closed, (pair.F, pair.G)):
-                    try:
-                        c, e = form(n, k), rows[n - lo][k - lo]
-                    except VerificationError as exc:
-                        raise located(exc, f"closed-form {name}({n},{k})")
-                    if not isinstance(c, Ratio):
-                        yield c - e
-                    elif cross := c.numerator * e.denominator - e.numerator * c.denominator:
-                        yield Fraction(cross, c.denominator * e.denominator)
-
-    return worst_of(diffs())
-
-
 def check_record(name: str, worst: Scalar, tol: float | None, start: float) -> dict:
     """The report entry of one check whose timing began at ``start``."""
     return {
@@ -269,7 +243,7 @@ def cmd_verify(
             "qsi": lambda: max_qsi_residual(kernel, window),
             "cond3": lambda: max_anchored_tsi_residual(kernel, window),
             "delta": lambda: verify_inversion(pair(), tolerance).worst_value,
-            "closed-form": lambda: _closed_form_worst(pair(), closed),
+            "closed-form": lambda: max_closed_form_residual(pair(), closed),
             "eds-property": lambda: max_eds_property_residual(seq),
         }
         for name in checks:
@@ -313,7 +287,6 @@ def cmd_counterexample(k_values) -> dict:
 
 def cmd_eds(seeds: tuple[Scalar, Scalar, Scalar], n_max: int, window=None) -> dict:
     """Table, recurrence round-trip, exhaustive property check, and delta."""
-    check_eds_w2(seeds[0])
     if n_max < 1:
         raise ConfigError("n_max must be at least 1")
     if window is None:
@@ -330,9 +303,7 @@ def cmd_eds(seeds: tuple[Scalar, Scalar, Scalar], n_max: int, window=None) -> di
         seq = eds_generate(*seeds, n_max)
         doc["table"] = [[n, serialize_scalar(seq.w(n))] for n in range(0, seq.n_max + 1)]
         doc["window"] = f"{window[0]}..{window[1]}"
-        yield "recurrence", lambda: worst_of(
-            seq.recurrence_residual(n) for n in range(-(seq.n_max - 2), seq.n_max - 1)
-        )
+        yield "recurrence", lambda: max_recurrence_residual(seq)
         yield "eds-property", lambda: max_eds_property_residual(seq)
         yield "delta", lambda: verify_inversion(
             pair_from_kernel(eds_kernel(seq), window)

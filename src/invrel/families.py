@@ -14,9 +14,12 @@ of the entries exists, ``*_closed_entries`` returns ``(F, G)`` callables to
 compare against the generic builders.  The gasper, schlosser and eds forms
 write an entry once: a monomial ``(c, ((b, e), ...))`` = ``c b^e ...`` and
 ``(numerator, denominator)`` groups of factors (monomials, q-Pochhammers
-``(x, q, m)``), one unreduced int pair (a ``Ratio``) for exact parameters,
+``(x, q, m)``), one unreduced int pair (a :class:`Ratio`) for exact parameters,
 else ``(mono * prod N_1) * 1/prod D_1 ...`` in the printed order, bit for
-bit.  :data:`FAMILIES` registers each family's preset, checks and builder.
+bit.  The checks of these claims live here too: :func:`max_closed_form_residual`
+and, for divisibility sequences, :func:`max_recurrence_residual` and
+:func:`max_eds_property_residual`.  :data:`FAMILIES` registers each family's
+preset, checks and builder.
 """
 
 from __future__ import annotations
@@ -28,14 +31,15 @@ from math import factorial, prod
 from typing import Callable
 
 from .errors import (
-    ConfigError,
     DegenerateParams,
     IndexOutOfTable,
     VerificationError,
     ZeroDivisor,
+    located,
 )
 from .kernels import (
     Kernel,
+    TriangularPair,
     Window,
     integer_rows,
     pair_from_kernel,
@@ -44,7 +48,6 @@ from .kernels import (
 )
 from .numerics import (
     DEFAULT_POLICY,
-    Ratio,
     Scalar,
     TruncationPolicy,
     elliptic_pochhammer,
@@ -168,6 +171,19 @@ def _scalar_form(mono: tuple, groups: list) -> Scalar:
     return out
 
 
+class Ratio:
+    """An exact value as an unreduced int pair ``numerator/denominator`` (the
+    denominator nonzero, of either sign); ``==`` cross-multiplies, with no gcd."""
+
+    def __init__(self, numerator: int, denominator: int):
+        self.numerator, self.denominator = numerator, denominator
+
+    def __eq__(self, other) -> bool:
+        if not (is_exact(other) or isinstance(other, Ratio)):
+            return NotImplemented
+        return self.numerator * other.denominator == other.numerator * self.denominator
+
+
 def _pair(f: tuple) -> tuple[int, int]:
     if len(f) == 3:  # with x = u/v and q = s/t, 1 - x q^e is (v t^e - u s^e) / (v t^e)
         (u, v), s, t, m = _pair(f[0]), f[1].numerator, f[1].denominator, f[2]
@@ -191,6 +207,28 @@ def _ratio_form(mono: tuple, groups: list) -> Ratio:
     if den == 0:
         raise ZeroDivisor("reciprocal of zero")
     return Ratio(num, den)
+
+
+def max_closed_form_residual(pair: TriangularPair, closed) -> Scalar:
+    """Largest difference between the printed closed forms and the pair's
+    entry table; a domain error of a closed form names its entry.  An exact
+    :class:`Ratio` is compared by cross-multiplication, with no Fraction for 0."""
+    lo, hi = pair.window
+
+    def diffs():
+        for k in range(lo, hi + 1):
+            for n in range(k, hi + 1):
+                for name, form, rows in zip("FG", closed, (pair.F, pair.G)):
+                    try:
+                        c, e = form(n, k), rows[n - lo][k - lo]
+                    except VerificationError as exc:
+                        raise located(exc, f"closed-form {name}({n},{k})")
+                    if not isinstance(c, Ratio):
+                        yield c - e
+                    elif cross := c.numerator * e.denominator - e.numerator * c.denominator:
+                        yield Fraction(cross, c.denominator * e.denominator)
+
+    return worst_of(diffs())
 
 
 def _domain(*params: Scalar) -> tuple[Callable, Callable]:
@@ -505,6 +543,12 @@ def eds_generate(w2: Scalar, w3: Scalar, w4: Scalar, n_max: int) -> EdsSequence:
     return EdsSequence(seeds, table)
 
 
+def max_recurrence_residual(W: EdsSequence) -> Scalar:
+    """Largest-magnitude :meth:`EdsSequence.recurrence_residual` over
+    ``|n| <= n_max - 2``, every index whose terms lie in the table."""
+    return worst_of(W.recurrence_residual(n) for n in range(-(W.n_max - 2), W.n_max - 1))
+
+
 def eds_property_residual(W: EdsSequence, k: int, p: int, q: int) -> Fraction:
     """``W_k^2 W_{p+q} W_{p-q} + W_p^2 W_{q+k} W_{q-k} + W_q^2 W_{k+p} W_{k-p}``;
     identically zero for any divisibility sequence."""
@@ -586,12 +630,6 @@ def eds_closed_entries(W: EdsSequence) -> tuple[Callable, Callable]:
 # --- family registry -------------------------------------------------------------
 
 
-def check_eds_w2(w2: Scalar) -> None:
-    """Refuse ``W_2 = 0`` as input: it is squared in the recurrence and in entries."""
-    if w2 == 0:
-        raise ConfigError("eds: W_2 = 0 is degenerate (squared in the recurrence and in entries)")
-
-
 @dataclass(frozen=True)
 class Family:
     """One registered family: a reproducible preset, its checks and its builder.
@@ -620,7 +658,6 @@ def _build_elliptic_sum(p: dict, window: Window, policy: TruncationPolicy) -> tu
 
 
 def _build_eds(p: dict, window: Window, policy: TruncationPolicy) -> tuple:
-    check_eds_w2(p["w2"])
     seq = eds_generate(p["w2"], p["w3"], p["w4"], n_max=2 * max(abs(window[0]), abs(window[1])))
     return eds_kernel(seq), eds_closed_entries(seq), seq
 

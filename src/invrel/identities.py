@@ -38,10 +38,9 @@ def anchored_tsi_residual(kernel: Kernel, x: int, p: int, y: int) -> Scalar:
 
     ``alpha(p,x) beta(y,p) + alpha(p,y) beta(p,x) + alpha(p,p) beta(x,y)``
 
-    Equals ``tsi_residual(kernel, p, p, x, y)`` term for term.
+    which is ``tsi_residual(kernel, p, p, x, y)``, term for term.
     """
-    a, b = kernel.alpha, kernel.beta
-    return a(p, x) * b(y, p) + a(p, y) * b(p, x) + a(p, p) * b(x, y)
+    return tsi_residual(kernel, p, p, x, y)
 
 
 def qsi_residual(kernel: Kernel, x: int, y: int, p: int, q: int) -> Scalar:

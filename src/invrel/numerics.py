@@ -25,19 +25,6 @@ def is_exact(value: Scalar) -> bool:
     return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
-class Ratio:
-    """An exact value as an unreduced int pair ``numerator/denominator`` (the
-    denominator nonzero, of either sign); ``==`` cross-multiplies, with no gcd."""
-
-    def __init__(self, numerator: int, denominator: int):
-        self.numerator, self.denominator = numerator, denominator
-
-    def __eq__(self, other) -> bool:
-        if not (is_exact(other) or isinstance(other, Ratio)):
-            return NotImplemented
-        return self.numerator * other.denominator == other.numerator * self.denominator
-
-
 def reciprocal(value: Scalar) -> Scalar:
     """1/value, staying exact for exact input."""
     if value == 0:

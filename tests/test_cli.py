@@ -210,6 +210,26 @@ class TestVerifyCommand:
         for check in doc["checks"]:
             assert isinstance(check["worst_residual"], float)
 
+    def test_no_family_is_refused(self, capsys):
+        code, out, err = run_cli(capsys, "verify")
+        assert code == 2 and out == ""
+        assert err == "error: --family is required (or use --all-presets)\n"
+
+    def test_elliptic_sum_closed_form_below_zero(self, capsys):
+        # the window crosses sigma's m < 0 branch in the closed form
+        code, out, _ = run_cli(capsys, "verify", "--family=elliptic-sum", "--window=-3..1", "--checks=closed-form")
+        doc = json.loads(out)
+        assert code == 0 and doc["passed"] and [c["name"] for c in doc["checks"]] == ["closed-form"]
+
+    def test_zero_w2_is_refused_by_the_entry_it_divides(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--family=eds", "--params=w2=0,w3=3,w4=5", "--window=1..2")
+        assert code == 1 and err == ""
+        doc = json.loads(out)
+        assert [(c["name"], c["worst_residual"]) for c in doc["checks"]] == [
+            ("antisym", "0"), ("tsi", "0"), ("qsi", "0"), ("cond3", "0")
+        ]
+        assert doc["error"] == "ZeroDiagonal: entry (2,2): alpha(2,2) = 0 in G(2,2)" and not doc["passed"]
+
     def test_float_param_in_exact_mode_is_an_error(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--family=gasper", "--params=q=0.2", "--checks=tsi,delta")
         assert code == 1
@@ -559,8 +579,11 @@ class TestEdsCommand:
         assert doc["window"] == "-2..2"
 
     def test_zero_w2_rejected(self, capsys):
-        code, _, err = run_cli(capsys, "eds", "--seeds", "0,1,1", "--n", "8")
-        assert code == 2 and "degenerate" in err
+        # W_2 = 0 is refused where it divides, like W_3 = 0: a JSON error, exit 1
+        code, out, err = run_cli(capsys, "eds", "--seeds", "0,1,1", "--n", "8")
+        assert code == 1 and err == ""
+        doc = json.loads(out)
+        assert doc["error"] == "ZeroDivisor: W(6) needs division by W(2) = 0" and not doc["passed"]
 
     def test_generation_failure_reported(self, capsys):
         code, out, _ = run_cli(capsys, "eds", "--seeds", "1,1,1", "--n", "12")

@@ -27,11 +27,11 @@ from invrel import (
     eds_kernel,
     gasper_closed_entries,
     gasper_kernel,
+    max_closed_form_residual,
     pair_from_kernel,
     schlosser_closed_entries,
     schlosser_kernel,
 )
-from invrel.cli import _closed_form_worst
 from invrel.errors import located
 from invrel.kernels import TriangularPair, worst_of
 from invrel.numerics import exact_div, power, prod_range, q_pochhammer, reciprocal
@@ -174,11 +174,11 @@ def assert_same_check(kernel, window, closed, reference) -> bool:
     except VerificationError:
         return False
     reference = tuple(lru_cache(maxsize=None)(form) for form in reference)
-    assert _outcome(lambda: _closed_form_worst(pair, closed)) == _outcome(lambda: ref_fold(pair, reference))
+    assert _outcome(lambda: max_closed_form_residual(pair, closed)) == _outcome(lambda: ref_fold(pair, reference))
     lo, hi = window
     n = (lo + hi + 1) // 2
     bad = perturbed(pair, *((n, lo) if pair.F[n - lo][0] != 0 else (lo, lo)))
-    got = _outcome(lambda: _closed_form_worst(bad, closed))
+    got = _outcome(lambda: max_closed_form_residual(bad, closed))
     assert got == _outcome(lambda: ref_fold(bad, reference))
     assert got != "0"
     return True
@@ -236,7 +236,7 @@ class TestExactAgainstTheReference:
     def test_gasper_singular_draw(self):
         params = {"a": Fraction(5), "b": Fraction(7), "p": Fraction(1, 5), "q": Fraction(1, 5)}
         pair = pair_from_kernel(gasper_kernel(**params), (0, 16))
-        got = _outcome(lambda: _closed_form_worst(pair, gasper_closed_entries(**params)))
+        got = _outcome(lambda: max_closed_form_residual(pair, gasper_closed_entries(**params)))
         assert got == _outcome(lambda: ref_fold(pair, ref_gasper(**params)))
         assert got == "ZeroDivisor: closed-form G(1,0): reciprocal of zero"
 
@@ -302,7 +302,7 @@ class TestExactAgainstTheReference:
             for n in range(k, hi + 1):
                 assert f_closed(n, k) == pair.F[n - lo][k - lo]
                 assert g_closed(n, k) == pair.G[n - lo][k - lo]
-        assert _closed_form_worst(pair, (f_closed, g_closed)) == 0
+        assert max_closed_form_residual(pair, (f_closed, g_closed)) == 0
         assert "ZeroDivisor" in _outcome(lambda: ref_fold(pair, ref_eds(seq)))
 
 

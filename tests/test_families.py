@@ -1,5 +1,6 @@
 """Tests for every concrete kernel family and the generic solution patterns."""
 
+import dataclasses
 import random
 from fractions import Fraction
 from itertools import product
@@ -10,6 +11,7 @@ from invrel import (
     DEFAULT_POLICY,
     FAMILIES,
     DegenerateParams,
+    EdsSequence,
     FactorSequences,
     IndexOutOfTable,
     ZeroBeta,
@@ -32,6 +34,7 @@ from invrel import (
     max_anchored_tsi_residual,
     max_antisymmetry_residual,
     max_qsi_residual,
+    max_recurrence_residual,
     max_tsi_residual,
     pair_from_kernel,
     partial_theta,
@@ -231,6 +234,12 @@ class TestSchlosserFamily:
         with pytest.raises(ZeroDivisor, match=r"^entry \(1,0\): beta\(1,0\) = 0 in F\(1,0\)$"):
             pair_from_kernel(schlosser_kernel(a, b, c, q), (0, 3))
 
+    @pytest.mark.parametrize("q", [0, 1, -1])
+    def test_degenerate_base(self, q):
+        a, b, c, _ = self.PARAMS
+        with pytest.raises(DegenerateParams, match=r"q not in \{0, 1, -1\}"):
+            schlosser_kernel(a, b, c, Fraction(q))
+
 
 WARNAAR_Q = 0.1
 WARNAAR_B = affine_sequence(2.0, 0.1)
@@ -384,6 +393,35 @@ class TestEdsSequence:
         seq = eds_generate(1, -1, 1, 12)
         with pytest.raises(IndexOutOfTable):
             seq.w(13)
+
+    def test_empty_table_is_refused(self):
+        with pytest.raises(IndexOutOfTable, match="n_max must be at least 1"):
+            eds_generate(1, -1, 1, 0)
+
+
+class TestNegativeControls:
+    """Each check rejects a tampered input, so its pass is not vacuous."""
+
+    def test_antisymmetry_sees_one_scaled_beta(self):
+        kernel = gasper_kernel(**FAMILIES["gasper"].params)
+        assert max_antisymmetry_residual(kernel, (0, 6)) == 0
+        beta = kernel.beta
+        scaled = dataclasses.replace(
+            kernel, beta=lambda i, k: beta(i, k) * Fraction(1001, 1000) if (i, k) == (3, 1) else beta(i, k)
+        )
+        # beta(3,1) + beta(1,3) is then beta(3,1) / 1000
+        assert max_antisymmetry_residual(scaled, (0, 6)) == Fraction(5619, 31250) == beta(3, 1) / 1000
+
+    def test_recurrence_sees_one_scaled_seed(self):
+        seq = eds_generate(Fraction(1, 2), 3, Fraction(-5, 7), 10)
+        assert max_recurrence_residual(seq) == 0
+        table = {n: seq.w(n) for n in range(seq.n_max + 1)}
+        table[3] *= Fraction(1001, 1000)
+        tampered = EdsSequence(seq.seeds, table)
+        worst = max_recurrence_residual(tampered)
+        assert worst == Fraction(68195550272547, 19275612160)
+        # the first largest-magnitude pointwise residual over |n| <= n_max - 2, with its sign
+        assert worst == max((tampered.recurrence_residual(n) for n in range(-8, 9)), key=abs)
 
 
 class TestEdsKernel:

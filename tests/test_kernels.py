@@ -154,6 +154,12 @@ class TestCheckWindow:
         assert check_window((-2, 3)) == (-2, 3)
         assert check_window((4, 4)) == (4, 4)
 
+    def test_empty_window_is_refused(self):
+        from invrel import DomainError
+
+        with pytest.raises(DomainError, match=re.escape("empty window [3,1]")):
+            check_window((3, 1))
+
     @pytest.mark.parametrize(
         "window, shown",
         [

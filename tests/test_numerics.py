@@ -242,6 +242,16 @@ class TestSlopeKernel:
         with pytest.raises(DomainError):
             partial_theta_slope_quotient(0.2, 0.2, 0.1)
 
+    def test_series_requires_q_inside_the_unit_disc(self):
+        with pytest.raises(DomainError, match="requires"):
+            q_pochhammer_infinite(0.5, 1.0)
+        with pytest.raises(DomainError, match="requires"):
+            partial_theta_slope_series(0.3, 0.2, 1.0)
+
+    def test_series_past_the_term_cap_is_an_error(self):
+        with pytest.raises(NonConvergent, match="8 terms"):
+            partial_theta_slope_series(0.3, 0.2, 0.1, TruncationPolicy(1e-17, 8))
+
 
 class TestEllipticPochhammer:
     def test_empty(self):
