@@ -27,28 +27,43 @@ REPORTS = Path(__file__).resolve().parent / "data" / "reports"
 ELAPSED = re.compile(r'("elapsed_ms": )[^,\n}]+')
 
 DELTA = "--checks=delta,closed-form"
+SWEEPS = "--checks=antisym,tsi,qsi,cond3"
 
 
 @contextlib.contextmanager
-def perturbed_gasper():
-    """Registry gasper kernels with alpha(3,1) scaled by 1 + 1/1000, so the
-    pair is no longer an inversion and the closed forms no longer match."""
+def gasper_scaled(table: str, at: tuple[int, int]):
+    """Registry gasper kernels with the one ``table`` ("alpha" or "beta")
+    entry ``at`` scaled by 1 + 1/1000."""
     original = families.gasper_kernel
 
     def kernel(*args, **kwargs):
         base = original(*args, **kwargs)
+        values = {"alpha": base.alpha, "beta": base.beta}
+        exact = values[table]
 
-        def alpha(i, k):
-            value = base.alpha(i, k)
-            return value * (1 + Fraction(1, 1000)) if (i, k) == (3, 1) else value
+        def bumped(i, k):
+            value = exact(i, k)
+            return value * (1 + Fraction(1, 1000)) if (i, k) == at else value
 
-        return Kernel(alpha=alpha, beta=base.beta, name=base.name)
+        values[table] = bumped
+        return Kernel(**values, name=base.name)
 
     families.gasper_kernel = kernel
     try:
         yield
     finally:
         families.gasper_kernel = original
+
+
+def perturbed_gasper():
+    """alpha(3,1) scaled: the pair is no longer an inversion, the closed forms
+    no longer match, and no sweep's identity holds."""
+    return gasper_scaled("alpha", (3, 1))
+
+
+def one_sided_beta():
+    """beta(3,1) scaled without beta(1,3), so beta is no longer antisymmetric."""
+    return gasper_scaled("beta", (3, 1))
 
 
 # (name, argv, exit status, context the run needs or None)
@@ -60,6 +75,8 @@ CASES = [
     ("delta-eds", ["verify", "--family=eds", "--params=w2=1,w3=2,w4=4", "--window=1..12", DELTA], 0, None),
     ("delta-gasper-mixed", ["verify", "--family=gasper", "--params=q=0.2", "--tolerance=1e-9", "--window=0..8", DELTA], 0, None),
     ("perturbed-gasper", ["verify", "--family=gasper", DELTA], 1, perturbed_gasper),
+    ("perturbed-sweeps", ["verify", "--family=gasper", SWEEPS], 1, perturbed_gasper),
+    ("one-sided-beta", ["verify", "--family=gasper", SWEEPS], 1, one_sided_beta),
     ("singular-closed-form", ["verify", "--family=gasper", "--params=a=5,b=7,p=1/5,q=1/5", "--window=0..16", DELTA], 1, None),
     ("eds", ["eds", "--seeds=1,-1,1", "--n=12"], 0, None),
     ("counterexample", ["counterexample", "--k=1..3"], 0, None),
