@@ -27,6 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import combinations, product
 from math import factorial, prod
 from typing import Callable
 
@@ -545,8 +546,13 @@ def eds_generate(w2: Scalar, w3: Scalar, w4: Scalar, n_max: int) -> EdsSequence:
 
 def max_recurrence_residual(W: EdsSequence) -> Scalar:
     """Largest-magnitude :meth:`EdsSequence.recurrence_residual` over
-    ``|n| <= n_max - 2``, every index whose terms lie in the table."""
-    return worst_of(W.recurrence_residual(n) for n in range(-(W.n_max - 2), W.n_max - 1))
+    ``|n| <= n_max - 2``, every index whose terms lie in the table, the first
+    met in ascending order.  When ``W_0 = 0`` the residual at ``-n`` equals
+    the one at ``n``, so ``n = n_max - 2`` down to ``0`` is folded: descending,
+    it meets the same first maximum, sign included."""
+    top = W.n_max - 2
+    indices = range(top, -1, -1) if W.w(0) == 0 else range(-top, top + 1)
+    return worst_of(W.recurrence_residual(n) for n in indices)
 
 
 def eds_property_residual(W: EdsSequence, k: int, p: int, q: int) -> Fraction:
@@ -562,23 +568,25 @@ def eds_property_residual(W: EdsSequence, k: int, p: int, q: int) -> Fraction:
 
 def max_eds_property_residual(W: EdsSequence) -> Scalar:
     """Largest-magnitude :func:`eds_property_residual` over all triples
-    ``(k, p, q)`` with ``|k|, |p|, |q| <= n_max // 2``, in that order and with
-    its terms.  ``W_{-2h..2h}`` is read once, scaled to integers by the
-    least common denominator ``L``; each term has degree 4, so the worst is
+    ``(k, p, q)`` with ``|k|, |p|, |q| <= n_max // 2``, the first met in that
+    order, with its terms.  ``W_{-2h..2h}`` is read once, scaled to integers by
+    the least common denominator ``L``; each term has degree 4, so the worst is
     divided back by ``L^4``.  The table is laid out as ``W_0..W_{2h}``
     followed by ``W_{-2h}..W_{-1}``, so that ``w[n]`` is ``W_n`` for every
-    ``|n| <= 2h`` by Python's negative indexing."""
+    ``|n| <= 2h`` by Python's negative indexing.  When ``W_0 = 0`` the
+    residual is alternating in ``(k, p, q)`` and even in each index, so an
+    orbit's first member is ``(-c, -b, -a)`` with ``0 <= a < b < c``, and only
+    ``-h <= k < p < q <= 0`` is folded."""
     h = W.n_max // 2
     order = [*range(2 * h + 1), *range(-2 * h, 0)]
     (w,), d = integer_rows([[W.w(n) for n in order]])
     idx = range(-h, h + 1)
+    triples = combinations(range(-h, 1), 3) if d is not None and w[0] == 0 else product(idx, repeat=3)
     worst = worst_of(
         w[k] ** 2 * w[p + q] * w[p - q]
         + w[p] ** 2 * w[q + k] * w[q - k]
         + w[q] ** 2 * w[k + p] * w[k - p]
-        for k in idx
-        for p in idx
-        for q in idx
+        for k, p, q in triples
     )
     return unscale(worst, d, 4)
 

@@ -9,18 +9,24 @@ the quintuple sum identity (QSI) and to its anchored three-term special case
 (first row index pinned to the anchor); the ``max_*`` sweeps below check all
 three exhaustively over finite windows.
 
-The pointwise ``*_residual`` functions are the reference.  Each sweep instead
-reads ``alpha`` and ``beta`` once per window (:func:`~invrel.kernels.window_tables`)
-and evaluates the same terms, in the same order, on list indices.  When every
-value is exact, the tables are scaled to integers by one denominator ``d``,
-the sweep runs in ``int`` and its worst value is divided back by ``d`` to the
-residual's degree, to the same Fraction.  Otherwise the tables keep their
-values, so float residuals are bit-identical to the reference.
+The pointwise ``*_residual`` functions are the reference: a sweep returns the
+largest-magnitude residual first met in their order.  Each sweep instead
+reads ``alpha`` and ``beta`` once per window (:func:`~invrel.kernels.window_tables`).
+When every value is exact, the tables are scaled to integers by one
+denominator ``d``, the sweep runs in ``int`` and its worst value is divided
+back by ``d`` to the residual's degree, to the same Fraction.  There QSI gives
+the same ``int`` per tuple, regrouped per ``(x, y, p)``.  TSI and the anchored
+sweep, when beta is antisymmetric, fold one tuple per orbit of their
+alternating indices, the orbit's first member in the full order, so they meet
+the same first maximiser.  Otherwise the tables keep their values and the
+sweeps evaluate the same terms in the same order, so float residuals are
+bit-identical to the reference.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from .errors import DomainError, DuplicateNodes
 from .kernels import Kernel, Window, unscale, window_tables, worst_of
@@ -62,10 +68,25 @@ def qsi_residual(kernel: Kernel, x: int, y: int, p: int, q: int) -> Scalar:
     )
 
 
+def _alternating(B: list, d: int | None) -> bool:
+    """Whether the tables are ``int`` and ``B[i][k] == -B[k][i]`` everywhere,
+    diagonal included, so that a transposition of two beta indices negates
+    the TSI and anchored residuals and a repeated one gives 0."""
+    return d is not None and all(Bi[k] == -B[k][i] for i, Bi in enumerate(B) for k in range(i, len(B)))
+
+
 def max_tsi_residual(kernel: Kernel, window: Window) -> Scalar:
     """Largest-magnitude TSI residual over all quadruples in ``window^4``,
-    in the order and with the terms of :func:`tsi_residual`."""
+    the first met in the order and with the terms of :func:`tsi_residual`.
+    On an ``int`` table with antisymmetric beta the residual is alternating
+    in ``(k, p, q)``, and a triple's sorted permutation is the first of its
+    orbit in that order, so only ``k < p < q`` is folded."""
     A, B, d = window_tables(kernel, window)
+    if _alternating(B, d):
+        triples = list(combinations(range(len(B)), 3))
+        return unscale(worst_of(
+            An[p] * B[q][k] + An[q] * B[k][p] + An[k] * B[p][q] for An in A for k, p, q in triples
+        ), d, 2)
     return unscale(worst_of(
         An[p] * Bq[k] + An[q] * Bk[p] + An[k] * Bp[q]
         for An in A
@@ -77,20 +98,28 @@ def max_tsi_residual(kernel: Kernel, window: Window) -> Scalar:
 
 def max_anchored_tsi_residual(kernel: Kernel, window: Window) -> Scalar:
     """Largest-magnitude anchored residual over all triples in ``window^3``,
-    in the order and with the terms of :func:`anchored_tsi_residual`."""
+    the first met in the order and with the terms of
+    :func:`anchored_tsi_residual`.  On an ``int`` table with antisymmetric
+    beta, swapping ``x`` and ``y`` negates the residual and ``(x, p, y)`` with
+    ``x < y`` is met first, so only ``y > x`` is folded."""
     A, B, d = window_tables(kernel, window)
+    alternating = _alternating(B, d)
     return unscale(worst_of(
         Ap[x] * By[p] + Ap[y] * Bp[x] + Ap[p] * Bx[y]
         for x, Bx in enumerate(B)
         for p, (Ap, Bp) in enumerate(zip(A, B))
-        for y, By in enumerate(B)
+        for y, By in (enumerate(B[x + 1 :], x + 1) if alternating else enumerate(B))
     ), d, 2)
 
 
 def max_qsi_residual(kernel: Kernel, window: Window) -> Scalar:
     """Largest-magnitude QSI residual over all quadruples in ``window^4``,
-    in the order and with the terms of :func:`qsi_residual`."""
+    in the order of :func:`qsi_residual`.  On an ``int`` table each residual
+    is regrouped per ``(x, y, p)`` as ``c1 B[q][y] - c2 B[q][p] - c3 A[p][q]``,
+    the same ``int`` from 3 products per ``q``; otherwise with its terms."""
     A, B, d = window_tables(kernel, window)
+    if d is not None:
+        return unscale(worst_of(_regrouped_qsi(A, B)), d, 4)
     r = range(len(A))
     return unscale(worst_of(
         Ax[p] * Ap[y] * Bx[p] * Bq[y]
@@ -103,6 +132,19 @@ def max_qsi_residual(kernel: Kernel, window: Window) -> Scalar:
         for p, (Ap, Bp) in enumerate(zip(A, B))
         for q, Bq in enumerate(B)
     ), d, 4)
+
+
+def _regrouped_qsi(A: list, B: list):
+    """The ``int`` QSI residuals in sweep order, ``c1``, ``c2``, ``c3`` per ``(x, y, p)``."""
+    C = list(zip(*B))  # C[y][q] = B[q][y]
+    for x, (Ax, Bx) in enumerate(zip(A, B)):
+        for y, Cy in enumerate(C):
+            for p, (Ap, Bp, Cp) in enumerate(zip(A, B, C)):
+                c1 = Ax[p] * (Ap[y] * Bx[p] + Ap[x] * Bp[y]) - Ax[x] * Ap[p] * Bp[y]
+                c2 = Ax[y] * Ap[y] * Bx[p]
+                c3 = Ax[y] * Bx[p] * Bp[y]
+                for by, bp, aq in zip(Cy, Cp, Ap):
+                    yield c1 * by - c2 * bp - c3 * aq
 
 
 @dataclass(frozen=True)
