@@ -102,25 +102,6 @@ def assert_same_exact(got, want):
     assert str(Fraction(got)) == str(Fraction(want))
 
 
-@pytest.mark.parametrize("check", SWEEPS)
-@pytest.mark.parametrize("family", EXACT)
-class TestExactSweeps:
-    def test_preset_matches_reference(self, family, check):
-        kernel, window = EXACT[family]
-        got = SWEEPS[check][0](kernel, window)
-        assert_same_exact(got, reference(check, kernel, window))
-        assert got == 0 and type(got) is int
-
-    def test_perturbed_alpha_matches_reference(self, family, check):
-        kernel, window = EXACT[family]
-        bad = perturbed(kernel, (window[0] + 1, window[0]))
-        want = reference(check, bad, window)
-        got = SWEEPS[check][0](bad, window)
-        assert want != 0
-        assert_same_exact(got, want)
-        assert type(got) is Fraction
-
-
 def shifted(kernel: Kernel, alpha: dict, beta: dict) -> Kernel:
     """``kernel`` with ``alpha[i, k]`` added to ``alpha(i, k)`` and ``beta[i, k]``
     to ``beta(i, k)`` wherever those are given."""
@@ -159,19 +140,36 @@ TAMPERINGS = tuple(tamperings((0, 0), 2, 0, Fraction(1)))
 
 @pytest.mark.parametrize("check", SWEEPS)
 @pytest.mark.parametrize("family", EXACT)
-@pytest.mark.parametrize("tampering", TAMPERINGS)
-def test_tampered_matches_reference(family, check, tampering):
-    """Alpha on either side of the diagonal and an antisymmetric beta pair take
-    the orbit fold; a one-sided beta or a nonzero beta diagonal the full fold.
-    The window is the preset's first five indices, to keep the reference quick."""
-    kernel, (lo, _) = EXACT[family]
-    window = (lo, lo + 4)
-    alpha, beta, antisymmetric = tamperings(window, 2, 0, Fraction(1, 1000))[tampering]
-    bad = shifted(kernel, alpha, beta)
-    assert orbit_fold(bad, window) is antisymmetric
-    want = reference(check, bad, window)
-    assert want != 0
-    assert_identical(SWEEPS[check][0](bad, window), want)
+class TestExactSweeps:
+    def test_preset_matches_reference(self, family, check):
+        kernel, window = EXACT[family]
+        got = SWEEPS[check][0](kernel, window)
+        assert_same_exact(got, reference(check, kernel, window))
+        assert got == 0 and type(got) is int
+
+    def test_perturbed_alpha_matches_reference(self, family, check):
+        kernel, window = EXACT[family]
+        bad = perturbed(kernel, (window[0] + 1, window[0]))
+        want = reference(check, bad, window)
+        got = SWEEPS[check][0](bad, window)
+        assert want != 0
+        assert_same_exact(got, want)
+        assert type(got) is Fraction
+
+    @pytest.mark.parametrize("tampering", TAMPERINGS)
+    def test_tampered_matches_reference(self, family, check, tampering):
+        """Alpha on either side of the diagonal and an antisymmetric beta pair
+        take the orbit fold; a one-sided beta or a nonzero beta diagonal the
+        full fold.  The window is the preset's first five indices, to keep the
+        reference quick."""
+        kernel, (lo, _) = EXACT[family]
+        window = (lo, lo + 4)
+        alpha, beta, antisymmetric = tamperings(window, 2, 0, Fraction(1, 1000))[tampering]
+        bad = shifted(kernel, alpha, beta)
+        assert orbit_fold(bad, window) is antisymmetric
+        want = reference(check, bad, window)
+        assert want != 0
+        assert_identical(SWEEPS[check][0](bad, window), want)
 
 
 class TestTiedOrbits:
@@ -194,7 +192,7 @@ class TestTiedOrbits:
         assert max_anchored_tsi_residual(self.KERNEL, (0, 3)) == -1
 
 
-def random_draw(rng: random.Random) -> tuple[str, Kernel, tuple, EdsSequence | None]:
+def random_draw(rng: random.Random) -> tuple[Kernel, tuple, EdsSequence | None]:
     """A random gasper, schlosser or eds kernel on a random window of width 4,
     with the eds sequence it was built from."""
     while True:
@@ -206,7 +204,7 @@ def random_draw(rng: random.Random) -> tuple[str, Kernel, tuple, EdsSequence | N
                 hi = lo + 3
                 seq = eds_generate(pick((1, -1, 2)), pick((-3, -1, 1, 2, 3)), pick((-2, 1, 3, Fraction(1, 2))),
                                    2 * max(abs(lo), abs(hi)))
-                return family, eds_kernel(seq), (lo, hi), seq
+                return eds_kernel(seq), (lo, hi), seq
             lo = rng.randint(0, 2)
             hi = lo + 3
             if family == "gasper":
@@ -216,7 +214,7 @@ def random_draw(rng: random.Random) -> tuple[str, Kernel, tuple, EdsSequence | N
                 kernel = schlosser_kernel(Fraction(pick((1, 2)), pick((3, 5))), Fraction(pick((2, 3, -2))),
                                           Fraction(pick((5, 7, 9))), Fraction(pick((1, 2)), pick((3, 5, 7))))
             window_tables(kernel, (lo, hi))
-            return family, kernel, (lo, hi), None
+            return kernel, (lo, hi), None
         except VerificationError:
             continue
 
@@ -226,7 +224,7 @@ def test_random_draw_matches_reference(draw):
     """Each draw gets one random tampering; eds draws also tamper one or two
     ``W_n`` of their sequence, ``W_0`` among them now and then."""
     rng = random.Random(draw)
-    family, kernel, window, seq = random_draw(rng)
+    kernel, window, seq = random_draw(rng)
     i, k = rng.sample(range(window[1] - window[0] + 1), 2)
     by = Fraction(rng.choice((-3, -1, 1, 2)), rng.choice((7, 1000)))
     alpha, beta, antisymmetric = rng.choice(list(tamperings(window, i, k, by).values()))
@@ -313,3 +311,14 @@ class TestEdsPropertySweep:
         assert want != 0
         assert_identical(max_eds_property_residual(bad), want)
         assert_identical(max_recurrence_residual(bad), self.recurrence_reference(bad))
+
+    def test_recurrence_tie_keeps_the_first_sign(self):
+        # W_7 - 1 in the (1, -1, 1) table: the residual is -7 at n = 7 and +7 at
+        # n = 8, so the ascending full fold meets n = -8 first and returns +7
+        seq = eds_generate(1, -1, 1, 10)
+        table = {n: seq.w(n) for n in range(seq.n_max + 1)}
+        table[7] -= 1
+        bad = EdsSequence(seq.seeds, table)
+        assert [bad.recurrence_residual(n) for n in (7, 8)] == [-7, 7]
+        assert_identical(max_recurrence_residual(bad), self.recurrence_reference(bad))
+        assert max_recurrence_residual(bad) == 7
