@@ -74,6 +74,7 @@ CASES = [
     ("delta-schlosser", ["verify", "--family=schlosser", "--params=a=3/5,b=3,c=9,q=1/5", "--window=0..16", DELTA], 0, None),
     ("delta-eds", ["verify", "--family=eds", "--params=w2=1,w3=2,w4=4", "--window=1..12", DELTA], 0, None),
     ("delta-gasper-mixed", ["verify", "--family=gasper", "--params=q=0.2", "--tolerance=1e-9", "--window=0..8", DELTA], 0, None),
+    ("delta-schlosser-mixed", ["verify", "--family=schlosser", "--params=q=0.2", "--tolerance=1e-9", "--window=0..8", DELTA], 0, None),
     ("perturbed-gasper", ["verify", "--family=gasper", DELTA], 1, perturbed_gasper),
     ("perturbed-sweeps", ["verify", "--family=gasper", SWEEPS], 1, perturbed_gasper),
     ("one-sided-beta", ["verify", "--family=gasper", SWEEPS], 1, one_sided_beta),
