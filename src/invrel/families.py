@@ -269,18 +269,28 @@ def gasper_kernel(
 
         alpha(i,k) = (1 - a p^k q^i)(1 - b p^{-k} q^i)
         beta(i,k)  = (p^i - p^k)(1 - (b/a) p^{-k-i})
+
+    Each single-index factor (``p^j``, ``q^j``, ``a p^k``, ``b p^{-k}`` and
+    ``1 - (b/a) p^{-s}`` with ``s = i + k``) is built once per kernel; alpha
+    and beta combine them in the printed order, so values and errors are the
+    formula's own.
     """
     if a == 0:
         raise DegenerateParams("gasper: a must be nonzero")
     if p in (0, 1, -1) or q == 0:
         raise DegenerateParams("gasper: need p not in {0, 1, -1} and q != 0")
     ba = exact_div(b, a)
+    p_pow = lru_cache(maxsize=None)(lambda j: power(p, j))
+    q_pow = lru_cache(maxsize=None)(lambda j: power(q, j))
+    ap = lru_cache(maxsize=None)(lambda k: a * p_pow(k))
+    bp = lru_cache(maxsize=None)(lambda k: b * p_pow(-k))
+    tail = lru_cache(maxsize=None)(lambda s: 1 - ba * p_pow(-s))
 
     def alpha(i: int, k: int) -> Scalar:
-        return (1 - a * power(p, k) * power(q, i)) * (1 - b * power(p, -k) * power(q, i))
+        return (1 - ap(k) * q_pow(i)) * (1 - bp(k) * q_pow(i))
 
     def beta(i: int, k: int) -> Scalar:
-        return (power(p, i) - power(p, k)) * (1 - ba * power(p, -k - i))
+        return (p_pow(i) - p_pow(k)) * tail(k + i)
 
     return _validated(Kernel(alpha, beta, True, "gasper"), window)
 
@@ -320,19 +330,25 @@ def schlosser_kernel(
 
         alpha(i,k) = (q^k - q^i / b)(c - (a + b q^k)(a + q^i))
         beta(i,k)  = (q^k - q^i)(c - (a + b q^k)(a + b q^i))
+
+    Each single-index factor (``q^j``, ``q^j / b``, ``a + q^j`` and
+    ``a + b q^j``) is built once per kernel; alpha and beta combine them in
+    the printed order, so values and errors are the formula's own.
     """
     if b == 0:
         raise DegenerateParams("schlosser: b must be nonzero")
     if q in (0, 1, -1):
         raise DegenerateParams("schlosser: need q not in {0, 1, -1}")
+    q_pow = lru_cache(maxsize=None)(lambda j: power(q, j))
+    q_by_b = lru_cache(maxsize=None)(lambda j: exact_div(q_pow(j), b))
+    a_q = lru_cache(maxsize=None)(lambda j: a + q_pow(j))
+    a_bq = lru_cache(maxsize=None)(lambda j: a + b * q_pow(j))
 
     def alpha(i: int, k: int) -> Scalar:
-        return (power(q, k) - exact_div(power(q, i), b)) * (
-            c - (a + b * power(q, k)) * (a + power(q, i))
-        )
+        return (q_pow(k) - q_by_b(i)) * (c - a_bq(k) * a_q(i))
 
     def beta(i: int, k: int) -> Scalar:
-        return (power(q, k) - power(q, i)) * (c - (a + b * power(q, k)) * (a + b * power(q, i)))
+        return (q_pow(k) - q_pow(i)) * (c - a_bq(k) * a_bq(i))
 
     return _validated(Kernel(alpha, beta, True, "schlosser"), window)
 

@@ -11,6 +11,7 @@ from invrel import (
     DEFAULT_POLICY,
     FAMILIES,
     DegenerateParams,
+    DomainError,
     EdsSequence,
     FactorSequences,
     IndexOutOfTable,
@@ -49,7 +50,7 @@ from invrel import (
     warnaar_kernel,
     weierstrass_addition_residual,
 )
-from invrel.numerics import power
+from invrel.numerics import exact_div, power
 
 
 def rational_nonzero(rng, span=5):
@@ -239,6 +240,93 @@ class TestSchlosserFamily:
         a, b, c, _ = self.PARAMS
         with pytest.raises(DegenerateParams, match=r"q not in \{0, 1, -1\}"):
             schlosser_kernel(a, b, c, Fraction(q))
+
+
+# The printed kernel formulas, each factor evaluated where it is met.
+PRINTED = {
+    gasper_kernel: (
+        lambda a, b, p, q, i, k: (1 - a * power(p, k) * power(q, i)) * (1 - b * power(p, -k) * power(q, i)),
+        lambda a, b, p, q, i, k: (power(p, i) - power(p, k)) * (1 - exact_div(b, a) * power(p, -k - i)),
+    ),
+    schlosser_kernel: (
+        lambda a, b, c, q, i, k: (power(q, k) - exact_div(power(q, i), b)) * (
+            c - (a + b * power(q, k)) * (a + power(q, i))),
+        lambda a, b, c, q, i, k: (power(q, k) - power(q, i)) * (c - (a + b * power(q, k)) * (a + b * power(q, i))),
+    ),
+}
+FORMULA_WINDOW = range(-4, 7)
+
+
+def outcome(f, *args):
+    """``(type, repr)`` of ``f(*args)``, or of the exception it raises, with its message."""
+    try:
+        value = f(*args)
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome compared
+        return type(exc), str(exc)
+    return type(value), repr(value)
+
+
+def assert_matches_printed(kernel, build, params):
+    """Every alpha and beta of ``kernel`` on ``FORMULA_WINDOW`` squared is the
+    printed formula's value for ``build(*params)``, type and repr included, or
+    raises its exception with its message."""
+    for read, formula in zip((kernel.alpha, kernel.beta), PRINTED[build]):
+        for i, k in product(FORMULA_WINDOW, repeat=2):
+            assert outcome(read, i, k) == outcome(formula, *params, i, k), (build.__name__, params, i, k)
+
+
+def random_params(rng, build, exact):
+    """Nonzero parameters for ``build``, each base (gasper's p and q,
+    schlosser's q) also not a unit: ints and Fractions when ``exact``, else
+    float bases and each other parameter a float or a Fraction."""
+
+    def draw(base):
+        v = rational_nonzero(rng)
+        while base and abs(v) == 1:
+            v = rational_nonzero(rng)
+        if not exact and (base or rng.random() < 0.5):
+            return float(v) * rng.uniform(0.5, 1.5)
+        return int(v) if exact and v.denominator == 1 and rng.random() < 0.5 else v
+
+    bases = (2, 3) if build is gasper_kernel else (3,)
+    return tuple(draw(j in bases) for j in range(4))
+
+
+class TestKernelsMatchPrintedFormulas:
+    @pytest.mark.parametrize("build", [gasper_kernel, schlosser_kernel], ids=lambda b: b.__name__)
+    @pytest.mark.parametrize("exact", [True, False], ids=["exact", "float"])
+    def test_random_draws(self, build, exact):
+        rng = random.Random(1700 + exact)
+        for _ in range(40):
+            params = random_params(rng, build, exact)
+            assert_matches_printed(build(*params), build, params)
+
+    @pytest.mark.parametrize("build, params", [
+        (gasper_kernel, (2, 3, 5, 7)),
+        (gasper_kernel, (Fraction(2), Fraction(3), Fraction(1, 5), 1e300)),
+        (gasper_kernel, (2.0, 3.0, 1e-200, 0.5)),
+        (gasper_kernel, (Fraction(10**400), Fraction(3), 0.5, Fraction(1, 7))),
+        (schlosser_kernel, (Fraction(1, 2), Fraction(2), Fraction(7), 1e300)),
+        (schlosser_kernel, (Fraction(1, 2), Fraction(10**400), Fraction(7), 0.5)),
+        (schlosser_kernel, (Fraction(1, 2), 2.0, float("inf"), 0.5)),
+    ], ids=["gasper-ints", "gasper-q-overflow", "gasper-p-overflow", "gasper-huge-a", "schlosser-q-overflow",
+            "schlosser-huge-b", "schlosser-inf-c"])
+    def test_errors_and_non_finite_values(self, build, params):
+        assert_matches_printed(build(*params), build, params)
+
+    def test_float_overflow_names_the_first_power(self):
+        with pytest.raises(DomainError, match=r"^1e\+300\*\*2 overflows$"):
+            gasper_kernel(Fraction(2), Fraction(3), Fraction(1, 5), 1e300).alpha(2, 0)
+        with pytest.raises(DomainError, match=r"^1e\+300\*\*2 overflows$"):
+            schlosser_kernel(Fraction(1, 2), Fraction(2), Fraction(7), 1e300).alpha(0, 2)
+
+    @pytest.mark.parametrize("build", [gasper_kernel, schlosser_kernel], ids=lambda b: b.__name__)
+    def test_factors_are_per_kernel(self, build):
+        first, second = (Fraction(2), Fraction(3), Fraction(1, 5), Fraction(1, 7)), (3, -5, Fraction(2, 13), 0.25)
+        kernels = build(*first), build(*second)
+        assert kernels[0].alpha(2, 1) != kernels[1].alpha(2, 1)
+        for kernel, params in zip(kernels, (first, second)):
+            assert_matches_printed(kernel, build, params)
 
 
 WARNAAR_Q = 0.1
