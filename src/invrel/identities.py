@@ -11,7 +11,8 @@ three exhaustively over finite windows.
 
 The pointwise ``*_residual`` functions are the reference: a sweep returns the
 largest-magnitude residual first met in their order.  Each sweep instead
-reads ``alpha`` and ``beta`` once per window (:func:`~invrel.kernels.window_tables`).
+folds over the tables of :func:`~invrel.kernels.window_tables`, one read of
+``alpha`` and ``beta`` per window that every check of a verdict shares.
 When every value is exact, the tables are scaled to integers by one
 denominator ``d``, the sweep runs in ``int`` and its worst value is divided
 back by ``d`` to the residual's degree, to the same Fraction.  There QSI gives
@@ -26,7 +27,7 @@ bit-identical to the reference.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import combinations, product
 
 from .errors import DomainError, DuplicateNodes
 from .kernels import Kernel, Window, unscale, window_tables, worst_of
@@ -80,19 +81,13 @@ def max_tsi_residual(kernel: Kernel, window: Window) -> Scalar:
     the first met in the order and with the terms of :func:`tsi_residual`.
     On an ``int`` table with antisymmetric beta the residual is alternating
     in ``(k, p, q)``, and a triple's sorted permutation is the first of its
-    orbit in that order, so only ``k < p < q`` is folded."""
+    orbit in that order, so only ``k < p < q`` is folded; otherwise every
+    ``(k, p, q)`` is."""
     A, B, d = window_tables(kernel, window)
-    if _alternating(B, d):
-        triples = list(combinations(range(len(B)), 3))
-        return unscale(worst_of(
-            An[p] * B[q][k] + An[q] * B[k][p] + An[k] * B[p][q] for An in A for k, p, q in triples
-        ), d, 2)
+    w = range(len(B))
+    triples = list(combinations(w, 3) if _alternating(B, d) else product(w, repeat=3))
     return unscale(worst_of(
-        An[p] * Bq[k] + An[q] * Bk[p] + An[k] * Bp[q]
-        for An in A
-        for k, Bk in enumerate(B)
-        for p, Bp in enumerate(B)
-        for q, Bq in enumerate(B)
+        An[p] * B[q][k] + An[q] * B[k][p] + An[k] * B[p][q] for An in A for k, p, q in triples
     ), d, 2)
 
 

@@ -12,12 +12,13 @@ and :func:`verify_inversion` checks ``sum_i F(n,i) G(i,k) = delta_{n,k}``
 exhaustively over a finite index window, G.F first and F.G unless G.F is an
 exact-mode ``int`` zero (over Q, a square ``G.F = I`` gives ``F.G = I``).
 
-:func:`window_tables` reads ``alpha`` and ``beta`` over ``window^2`` for the
-sweeps and the pair, scaled to integers by one common denominator when all
-values are exact.  :func:`pair_from_kernel` runs :func:`f_entry` and
-:func:`g_entry`, whose guards name any zero divisor, over them into a
-:class:`TriangularPair` of two tables; the scale cancels, as each entry has
-as many table factors above its fraction bar as below.
+:func:`window_tables` reads ``alpha`` and ``beta`` over ``window^2``, scaled
+to integers by one common denominator when all values are exact; every sweep
+and the pair fold over its tables, which one verdict's checks share.
+:func:`pair_from_kernel` runs :func:`f_entry` and :func:`g_entry`, whose
+guards name any zero divisor, over them into a :class:`TriangularPair` of two
+tables; the scale cancels, as each entry has as many table factors above its
+fraction bar as below.
 When every entry is exact, :func:`verify_inversion` composes in ``int`` (row
 ``n`` of the left factor scaled by its least common denominator ``r_n``,
 column ``k`` of the right factor by ``c_k``) and divides only nonzero
@@ -264,19 +265,24 @@ def kernel_to_nodes(kernel: Kernel, pivot: int) -> NodeSequences:
 
 
 def max_antisymmetry_residual(kernel: Kernel, window: Window) -> Scalar:
-    """Largest ``beta(i,k) + beta(k,i)`` over the window (0 if antisymmetric)."""
-    lo, hi = check_window(window)
-    return worst_of(
-        kernel.beta(i, k) + kernel.beta(k, i) for i in range(lo, hi + 1) for k in range(i, hi + 1)
-    )
+    """Largest ``beta(i,k) + beta(k,i)``, ``i <= k``, over the window (0 if
+    antisymmetric), folded over :func:`window_tables`, which reads alpha too."""
+    _, B, d = window_tables(kernel, window)
+    return unscale(worst_of(Bi[k] + B[k][i] for i, Bi in enumerate(B) for k in range(i, len(B))), d)
 
 
 def window_tables(kernel: Kernel, window: Window) -> tuple[list, list, int | None]:
     """``alpha`` and ``beta`` over ``window^2`` as rows ``A[i][k]``, ``B[i][k]``
     (list indices count from the window's low end), each value read once.
     When every value is exact, both come back scaled to integers by one common
-    denominator ``d``; otherwise both come back unchanged with ``d = None``."""
-    lo, hi = check_window(window)
+    denominator ``d``; otherwise both come back unchanged with ``d = None``.
+    The tables of the last ``(kernel, window)`` are kept, so every check of
+    one verdict shares one read; callers must not modify them."""
+    return _tables(kernel, *check_window(window))
+
+
+@lru_cache(maxsize=1)
+def _tables(kernel: Kernel, lo: int, hi: int) -> tuple[list, list, int | None]:
     idx = range(lo, hi + 1)
     rows = [[kernel.alpha(i, k) for k in idx] for i in idx]
     rows += [[kernel.beta(i, k) for k in idx] for i in idx]
@@ -336,12 +342,9 @@ def _residuals(left: list[list[Scalar]], right: list[list[Scalar]], lo: int) -> 
     out: dict[tuple[int, int], Scalar] = {}
     for k, column in enumerate(C):
         for n in range(k, len(L)):
+            scale = None if r is None else r[n] * c[k]
             acc = reduce(add, map(mul, L[n][k:], column), 0)
-            if r is None:
-                out[(n + lo, k + lo)] = acc - (1 if n == k else 0)
-            else:
-                scale = r[n] * c[k]
-                out[(n + lo, k + lo)] = unscale(acc - scale if n == k else acc, scale)
+            out[(n + lo, k + lo)] = unscale(acc - (scale or 1) if n == k else acc, scale)
     return out, r is not None
 
 

@@ -404,6 +404,17 @@ class TestVerifyCommand:
         assert "Overflow" in doc["error"] or "overflows" in doc["error"]
         assert not doc["passed"]
 
+    def test_antisym_reads_alpha_too(self, capsys):
+        # antisym folds over the shared alpha and beta tables, so an alpha that
+        # overflows on the window ends the run before antisym records a pass
+        code, out, _ = run_cli(
+            capsys, "verify", "--family=gasper", "--params=q=1e300", "--tolerance=1e-9", "--checks=antisym,tsi"
+        )
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["error"] == "DomainError: 1e+300**2 overflows"
+        assert doc["checks"] == [] and not doc["passed"]
+
     def test_float_param_is_refused_before_any_kernel_value_is_read(self, capsys):
         # in exact mode p = 1e200 is refused as a float before p**2 can overflow
         code, out, _ = run_cli(capsys, "verify", "--family=gasper", "--params=p=1e200")

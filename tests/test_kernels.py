@@ -1,14 +1,18 @@
 """Tests for entry builders, node sequences, and the window verifier."""
 
+import contextlib
 import dataclasses
 import random
 import re
 from collections import Counter
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
+from test_golden_reports import one_sided_beta
 
 from invrel import (
+    FAMILIES,
     Kernel,
     NodeSequences,
     PivotDegenerate,
@@ -32,7 +36,9 @@ from invrel import (
     pair_from_nodes,
     verify_inversion,
 )
-from invrel.kernels import check_window, integer_rows, passes, unscale, worst_of
+from invrel import kernels
+from invrel.cli import cmd_verify
+from invrel.kernels import check_window, integer_rows, passes, unscale, window_tables, worst_of
 
 GASPER_PARAMS = (Fraction(2), Fraction(3), Fraction(1, 5), Fraction(1, 7))
 
@@ -305,6 +311,63 @@ class TestKernelMemo:
         for _ in range(3):
             assert kernel.alpha(2, 1) == 3
         assert counts == Counter({(2, 1): 1})
+
+
+class TestSharedTableRead:
+    """``window_tables`` keeps the tables of the last ``(kernel, window)``, so
+    the checks of one verdict read and scale the window once, in any order."""
+
+    ORDERS = list(permutations(("antisym", "tsi", "qsi", "cond3", "delta")))
+
+    def test_one_verdict_scales_its_window_once(self, monkeypatch):
+        scaled = []
+        original = kernels.integer_rows
+
+        def counted(rows, per_row=False):
+            scaled.append((len(rows), per_row))
+            return original(rows, per_row)
+
+        monkeypatch.setattr(kernels, "integer_rows", counted)
+        doc = cmd_verify(family="gasper")
+        lo, hi = FAMILIES["gasper"].window
+        assert [c["name"] for c in doc["checks"]] == list(FAMILIES["gasper"].checks) and doc["passed"]
+        assert scaled.count((2 * (hi - lo + 1), False)) == 1
+
+    @pytest.mark.parametrize(
+        "family, context",
+        [("gasper", contextlib.nullcontext), ("warnaar", contextlib.nullcontext), ("gasper", one_sided_beta)],
+        ids=["exact-gasper", "float-warnaar", "one-sided-beta"],
+    )
+    def test_check_order_leaves_every_worst_residual(self, family, context):
+        def worst(order):
+            with context():
+                doc = cmd_verify(family=family, checks=order)
+            return {c["name"]: c["worst_residual"] for c in doc["checks"]}
+
+        want = worst(self.ORDERS[0])
+        assert all(worst(order) == want for order in self.ORDERS[1:])
+
+    def test_interleaved_kernels_and_windows_keep_their_own_tables(self):
+        gasper = gasper_kernel(*GASPER_PARAMS)
+        # the same name and alpha, one beta value moved: equal tables would hide a stale hit
+        moved = lambda i, k: gasper.beta(i, k) + (1 if (i, k) == (3, 1) else 0)
+        tampered = Kernel(gasper.alpha, moved, name=gasper.name)
+        reads = [(gasper, (0, 4)), (tampered, (0, 4)), (gasper, (0, 4)), (gasper, (1, 5)), (gasper, (0, 4))]
+        for kernel, (lo, hi) in reads:
+            assert window_tables(kernel, (lo, hi)) == kernels._tables.__wrapped__(kernel, lo, hi)
+        assert max_antisymmetry_residual(gasper, (0, 4)) == 0
+        assert max_antisymmetry_residual(tampered, (0, 4)) == Fraction(1)
+        assert max_antisymmetry_residual(gasper, (0, 4)) == 0
+
+    def test_list_window_shares_the_tuple_windows_tables(self):
+        kernel = gasper_kernel(*GASPER_PARAMS)
+        assert window_tables(kernel, [0, 6]) is window_tables(kernel, (0, 6))
+
+    def test_failed_read_leaves_no_stale_tables(self):
+        doc = cmd_verify(family="gasper", params={"q": 1e300}, tolerance=1e-9, checks=("antisym", "tsi"))
+        assert doc["error"] == "DomainError: 1e+300**2 overflows" and doc["checks"] == []
+        doc = cmd_verify(family="gasper")
+        assert doc["passed"] and "error" not in doc
 
 
 class TestWorstOf:

@@ -31,6 +31,7 @@ from invrel import (
     eds_property_residual,
     gasper_kernel,
     max_anchored_tsi_residual,
+    max_antisymmetry_residual,
     max_eds_property_residual,
     max_qsi_residual,
     max_recurrence_residual,
@@ -44,7 +45,15 @@ from invrel.errors import VerificationError
 from invrel.identities import _alternating
 from invrel.kernels import window_tables, worst_of
 
+
+def antisymmetry_residual(kernel: Kernel, i: int, k: int):
+    """``beta(i,k) + beta(k,i)``: over ``window^2`` its first largest value is
+    the one first met over ``i <= k``, as each pair gives one sum twice."""
+    return kernel.beta(i, k) + kernel.beta(k, i)
+
+
 SWEEPS = {
+    "antisym": (max_antisymmetry_residual, antisymmetry_residual, 2),
     "tsi": (max_tsi_residual, tsi_residual, 4),
     "qsi": (max_qsi_residual, qsi_residual, 4),
     "cond3": (max_anchored_tsi_residual, anchored_tsi_residual, 3),
@@ -152,23 +161,25 @@ class TestExactSweeps:
         bad = perturbed(kernel, (window[0] + 1, window[0]))
         want = reference(check, bad, window)
         got = SWEEPS[check][0](bad, window)
-        assert want != 0
         assert_same_exact(got, want)
-        assert type(got) is Fraction
+        if check == "antisym":  # its residual has no alpha term
+            assert got == 0 and type(got) is int
+        else:
+            assert want != 0 and type(got) is Fraction
 
     @pytest.mark.parametrize("tampering", TAMPERINGS)
     def test_tampered_matches_reference(self, family, check, tampering):
         """Alpha on either side of the diagonal and an antisymmetric beta pair
         take the orbit fold; a one-sided beta or a nonzero beta diagonal the
-        full fold.  The window is the preset's first five indices, to keep the
-        reference quick."""
+        full fold, and only those two move antisym off 0.  The window is the
+        preset's first five indices, to keep the reference quick."""
         kernel, (lo, _) = EXACT[family]
         window = (lo, lo + 4)
         alpha, beta, antisymmetric = tamperings(window, 2, 0, Fraction(1, 1000))[tampering]
         bad = shifted(kernel, alpha, beta)
         assert orbit_fold(bad, window) is antisymmetric
         want = reference(check, bad, window)
-        assert want != 0
+        assert (want != 0) is (check != "antisym" or not antisymmetric)
         assert_identical(SWEEPS[check][0](bad, window), want)
 
 
@@ -257,7 +268,9 @@ class TestMixedAndFloatTables:
         kernel, window = self.KERNELS[name]
         got = SWEEPS[check][0](kernel, window)
         assert repr(got) == repr(reference(check, kernel, window))
-        assert isinstance(got, float)
+        # antisym's residual has no alpha term: an exact beta (gasper-float-q)
+        # or one that is antisymmetric to the bit (elliptic-sum) gives the exact 0
+        assert isinstance(got, float) or check == "antisym" and type(got) is int and got == 0
 
     def test_gasper_float_q_keeps_the_float_residual(self):
         # the exact beta table alone must not be scaled next to float alpha
