@@ -51,7 +51,6 @@ from .numerics import (
     DEFAULT_POLICY,
     Scalar,
     TruncationPolicy,
-    elliptic_pochhammer,
     exact_div,
     is_exact,
     partial_theta,
@@ -98,18 +97,9 @@ class FactorSequences:
     t: Callable[[int], Scalar]
 
 
-def product_ratio_kernel(seqs: FactorSequences, name: str = "product-ratio") -> Kernel:
-    """Kernel with alpha a ratio of bilateral partial products and beta a
-    partial-sum telescope:
-
-        alpha(i,k) = X_k / Y_i,  X_m = prod_{j=1}^{m} x_j,  Y_m = prod y_j
-        beta(i,k)  = X_i X_k (sigma(k) - sigma(i)),
-        sigma(m)   = sum_{j=1}^{m} t_j / (X_{j-1} X_j)   (bilateral)
-
-    so that ``beta(k, k+1) = t(k+1)`` and antisymmetry is structural.  The
-    telescoping sum makes the pair satisfy the triple sum identity for
-    arbitrary ``y`` and ``t``.
-    """
+def _product_ratio_sums(seqs: FactorSequences) -> tuple[Callable, Callable, Callable]:
+    """The memoised ``(X, Y, sigma)`` of :func:`product_ratio_kernel`; sigma
+    names the x partial product whose zero it would divide by."""
     X = lru_cache(maxsize=None)(lambda m: prod_range(seqs.x, 1, m))
     Y = lru_cache(maxsize=None)(lambda m: prod_range(seqs.y, 1, m))
 
@@ -127,6 +117,23 @@ def product_ratio_kernel(seqs: FactorSequences, name: str = "product-ratio") -> 
             raise ZeroDivisor(f"x partial product through {m + 1} vanishes")
         return sigma(m + 1) - seqs.t(m + 1) * reciprocal(den)
 
+    return X, Y, sigma
+
+
+def product_ratio_kernel(seqs: FactorSequences, name: str = "product-ratio") -> Kernel:
+    """Kernel with alpha a ratio of bilateral partial products and beta a
+    partial-sum telescope:
+
+        alpha(i,k) = X_k / Y_i,  X_m = prod_{j=1}^{m} x_j,  Y_m = prod y_j
+        beta(i,k)  = X_i X_k (sigma(k) - sigma(i)),
+        sigma(m)   = sum_{j=1}^{m} t_j / (X_{j-1} X_j)   (bilateral)
+
+    so that ``beta(k, k+1) = t(k+1)`` and antisymmetry is structural.  The
+    telescoping sum makes the pair satisfy the triple sum identity for
+    arbitrary ``y`` and ``t``.
+    """
+    X, Y, sigma = _product_ratio_sums(seqs)
+
     def alpha(i: int, k: int) -> Scalar:
         yi = Y(i)
         if yi == 0:
@@ -136,7 +143,7 @@ def product_ratio_kernel(seqs: FactorSequences, name: str = "product-ratio") -> 
     def beta(i: int, k: int) -> Scalar:
         return X(i) * X(k) * (sigma(k) - sigma(i))
 
-    return Kernel(alpha=alpha, beta=beta, beta_antisymmetric=True, name=name)
+    return Kernel(alpha=alpha, beta=beta, name=name)
 
 
 def bilinear_kernel(
@@ -154,7 +161,6 @@ def bilinear_kernel(
     return Kernel(
         alpha=lambda i, k: x(i) * a(k) + y(i) * b(k),
         beta=lambda i, k: a(k) * b(i) - a(i) * b(k),
-        beta_antisymmetric=True,
     )
 
 
@@ -232,11 +238,9 @@ def max_closed_form_residual(pair: TriangularPair, closed) -> Scalar:
     return worst_of(diffs())
 
 
-def _domain(*params: Scalar) -> tuple[Callable, Callable]:
-    """``(form, lift)``: int pairs over values lifted to fast-reading Ratios if all are exact."""
-    if all(map(is_exact, params)):
-        return _ratio_form, lambda x: Ratio(x.numerator, x.denominator)
-    return _scalar_form, lambda x: x
+def _domain(*params: Scalar) -> Callable:
+    """The form evaluator: int pairs if every parameter is exact, else the scalar arithmetic."""
+    return _ratio_form if all(map(is_exact, params)) else _scalar_form
 
 
 # --- exact q-series families --------------------------------------------------
@@ -251,7 +255,6 @@ def binomial_kernel() -> Kernel:
     return Kernel(
         alpha=lambda i, k: 1,
         beta=lambda i, k: i - k,
-        beta_antisymmetric=True,
         name="binomial",
     )
 
@@ -292,7 +295,7 @@ def gasper_kernel(
     def beta(i: int, k: int) -> Scalar:
         return (p_pow(i) - p_pow(k)) * tail(k + i)
 
-    return _validated(Kernel(alpha, beta, True, "gasper"), window)
+    return _validated(Kernel(alpha, beta, name="gasper"), window)
 
 
 def gasper_closed_entries(a: Scalar, b: Scalar, p: Scalar, q: Scalar) -> tuple[Callable, Callable]:
@@ -302,8 +305,7 @@ def gasper_closed_entries(a: Scalar, b: Scalar, p: Scalar, q: Scalar) -> tuple[C
         G(n,k) = p^{binom(k,2) - binom(n,2)} (a p^k q^k, b p^{-k} q^k; 1)_1 (a p^n q^k, b q^k p^{-n}; q)_m
                  / ((a p^n q^k, b p^{-n} q^k; 1)_1 (p, (b/a) p^{1-2n}; p)_m)
     """
-    form, lift = _domain(a, b, p, q)
-    a, b, p, q, ba = map(lift, (a, b, p, q, exact_div(b, a)))
+    form, ba = _domain(a, b, p, q), exact_div(b, a)
 
     def f_closed(n: int, k: int) -> Scalar:
         m = n - k
@@ -350,7 +352,7 @@ def schlosser_kernel(
     def beta(i: int, k: int) -> Scalar:
         return (q_pow(k) - q_pow(i)) * (c - a_bq(k) * a_bq(i))
 
-    return _validated(Kernel(alpha, beta, True, "schlosser"), window)
+    return _validated(Kernel(alpha, beta, name="schlosser"), window)
 
 
 def schlosser_closed_entries(a: Scalar, b: Scalar, c: Scalar, q: Scalar) -> tuple[Callable, Callable]:
@@ -362,24 +364,23 @@ def schlosser_closed_entries(a: Scalar, b: Scalar, c: Scalar, q: Scalar) -> tupl
         G(n,k) = (-1)^m q^{binom(m,2)} (C_k / C_n) (q^{1-m} / b, B_n q^{k+1} / R_n; q)_m
                  / (q, B_n b q^k / R_n; q)_m
     """
-    form, lift = _domain(a, b, c, q)
+    form, inv_b = _domain(a, b, c, q), reciprocal(b)
     big = lru_cache(maxsize=None)(lambda j: a + b * power(q, j))
-    row = lru_cache(maxsize=None)(lambda j: (lift(big(j)), lift(reciprocal(c - a * big(j)))))
-    lam = lru_cache(maxsize=None)(lambda j: lift(c - big(j) * (a + power(q, j))))
-    inv_b, b_, q_ = map(lift, (reciprocal(b), b, q))
+    row = lru_cache(maxsize=None)(lambda j: (big(j), reciprocal(c - a * big(j))))
+    lam = lru_cache(maxsize=None)(lambda j: c - big(j) * (a + power(q, j)))
 
     def f_closed(n: int, k: int) -> Scalar:
         m, (big_k, inv_rest) = n - k, row(k)
         return form((1, ()), [(
-            [((inv_b, ()), q_, m), ((big_k, ((q_, k), (inv_rest, 1))), q_, m)],
-            [((q_, ()), q_, m), ((big_k, ((b_, 1), (q_, k + 1), (inv_rest, 1))), q_, m)])])
+            [((inv_b, ()), q, m), ((big_k, ((q, k), (inv_rest, 1))), q, m)],
+            [((q, ()), q, m), ((big_k, ((b, 1), (q, k + 1), (inv_rest, 1))), q, m)])])
 
     def g_closed(n: int, k: int) -> Scalar:
         m, (big_n, inv_rest) = n - k, row(n)
-        return form(((-1) ** m, ((q_, m * (m - 1) // 2),)), [
+        return form(((-1) ** m, ((q, m * (m - 1) // 2),)), [
             ([(lam(k), ())], [(lam(n), ())]),
-            ([((inv_b, ((q_, 1 - m),)), q_, m), ((big_n, ((q_, k + 1), (inv_rest, 1))), q_, m)],
-             [((q_, ()), q_, m), ((big_n, ((b_, 1), (q_, k), (inv_rest, 1))), q_, m)])])
+            ([((inv_b, ((q, 1 - m),)), q, m), ((big_n, ((q, k + 1), (inv_rest, 1))), q, m)],
+             [((q, ()), q, m), ((big_n, ((b, 1), (q, k), (inv_rest, 1))), q, m)])])
 
     return f_closed, g_closed
 
@@ -405,17 +406,26 @@ def warnaar_kernel(
     :func:`~invrel.numerics.weierstrass_addition_residual`).
     """
 
-    def alpha(i: int, k: int) -> Scalar:
+    def factor(u: Scalar, k: int) -> Scalar:  # b_k theta(u b_k; q) theta(u / b_k; q)
         bk = b_seq(k)
-        return bk * theta(x_seq(i) * bk, q, policy) * theta(x_seq(i) / bk, q, policy)
+        return bk * theta(u * bk, q, policy) * theta(u / bk, q, policy)
 
     def beta(i: int, k: int) -> Scalar:
-        if i == k:
-            return 0.0
-        bk = b_seq(k)
-        return bk * theta(b_seq(i) * bk, q, policy) * theta(b_seq(i) / bk, q, policy)
+        return 0.0 if i == k else factor(b_seq(i), k)
 
-    return _validated(Kernel(alpha, beta, True, "warnaar"), window)
+    return _validated(Kernel(lambda i, k: factor(x_seq(i), k), beta, name="warnaar"), window)
+
+
+def _elliptic_sequences(
+    x: Scalar, y: Scalar, q: Scalar, p: Scalar, t_seq: Callable[[int], Scalar], policy: TruncationPolicy
+) -> FactorSequences:
+    """``x_i = theta(x q^{i-1}; p)``, ``y_i = theta(y q^{i-1}; p)`` and ``t_seq``,
+    each theta evaluated once."""
+
+    def factors(z: Scalar) -> Callable[[int], Scalar]:
+        return lru_cache(maxsize=None)(lambda i: theta(z * power(q, i - 1), p, policy))
+
+    return FactorSequences(factors(x), factors(y), t_seq)
 
 
 def elliptic_sum_kernel(
@@ -433,11 +443,7 @@ def elliptic_sum_kernel(
     with ``S(i,k) = sum_{j=i+1}^{k} t_j / ((x;q,p)_{j-1} (x;q,p)_j)``
     extended antisymmetrically (``S(i,k) = -S(k,i)``).
     """
-    seqs = FactorSequences(
-        x=lru_cache(maxsize=None)(lambda i: theta(x * power(q, i - 1), p, policy)),
-        y=lru_cache(maxsize=None)(lambda i: theta(y * power(q, i - 1), p, policy)),
-        t=t_seq,
-    )
+    seqs = _elliptic_sequences(x, y, q, p, t_seq, policy)
     return _validated(product_ratio_kernel(seqs, name="elliptic-sum"), window)
 
 
@@ -450,26 +456,17 @@ def elliptic_sum_closed_entries(
 
         F(n,k) = prod_{i=k+1}^{n} 1 / ((x;q,p)_i (y;q,p)_{i-1} S(i,k))
         G(n,k) = prod_{i=k}^{n-1} 1 / ((x;q,p)_{i+1} (y;q,p)_i S(i,n))
+
+    The factorials and ``S`` are built as in :func:`elliptic_sum_kernel`, so
+    the check tests how the entries collapse to these products.
     """
-    E = lru_cache(maxsize=None)(lambda m: elliptic_pochhammer(x, q, p, m, policy))
-    D = lru_cache(maxsize=None)(lambda m: elliptic_pochhammer(y, q, p, m, policy))
-
-    @lru_cache(maxsize=None)
-    def sigma(m: int) -> Scalar:
-        if m == 0:
-            return 0
-        if m > 0:
-            return sigma(m - 1) + t_seq(m) * reciprocal(E(m - 1) * E(m))
-        return sigma(m + 1) - t_seq(m + 1) * reciprocal(E(m) * E(m + 1))
-
-    def s(i: int, k: int) -> Scalar:
-        return sigma(k) - sigma(i)
+    X, Y, sigma = _product_ratio_sums(_elliptic_sequences(x, y, q, p, t_seq, policy))
 
     def f_closed(n: int, k: int) -> Scalar:
-        return prod_range(lambda i: reciprocal(E(i) * D(i - 1) * s(i, k)), k + 1, n)
+        return prod_range(lambda i: reciprocal(X(i) * Y(i - 1) * (sigma(k) - sigma(i))), k + 1, n)
 
     def g_closed(n: int, k: int) -> Scalar:
-        return prod_range(lambda i: reciprocal(E(i + 1) * D(i) * s(i, n)), k, n - 1)
+        return prod_range(lambda i: reciprocal(X(i + 1) * Y(i) * (sigma(n) - sigma(i))), k, n - 1)
 
     return f_closed, g_closed
 
@@ -502,7 +499,7 @@ def partial_theta_kernel(
             raise DegenerateParams(f"partial-theta: b({i}) == b({k})")
         return (bi - bk) * partial_theta_slope_series(bi, bk, q, policy)
 
-    return _validated(Kernel(alpha, beta, True, "partial-theta"), window)
+    return _validated(Kernel(alpha, beta, name="partial-theta"), window)
 
 
 # --- elliptic divisibility sequences -------------------------------------------
@@ -621,7 +618,6 @@ def eds_kernel(W: EdsSequence, window: Window | None = None) -> Kernel:
         alpha=lambda i, k: W.w(k) ** 2,
         # beta(i,i) = W_{2i} W_0 = W_0 without reading W_{2i}, which may lie past the table
         beta=lambda i, k: W.w(i + k) * W.w(i - k) if i != k else W.w(0),
-        beta_antisymmetric=True,
         name="eds",
     )
     if window is not None:

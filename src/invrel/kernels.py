@@ -108,7 +108,8 @@ class Kernel:
 
     ``alpha`` and ``beta`` are memoised here, also in a kernel rebuilt by
     :func:`dataclasses.replace`, so they must be pure.  ``beta_antisymmetric``
-    records the expectation ``beta(i,k) = -beta(k,i)``; nothing reads it.
+    records the expectation ``beta(i,k) = -beta(k,i)``; nothing reads it, and
+    only the benchmark harness (``bench/workloads.py``) still passes it.
     """
 
     alpha: Callable[[int, int], Scalar]

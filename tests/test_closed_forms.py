@@ -6,11 +6,16 @@ float arithmetic of the parameters), and the closed-form check a plain fold
 of ``form(n, k) - entry``.  Exact forms now come as unreduced int pairs
 compared by cross-multiplication; these tests hold them to the reference's
 worst residual as a string, its error type and message on singular draws,
-and, for float and mixed parameters, its values bit for bit.
+and, for float and mixed parameters, its values bit for bit.  The
+elliptic-sum reference builds its factorials with ``elliptic_pochhammer`` and
+its own sigma; the closed form now shares the kernel's partial products and
+sigma, and keeps the reference's values bit for bit.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import random
 from fractions import Fraction
 from functools import lru_cache
@@ -22,9 +27,12 @@ from invrel import (
     VerificationError,
     binomial_closed_entries,
     binomial_kernel,
+    constant_sequence,
     eds_closed_entries,
     eds_generate,
     eds_kernel,
+    elliptic_sum_closed_entries,
+    elliptic_sum_kernel,
     gasper_closed_entries,
     gasper_kernel,
     max_closed_form_residual,
@@ -32,9 +40,19 @@ from invrel import (
     schlosser_closed_entries,
     schlosser_kernel,
 )
+from invrel.cli import main
 from invrel.errors import located
+from invrel.families import Ratio
 from invrel.kernels import TriangularPair, worst_of
-from invrel.numerics import exact_div, power, prod_range, q_pochhammer, reciprocal
+from invrel.numerics import (
+    DEFAULT_POLICY,
+    elliptic_pochhammer,
+    exact_div,
+    power,
+    prod_range,
+    q_pochhammer,
+    reciprocal,
+)
 
 
 def _binom2(m):
@@ -127,6 +145,32 @@ def ref_eds(W):
     return f_closed, g_closed
 
 
+def ref_elliptic_sum(x, y, q, p, t_seq, policy=DEFAULT_POLICY):
+    """The earlier elliptic-sum forms: ``(x;q,p)_m`` and ``(y;q,p)_m`` from
+    ``elliptic_pochhammer`` and a sigma of their own, unguarded."""
+    E = lru_cache(maxsize=None)(lambda m: elliptic_pochhammer(x, q, p, m, policy))
+    D = lru_cache(maxsize=None)(lambda m: elliptic_pochhammer(y, q, p, m, policy))
+
+    @lru_cache(maxsize=None)
+    def sigma(m):
+        if m == 0:
+            return 0
+        if m > 0:
+            return sigma(m - 1) + t_seq(m) * reciprocal(E(m - 1) * E(m))
+        return sigma(m + 1) - t_seq(m + 1) * reciprocal(E(m) * E(m + 1))
+
+    def s(i, k):
+        return sigma(k) - sigma(i)
+
+    def f_closed(n, k):
+        return prod_range(lambda i: reciprocal(E(i) * D(i - 1) * s(i, k)), k + 1, n)
+
+    def g_closed(n, k):
+        return prod_range(lambda i: reciprocal(E(i + 1) * D(i) * s(i, n)), k, n - 1)
+
+    return f_closed, g_closed
+
+
 def ref_fold(pair, closed):
     """The earlier closed-form check: the worst ``form(n, k) - entry``."""
     lo, hi = pair.window
@@ -205,6 +249,11 @@ def schlosser_draw(rng):
 
 
 EXACT_DRAWS = 50
+
+
+def test_ratio_equals_exact_values_only():
+    assert Ratio(2, 4) == Fraction(1, 2) == Ratio(-1, -2) and Ratio(3, 1) == 3
+    assert not Ratio(1, 2) == 0.5
 
 
 class TestExactAgainstTheReference:
@@ -338,3 +387,63 @@ class TestFloatAndMixedKeepTheirBits:
         for _ in range(50):
             params = mixed(rng, schlosser_draw(rng), ranges)
             self._same_bits(schlosser_closed_entries(**params), ref_schlosser(**params), 6)
+
+
+ELLIPTIC_SUM = {"x": 0.3, "y": 0.7, "q": 0.4, "p": 0.1, "t": 1.0}
+
+
+def elliptic_sum_args(params):
+    return params["x"], params["y"], params["q"], params["p"], constant_sequence(params["t"])
+
+
+def elliptic_sum_draw(rng):
+    """A draw in the benchmark's theta-scan ranges, rounded as it rounds them."""
+    ranges = {"x": (0.2, 0.4), "y": (0.5, 0.9), "q": (0.2, 0.3), "p": (0.02, 0.3), "t": (0.5, 1.5)}
+    return {name: round(rng.uniform(*r), 6) for name, r in ranges.items()}
+
+
+class TestEllipticSumAgainstTheReference:
+    """The closed form's partial products and sigma are the kernel's own."""
+
+    @pytest.mark.parametrize("window", [(0, 3), (-2, 2)])
+    def test_preset_and_draws_keep_their_bits(self, window):
+        rng = random.Random(31)
+        lo, hi = window
+        for params in [ELLIPTIC_SUM] + [elliptic_sum_draw(rng) for _ in range(20)]:
+            args = elliptic_sum_args(params)
+            closed, reference = elliptic_sum_closed_entries(*args), ref_elliptic_sum(*args)
+            for k in range(lo, hi + 1):
+                for n in range(k, hi + 1):
+                    for form, ref in zip(closed, reference):
+                        got = _outcome(lambda: repr(form(n, k)))
+                        assert got == _outcome(lambda: repr(ref(n, k)))
+                        assert "Error" not in got and "ZeroDivisor" not in got
+
+    def test_vanishing_x_factor_is_named(self):
+        """With ``x = p``, ``theta(x; p) = 0``: sigma names the partial product,
+        where the earlier forms raised a bare reciprocal of zero."""
+        args = elliptic_sum_args({**ELLIPTIC_SUM, "x": 0.1, "p": 0.1})
+        (f_closed, _), (ref_f, _) = elliptic_sum_closed_entries(*args), ref_elliptic_sum(*args)
+        assert f_closed(0, 0) == ref_f(0, 0) == 1
+        for n in (1, 2):
+            assert _outcome(lambda: f_closed(n, 0)) == "ZeroDivisor: x partial product through 1 vanishes"
+            assert _outcome(lambda: ref_f(n, 0)) == "ZeroDivisor: reciprocal of zero"
+
+    def test_vanishing_x_factor_report(self, capsys):
+        """The CLI stops at the kernel's own sigma, with the same message."""
+        code = main(["verify", "--family=elliptic-sum", "--params=x=0.1,p=0.1", "--checks=closed-form"])
+        doc = json.loads(capsys.readouterr().out)
+        assert code == 1
+        assert (doc["checks"], doc["passed"]) == ([], False)
+        assert doc["error"] == "ZeroDivisor: x partial product through 1 vanishes"
+
+    def test_one_scaled_alpha_fails_the_check(self):
+        """Negative control: ``alpha(1,0)`` scaled by 1 + 1e-6 moves ``F(2,0)``
+        and ``F(3,0)`` off the printed products by more than the tolerance."""
+        args = elliptic_sum_args(ELLIPTIC_SUM)
+        kernel, closed = elliptic_sum_kernel(*args), elliptic_sum_closed_entries(*args)
+        scaled = dataclasses.replace(
+            kernel, alpha=lambda i, k: kernel.alpha(i, k) * (1 + 1e-6) if (i, k) == (1, 0) else kernel.alpha(i, k)
+        )
+        assert abs(max_closed_form_residual(pair_from_kernel(kernel, (0, 3)), closed)) <= 1e-8
+        assert abs(max_closed_form_residual(pair_from_kernel(scaled, (0, 3)), closed)) > 1e-8

@@ -118,6 +118,18 @@ class TestProductRatioKernel:
         with pytest.raises(ZeroDivisor):
             kernel.beta(-2, 3)  # partial sums cross x_0 = 0
 
+    @pytest.mark.parametrize("x, y, entry, message", [
+        # X(-3) X(-2) = 1e-600 * 1e-400 underflows to 0
+        (constant_sequence(1e200), constant_sequence(1.0), lambda kern: kern.beta(-3, 0),
+         "x partial product through -2 vanishes"),
+        (constant_sequence(1.0), lambda i: float(i != 2), lambda kern: kern.alpha(2, 0),
+         "y partial product through 2 vanishes"),
+    ])
+    def test_vanishing_partial_product_is_named(self, x, y, entry, message):
+        kernel = product_ratio_kernel(FactorSequences(x=x, y=y, t=constant_sequence(1.0)))
+        with pytest.raises(ZeroDivisor, match=f"^{message}$"):
+            entry(kernel)
+
 
 class TestBilinearKernel:
     def test_diagonal_beta_vanishes(self):
@@ -442,6 +454,9 @@ class TestPartialThetaFamily:
         kernel = partial_theta_kernel(PT_Q, PT_A, constant_sequence(0.3))
         with pytest.raises(DegenerateParams):
             kernel.beta(0, 1)
+        # with a window, the kernel's own refusal is raised as it is, not prefixed again
+        with pytest.raises(DegenerateParams, match=r"^partial-theta: b\(0\) == b\(1\)$"):
+            partial_theta_kernel(PT_Q, PT_A, constant_sequence(0.2), window=(0, 2))
 
 
 class TestEdsSequence:

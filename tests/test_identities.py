@@ -88,6 +88,10 @@ class TestDividedDifferenceProblem:
         with pytest.raises(DomainError):
             DividedDifferenceProblem(nodes=(0, 1))
 
+    def test_needs_a_node(self):
+        with pytest.raises(DomainError, match="at least one node"):
+            DividedDifferenceProblem(nodes=(), coeffs=(1,))
+
     def test_duplicate_nodes(self):
         with pytest.raises(DuplicateNodes):
             DividedDifferenceProblem(nodes=(0, 1, 0), coeffs=(1,))

@@ -75,11 +75,16 @@ class TestEntryBuilders:
         with pytest.raises(ZeroDiagonal):
             g_entry(kernel, 0, -2)
 
-    def test_requires_lower_triangle(self):
+    @pytest.mark.parametrize("entry", [
+        lambda: f_entry(binomial_kernel(), 1, 2),
+        lambda: g_entry(binomial_kernel(), 1, 2),
+        lambda: node_entries(NodeSequences(*(lambda n: 1,) * 4), 1, 2),
+    ])
+    def test_requires_lower_triangle(self, entry):
         from invrel import DomainError
 
-        with pytest.raises(DomainError):
-            f_entry(binomial_kernel(), 1, 2)
+        with pytest.raises(DomainError, match=re.escape("requires n >= k, got (1,2)")):
+            entry()
 
 
 class TestVerifyInversion:
@@ -530,6 +535,10 @@ class TestNodeSequences:
                 pair_from_nodes(seqs, (-2, 2))
             assert type(info.value.__cause__) is ZeroDivisor
             assert str(info.value).endswith(f": {info.value.__cause__}")
+        # s = 0, 1, 1: F(2,0) divides by s(0) - s(i) only, G(2,0) by s(2) - s(1) = 0
+        repeated = dataclasses.replace(distinct, s=lambda n: min(n, 1))
+        with pytest.raises(ZeroDivisor, match=re.escape("s(2) = s(1) in node G(2,0)")):
+            node_entries(repeated, 2, 0)
 
     def test_pair_from_nodes_refuses_what_the_window_check_refuses(self):
         rng = random.Random(1729)

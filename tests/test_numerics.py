@@ -248,6 +248,11 @@ class TestSlopeKernel:
         with pytest.raises(DomainError, match="requires"):
             partial_theta_slope_series(0.3, 0.2, 1.0)
 
+    def test_series_refuses_a_vanishing_denominator(self):
+        # x y = 1: the first term divides by 1 - x y q^0 = 0
+        with pytest.raises(DomainError, match=r"^slope kernel series degenerate at term 1$"):
+            partial_theta_slope_series(2.0, 0.5, 0.1)
+
     def test_series_past_the_term_cap_is_an_error(self):
         with pytest.raises(NonConvergent, match="8 terms"):
             partial_theta_slope_series(0.3, 0.2, 0.1, TruncationPolicy(1e-17, 8))

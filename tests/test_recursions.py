@@ -2,6 +2,7 @@
 
 import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -113,6 +114,18 @@ class TestTripleSumRoute:
     def test_zero_diagonal_rejected(self):
         with pytest.raises(ZeroDiagonal):
             BetaSeed(alpha=lambda i, j: Fraction(i + j), t=lambda j: 1, window=(0, 3))
+
+    @pytest.mark.parametrize("route, error, message", [
+        (lambda seed: beta_step_tsi(seed, 1, -1, 1), ZeroDiagonal, "alpha(0,0) = 0 in beta step (-1,1)"),
+        (lambda seed: beta_closed_tsi(seed, 2, 1), DomainError, "beta_closed_tsi requires k <= n, got (2,1)"),
+        (lambda seed: beta_closed_tsi(seed, 0, 2), ZeroDiagonal, "alpha(0,0) = 0 in beta(0,2)"),
+        # alpha(-2,-2) = -4 divides the first term, and alpha(0,0) = 0 its product
+        (lambda seed: beta_closed_tsi(seed, -2, 1), ZeroDiagonal, "alpha(0,0) = 0 in beta(-2,1)"),
+    ])
+    def test_routes_guard_index_order_and_diagonal(self, route, error, message):
+        seed = BetaSeed(alpha=lambda i, j: Fraction(i + j), t=lambda j: 1, window=(1, 3))
+        with pytest.raises(error, match=f"^{re.escape(message)}$"):
+            route(seed)
 
     def test_reconstruction_consistent_for_tsi_kernels(self):
         # when alpha admits a triple-sum-compatible beta, the reconstruction
