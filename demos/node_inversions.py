@@ -7,11 +7,11 @@ statement directly, then the inversion, then the pivot substitution that
 turns any triple-sum kernel into node sequences.
 """
 
+import math
 import random
 from fractions import Fraction
 
 from invrel import (
-    DividedDifferenceProblem,
     NodeSequences,
     binomial_kernel,
     divided_difference,
@@ -28,11 +28,11 @@ from invrel import (
 # With n+1 distinct nodes and deg H = n-1, the divided difference is zero.
 nodes = (Fraction(0), Fraction(1), Fraction(5, 2), Fraction(-3), Fraction(7))
 shifts = (Fraction(1), Fraction(-1), Fraction(4, 3))  # H(x) = (x+1)(x-1)(x+4/3)
-problem = DividedDifferenceProblem(nodes=nodes, shifts=shifts)
+H = lambda x: math.prod((x + a for a in shifts), start=1)
 print("nodes:", [str(x) for x in nodes])
-print("H(x) = (x+1)(x-1)(x+4/3), degree", problem.degree)
-print("explicit sum form:", divided_difference_sum(problem))
-print("recursive form:   ", divided_difference(problem))
+print("H(x) = (x+1)(x-1)(x+4/3), degree", len(shifts))
+print("explicit sum form:", divided_difference_sum(H, nodes))
+print("recursive form:   ", divided_difference(H, nodes))
 
 # --- a random node inversion ----------------------------------------------------
 rng = random.Random(5)

@@ -41,7 +41,6 @@ from .numerics import (
     q_pochhammer,
     q_pochhammer_infinite,
     theta,
-    theta_product,
     weierstrass_addition_residual,
 )
 from .kernels import (
@@ -60,7 +59,6 @@ from .kernels import (
     verify_inversion,
 )
 from .identities import (
-    DividedDifferenceProblem,
     anchored_tsi_residual,
     divided_difference,
     divided_difference_sum,

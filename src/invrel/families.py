@@ -559,11 +559,13 @@ def eds_generate(w2: Scalar, w3: Scalar, w4: Scalar, n_max: int) -> EdsSequence:
 
 def max_recurrence_residual(W: EdsSequence) -> Scalar:
     """Largest-magnitude :meth:`EdsSequence.recurrence_residual` over
-    ``|n| <= n_max - 2``, every index whose terms lie in the table, the first
-    met in ascending order.  When ``W_0 = 0`` the residual at ``-n`` equals
-    the one at ``n``, so ``n = n_max - 2`` down to ``0`` is folded: descending,
-    it meets the same first maximum, sign included."""
-    top = W.n_max - 2
+    ``|n| <= top = max(n_max - 2, 0)``, the first met in ascending order: every
+    index whose terms lie in the table, and ``n = 0`` at least, so a table too
+    short for any index raises :class:`~invrel.errors.IndexOutOfTable`.  When
+    ``W_0 = 0`` the residual at ``-n`` equals the one at ``n``, so ``n = top``
+    down to ``0`` is folded: descending, it meets the same first maximum, sign
+    included."""
+    top = max(W.n_max - 2, 0)
     indices = range(top, -1, -1) if W.w(0) == 0 else range(-top, top + 1)
     return worst_of(W.recurrence_residual(n) for n in indices)
 

@@ -22,12 +22,18 @@ alternating indices, the orbit's first member in the full order, so they meet
 the same first maximiser.  Otherwise the tables keep their values and the
 sweeps evaluate the same terms in the same order, so float residuals are
 bit-identical to the reference.
+
+The divided differences ``[x_0..x_n]h`` of any callable ``h`` over
+pairwise-distinct nodes come in a recursive and an explicit-sum form.  Both
+are exactly zero for a polynomial of degree ``< n``: the vanishing statement
+that makes the node-sequence pairs of :mod:`invrel.kernels` inversions.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 from itertools import combinations, product
+from typing import Callable, Sequence
 
 from .errors import DomainError, DuplicateNodes
 from .kernels import Kernel, Window, unscale, window_tables, worst_of
@@ -142,68 +148,29 @@ def _regrouped_qsi(A: list, B: list):
                     yield c1 * by - c2 * bp - c3 * aq
 
 
-@dataclass(frozen=True)
-class DividedDifferenceProblem:
-    """Pairwise-distinct nodes plus a polynomial.
+def _checked_nodes(nodes: Sequence[Scalar]) -> tuple[Scalar, ...]:
+    """``nodes`` as a tuple, refused unless non-empty and pairwise distinct."""
+    nodes = tuple(nodes)
+    if not nodes:
+        raise DomainError("at least one node required")
+    for i, xi in enumerate(nodes):
+        for xj in nodes[i + 1 :]:
+            if xi == xj:
+                raise DuplicateNodes(f"node {xi!r} repeated")
+    return nodes
 
-    The polynomial is given either as ``coeffs`` (ascending powers) or as
-    ``shifts`` ``(a_1, ..., a_d)`` for the product form ``prod_j (x + a_j)``;
-    the product form is kept separate because the vanishing statement below
-    is naturally posed for it.  With ``n + 1`` nodes, any polynomial of
-    degree ``< n`` has divided difference zero.
+
+def divided_difference(h: Callable[[Scalar], Scalar], nodes: Sequence[Scalar]) -> Scalar:
+    """Recursive divided difference ``[x_0, ..., x_n]h`` via the standard table:
+
+    ``[x_0]h = h(x_0)`` and
+    ``[x_0..x_n]h = ([x_0..x_{n-1}]h - [x_1..x_n]h) / (x_0 - x_n)``.
+
+    The nodes must be pairwise distinct.  For a polynomial ``h`` of degree
+    ``< n`` the result is zero.
     """
-
-    nodes: tuple[Scalar, ...]
-    coeffs: tuple[Scalar, ...] | None = None
-    shifts: tuple[Scalar, ...] | None = None
-
-    def __post_init__(self):
-        object.__setattr__(self, "nodes", tuple(self.nodes))
-        if self.coeffs is not None:
-            object.__setattr__(self, "coeffs", tuple(self.coeffs))
-        if self.shifts is not None:
-            object.__setattr__(self, "shifts", tuple(self.shifts))
-        if (self.coeffs is None) == (self.shifts is None):
-            raise DomainError("supply exactly one of coeffs or shifts")
-        if not self.nodes:
-            raise DomainError("at least one node required")
-        seen = list(self.nodes)
-        for i, xi in enumerate(seen):
-            for xj in seen[i + 1 :]:
-                if xi == xj:
-                    raise DuplicateNodes(f"node {xi!r} repeated")
-
-    @property
-    def degree(self) -> int:
-        if self.shifts is not None:
-            return len(self.shifts)
-        deg = -1
-        for i, c in enumerate(self.coeffs):
-            if c != 0:
-                deg = i
-        return deg
-
-    def h(self, x: Scalar) -> Scalar:
-        """Evaluate the polynomial at ``x``."""
-        if self.shifts is not None:
-            out: Scalar = 1
-            for a in self.shifts:
-                out = out * (x + a)
-            return out
-        out = 0
-        for c in reversed(self.coeffs):
-            out = out * x + c
-        return out
-
-
-def divided_difference(problem: DividedDifferenceProblem) -> Scalar:
-    """Recursive divided difference ``[x_0, ..., x_n]H`` via the standard table:
-
-    ``[x_0]H = H(x_0)`` and
-    ``[x_0..x_n]H = ([x_0..x_{n-1}]H - [x_1..x_n]H) / (x_0 - x_n)``.
-    """
-    nodes = problem.nodes
-    vals = [problem.h(x) for x in nodes]
+    nodes = _checked_nodes(nodes)
+    vals = [h(x) for x in nodes]
     n = len(nodes) - 1
     for level in range(1, n + 1):
         for i in range(n - level + 1):
@@ -211,18 +178,15 @@ def divided_difference(problem: DividedDifferenceProblem) -> Scalar:
     return vals[0]
 
 
-def divided_difference_sum(problem: DividedDifferenceProblem) -> Scalar:
-    """Explicit form ``sum_i H(x_i) / prod_{j != i} (x_i - x_j)``.
+def divided_difference_sum(h: Callable[[Scalar], Scalar], nodes: Sequence[Scalar]) -> Scalar:
+    """Explicit form ``sum_i h(x_i) / prod_{j != i} (x_i - x_j)``.
 
-    Exactly zero whenever ``deg H < len(nodes) - 1``; always equal to the
-    recursive form.
+    Exactly zero whenever ``h`` is a polynomial of degree ``< len(nodes) - 1``;
+    always equal to the recursive form.
     """
-    nodes = problem.nodes
+    nodes = _checked_nodes(nodes)
     total: Scalar = 0
     for i, xi in enumerate(nodes):
-        den: Scalar = 1
-        for j, xj in enumerate(nodes):
-            if j != i:
-                den = den * (xi - xj)
-        total = total + problem.h(xi) * reciprocal(den)
+        den = math.prod(xi - xj for j, xj in enumerate(nodes) if j != i)
+        total = total + h(xi) * reciprocal(den)
     return total

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import chain
-from math import lcm
+from math import inf, lcm
 from operator import add, mul
 from types import SimpleNamespace
 from typing import Callable, Iterable
@@ -353,11 +353,12 @@ def verify_inversion(pair: TriangularPair, tol: float | None = None) -> Verifica
     """Check ``F.G = delta`` and ``G.F = delta`` exhaustively on the window.
 
     ``tol=None`` demands exact equality (exact-domain entries); otherwise
-    every residual magnitude must be ``<= tol``.  G.F is composed first;
-    F.G is skipped only in exact mode when G.F ran in ``int`` and is zero.
+    every residual magnitude must be ``<= tol``, for a finite ``tol > 0``.
+    G.F is composed first; F.G is skipped only in exact mode when G.F ran in
+    ``int`` and is zero.
     """
-    if tol is not None and tol <= 0:
-        raise DomainError("tolerance must be positive")
+    if tol is not None and not 0 < tol < inf:
+        raise DomainError("tolerance must be finite and positive")
     lo, _ = check_window(pair.window)
     transposed, exact = _residuals(pair.G, pair.F, lo)
     if exact and tol is None and not any(transposed.values()):

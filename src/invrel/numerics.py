@@ -11,9 +11,10 @@ refused except where a series terminates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable, Union
+from typing import Callable, Union
 
 from .errors import DomainError, NonConvergent, ZeroDivisor
 
@@ -56,8 +57,12 @@ def power(base: Scalar, exponent: int) -> Scalar:
 
 
 def magnitude(value: Scalar) -> float:
-    """|value| as a float, for tolerance comparisons and reports."""
-    return float(abs(value))
+    """|value| as a float, for tolerance comparisons and reports; ``inf``
+    for an exact value past float range."""
+    try:
+        return float(abs(value))
+    except OverflowError:
+        return math.inf
 
 
 def passes(worst: Scalar, tol: float | None) -> bool:
@@ -164,14 +169,6 @@ def theta(x: Scalar, q: Scalar, policy: TruncationPolicy = DEFAULT_POLICY) -> Sc
     return q_pochhammer_infinite(x, q, policy) * q_pochhammer_infinite(q / x, q, policy)
 
 
-def theta_product(args: Iterable[Scalar], q: Scalar, policy: TruncationPolicy = DEFAULT_POLICY) -> Scalar:
-    """``theta(a_1;q) theta(a_2;q) ... theta(a_m;q)``."""
-    out: Scalar = 1.0
-    for a in args:
-        out = out * theta(a, q, policy)
-    return out
-
-
 def partial_theta(q: Scalar, x: Scalar, policy: TruncationPolicy = DEFAULT_POLICY) -> Scalar:
     """Partial theta series ``sum_{n>=0} (-1)^n q^{n(n-1)/2} x^n``.
 
@@ -271,7 +268,7 @@ def weierstrass_addition_residual(
 
     which vanishes identically; near zero when truncation is tight.
     """
-    t1 = theta_product((x * y, x / y, u * v, u / v), q, policy)
-    t2 = theta_product((x * v, x / v, y * u, u / y), q, policy)
-    t3 = theta_product((x * u, x / u, y * v, y / v), q, policy)
+    t1 = math.prod((theta(z, q, policy) for z in (x * y, x / y, u * v, u / v)), start=1.0)
+    t2 = math.prod((theta(z, q, policy) for z in (x * v, x / v, y * u, u / y)), start=1.0)
+    t3 = math.prod((theta(z, q, policy) for z in (x * u, x / u, y * v, y / v)), start=1.0)
     return t1 - t2 - (u / y) * t3

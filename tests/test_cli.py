@@ -573,6 +573,13 @@ class TestEdsCommand:
         doc = json.loads(out)
         assert code == 0 and doc["passed"] and [c["name"] for c in doc["checks"]][-1] == "delta"
 
+    def test_one_term_table_is_reported(self, capsys):
+        code, out, _ = run_cli(capsys, "eds", "--n=1")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["error"].startswith("IndexOutOfTable: W(2)") and not doc["passed"]
+        assert doc["checks"] == []
+
     def test_table_too_short_is_reported(self, capsys):
         code, out, _ = run_cli(capsys, "eds", "--n=2")
         assert code == 1

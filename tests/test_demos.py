@@ -1,4 +1,5 @@
-"""Every demo script runs to completion without writing to stderr."""
+"""Every demo script runs to completion without writing to stderr, under the
+interpreter's own ``-W`` options."""
 
 import os
 import subprocess
@@ -14,7 +15,7 @@ DEMOS = sorted((ROOT / "demos").glob("*.py"))
 @pytest.mark.parametrize("demo", DEMOS, ids=[d.stem for d in DEMOS])
 def test_demo_runs(demo):
     done = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, *(f"-W{opt}" for opt in sys.warnoptions), str(demo)],
         capture_output=True,
         text=True,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},

@@ -490,6 +490,11 @@ class TestEdsSequence:
         with pytest.raises(IndexOutOfTable):
             seq.w(13)
 
+    def test_recurrence_on_a_one_term_table_reaches_past_it(self):
+        # n = 0 is always folded, so a table with no full index is an error, not a pass
+        with pytest.raises(IndexOutOfTable, match=r"W\(2\)"):
+            max_recurrence_residual(eds_generate(1, -1, 1, 1))
+
     def test_empty_table_is_refused(self):
         with pytest.raises(IndexOutOfTable, match="n_max must be at least 1"):
             eds_generate(1, -1, 1, 0)

@@ -1,5 +1,6 @@
 """Tests for the sum-identity residuals and divided differences."""
 
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -9,7 +10,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from invrel import (
-    DividedDifferenceProblem,
     DomainError,
     DuplicateNodes,
     anchored_tsi_residual,
@@ -81,49 +81,61 @@ class TestQuintupleSum:
         assert max_qsi_residual(GASPER, (-2, 2)) == 0
 
 
-class TestDividedDifferenceProblem:
-    def test_exactly_one_form(self):
-        with pytest.raises(DomainError):
-            DividedDifferenceProblem(nodes=(0, 1), coeffs=(1,), shifts=(1,))
-        with pytest.raises(DomainError):
-            DividedDifferenceProblem(nodes=(0, 1))
+def horner(coeffs):
+    """The polynomial with ``coeffs`` in ascending powers."""
 
-    def test_needs_a_node(self):
-        with pytest.raises(DomainError, match="at least one node"):
-            DividedDifferenceProblem(nodes=(), coeffs=(1,))
+    def h(x):
+        out = 0
+        for c in reversed(coeffs):
+            out = out * x + c
+        return out
 
-    def test_duplicate_nodes(self):
-        with pytest.raises(DuplicateNodes):
-            DividedDifferenceProblem(nodes=(0, 1, 0), coeffs=(1,))
+    return h
 
-    def test_degree(self):
-        assert DividedDifferenceProblem(nodes=(0,), coeffs=(3, 0, 2)).degree == 2
-        assert DividedDifferenceProblem(nodes=(0,), coeffs=(3, 1, 0)).degree == 1
-        assert DividedDifferenceProblem(nodes=(0,), shifts=(1, 2, 3)).degree == 3
 
-    def test_evaluation(self):
-        prob = DividedDifferenceProblem(nodes=(0,), shifts=(Fraction(1), Fraction(-2)))
-        assert prob.h(Fraction(3)) == 4  # (3+1)(3-2)
-        poly = DividedDifferenceProblem(nodes=(0,), coeffs=(1, 0, 1))
-        assert poly.h(2) == 5
+def shifted(shifts):
+    """The product form ``prod_j (x + a_j)``."""
+    return lambda x: math.prod((x + a for a in shifts), start=1)
+
+
+BOTH_FORMS = pytest.mark.parametrize("form", [divided_difference, divided_difference_sum])
 
 
 class TestDividedDifference:
+    @BOTH_FORMS
+    def test_needs_a_node(self, form):
+        with pytest.raises(DomainError, match="at least one node"):
+            form(horner((1,)), ())
+
+    @BOTH_FORMS
+    def test_duplicate_nodes(self, form):
+        with pytest.raises(DuplicateNodes, match="node 0 repeated"):
+            form(horner((1,)), (0, 1, 0))
+
     def test_single_node(self):
-        prob = DividedDifferenceProblem(nodes=(Fraction(7),), coeffs=(0, 0, 1))
-        assert divided_difference(prob) == 49
+        assert divided_difference(horner((0, 0, 1)), (Fraction(7),)) == 49
 
     def test_square_two_nodes(self):
-        prob = DividedDifferenceProblem(nodes=(0, 1), coeffs=(0, 0, 1))
-        assert divided_difference(prob) == 1
+        assert divided_difference(horner((0, 0, 1)), (0, 1)) == 1
 
     def test_square_four_nodes_vanishes(self):
-        prob = DividedDifferenceProblem(nodes=(0, 1, 2, 3), coeffs=(0, 0, 1))
-        assert divided_difference(prob) == 0
+        assert divided_difference(horner((0, 0, 1)), (0, 1, 2, 3)) == 0
 
     def test_two_node_sum_is_zero(self):
-        prob = DividedDifferenceProblem(nodes=(Fraction(2), Fraction(5)), shifts=())
-        assert divided_difference_sum(prob) == 0
+        assert divided_difference_sum(shifted(()), (Fraction(2), Fraction(5))) == 0
+
+    def test_monic_degree_n_gives_one(self):
+        # negative control for the vanishing statement: with n+1 nodes a monic
+        # product of n factors has leading coefficient, hence divided difference, 1
+        rng = random.Random(29)
+        for _ in range(50):
+            n = rng.randint(0, 8)
+            nodes = set()
+            while len(nodes) < n + 1:
+                nodes.add(Fraction(rng.randint(-20, 20), rng.randint(1, 6)))
+            h = shifted([Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(n)])
+            assert divided_difference_sum(h, tuple(nodes)) == 1
+            assert divided_difference(h, tuple(nodes)) == 1
 
     @given(
         shifts=st.lists(
@@ -141,9 +153,8 @@ class TestDividedDifference:
                 min_size=count, max_size=count, unique=True,
             )
         )
-        prob = DividedDifferenceProblem(nodes=tuple(nodes), shifts=tuple(shifts))
-        assert divided_difference_sum(prob) == 0
-        assert divided_difference(prob) == 0
+        assert divided_difference_sum(shifted(shifts), nodes) == 0
+        assert divided_difference(shifted(shifts), nodes) == 0
 
     def test_recursive_equals_sum_on_nonvanishing_instances(self):
         # same polynomial through coefficients, with degree >= node count
@@ -154,8 +165,8 @@ class TestDividedDifference:
             while len(vals) < n_nodes:
                 vals.add(Fraction(rng.randint(-12, 12), rng.randint(1, 4)))
             coeffs = tuple(Fraction(rng.randint(-4, 4)) for _ in range(n_nodes + 2))
-            prob = DividedDifferenceProblem(nodes=tuple(vals), coeffs=coeffs)
-            assert divided_difference(prob) == divided_difference_sum(prob)
+            h = horner(coeffs)
+            assert divided_difference(h, tuple(vals)) == divided_difference_sum(h, tuple(vals))
 
     def test_shift_expansion_cross_check(self):
         # expand prod (x + a_j) to coefficients and compare the two routes
@@ -170,7 +181,7 @@ class TestDividedDifference:
             nodes = set()
             while len(nodes) < 4:
                 nodes.add(Fraction(rng.randint(-9, 9), rng.randint(1, 3)))
-            by_shifts = DividedDifferenceProblem(nodes=tuple(nodes), shifts=shifts)
-            by_coeffs = DividedDifferenceProblem(nodes=tuple(nodes), coeffs=tuple(coeffs))
-            assert divided_difference(by_shifts) == divided_difference(by_coeffs)
-            assert divided_difference_sum(by_shifts) == divided_difference(by_shifts)
+            nodes = tuple(nodes)
+            by_shifts, by_coeffs = shifted(shifts), horner(coeffs)
+            assert divided_difference(by_shifts, nodes) == divided_difference(by_coeffs, nodes)
+            assert divided_difference_sum(by_shifts, nodes) == divided_difference(by_shifts, nodes)

@@ -2,6 +2,7 @@
 
 import contextlib
 import dataclasses
+import math
 import random
 import re
 from collections import Counter
@@ -129,6 +130,25 @@ class TestVerifyInversion:
         pair = pair_from_kernel(binomial_kernel(), (0, 2))
         with pytest.raises(DomainError):
             verify_inversion(pair, tol=0.0)
+
+    @pytest.mark.parametrize("tol", [math.inf, math.nan])
+    def test_tolerance_that_is_not_finite_is_rejected(self, tol):
+        from invrel import DomainError
+
+        # worst residual 1/3: an infinite tolerance would pass it vacuously
+        entries = lambda n, k: (Fraction(1, 3) if n > k else int(n == k), int(n == k))
+        pair = pair_from_entries(entries, (0, 1))
+        assert not verify_inversion(pair).passed
+        with pytest.raises(DomainError, match="tolerance must be finite and positive"):
+            verify_inversion(pair, tol)
+
+    def test_residual_past_float_range_fails_with_infinite_worst(self):
+        pair = TriangularPair([[1], [Fraction(10**400), 1]], [[1], [0, 1]], (0, 1))
+        report = verify_inversion(pair)
+        assert not report.passed and report.worst == math.inf
+        assert report.worst_value == 10**400
+        tolerant = verify_inversion(pair, 1e-9)
+        assert not tolerant.passed and tolerant.worst == math.inf
 
     def test_nonpositive_tolerance_rejected_before_entries(self):
         from invrel import DomainError

@@ -1,5 +1,6 @@
 """Tests for the scalar domain helpers and q-series numerics."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -302,6 +303,8 @@ class TestScalarDomain:
     def test_magnitude(self):
         assert magnitude(Fraction(-3, 2)) == 1.5
         assert magnitude(3 + 4j) == 5.0
+        # an exact value past float range reads inf, not OverflowError
+        assert magnitude(Fraction(-(10**400), 3)) == magnitude(10**400) == math.inf
 
     def test_complex_arguments(self):
         # theta and the partial theta series accept complex scalars
