@@ -7,21 +7,24 @@ The triple sum identity (TSI) for a kernel ``(alpha, beta)`` reads
 for all integer quadruples.  For antisymmetric ``beta`` it is equivalent to
 the quintuple sum identity (QSI) and to its anchored three-term special case
 (first row index pinned to the anchor); the ``max_*`` sweeps below check all
-three exhaustively over finite windows.
+three exhaustively over finite windows.  On a window with tables ``A, B`` and
+``B`` antisymmetric, diagonal included, every QSI residual there is
+
+    QSI(x,y,p,q) = A[x][y] B[x][p] TSI(p,y,p,q)
+                 + B[q][y] (A[x][p] TSI(p,p,y,x) - A[p][p] TSI(x,x,p,y)).
 
 The pointwise ``*_residual`` functions are the reference: a sweep returns the
-largest-magnitude residual first met in their order.  Each sweep instead
-folds over the tables of :func:`~invrel.kernels.window_tables`, one read of
-``alpha`` and ``beta`` per window that every check of a verdict shares.
-When every value is exact, the tables are scaled to integers by one
-denominator ``d``, the sweep runs in ``int`` and its worst value is divided
-back by ``d`` to the residual's degree, to the same Fraction.  There QSI gives
-the same ``int`` per tuple, regrouped per ``(x, y, p)``.  TSI and the anchored
-sweep, when beta is antisymmetric, fold one tuple per orbit of their
-alternating indices, the orbit's first member in the full order, so they meet
-the same first maximiser.  Otherwise the tables keep their values and the
-sweeps evaluate the same terms in the same order, so float residuals are
-bit-identical to the reference.
+largest-magnitude residual first met in their order.  Each sweep folds over
+the tables of :func:`~invrel.kernels.window_tables`, one read per window that
+every check of a verdict shares.  When every value is exact, the tables are
+scaled to integers by one denominator ``d``, the sweep runs in ``int`` and its
+worst value is divided back by ``d`` to the residual's degree, to the same
+Fraction.  There, with antisymmetric beta, TSI and the anchored sweep fold one
+tuple per orbit of their alternating indices, the orbit's first member in the
+full order, so they meet the same first maximiser, and QSI is the exact ``0``
+when TSI is.  Float or mixed tables keep their values and the sweeps evaluate
+the same terms in the same order, so float residuals are bit-identical to the
+reference.
 
 The divided differences ``[x_0..x_n]h`` of any callable ``h`` over
 pairwise-distinct nodes come in a recursive and an explicit-sum form.  Both
@@ -115,13 +118,12 @@ def max_anchored_tsi_residual(kernel: Kernel, window: Window) -> Scalar:
 
 def max_qsi_residual(kernel: Kernel, window: Window) -> Scalar:
     """Largest-magnitude QSI residual over all quadruples in ``window^4``,
-    in the order of :func:`qsi_residual`.  On an ``int`` table each residual
-    is regrouped per ``(x, y, p)`` as ``c1 B[q][y] - c2 B[q][p] - c3 A[p][q]``,
-    the same ``int`` from 3 products per ``q``; otherwise with its terms."""
+    in the order and with the terms of :func:`qsi_residual`; by the identity
+    above, the exact ``0`` on an ``int`` table with antisymmetric beta and an
+    all-zero TSI sweep."""
     A, B, d = window_tables(kernel, window)
-    if d is not None:
-        return unscale(worst_of(_regrouped_qsi(A, B)), d, 4)
-    r = range(len(A))
+    if _alternating(B, d) and max_tsi_residual(kernel, window) == 0:
+        return 0
     return unscale(worst_of(
         Ax[p] * Ap[y] * Bx[p] * Bq[y]
         + Ax[p] * Ap[x] * Bq[y] * Bp[y]
@@ -129,23 +131,10 @@ def max_qsi_residual(kernel: Kernel, window: Window) -> Scalar:
         - Ax[y] * Ap[q] * Bx[p] * Bp[y]
         - Ax[x] * Ap[p] * Bq[y] * Bp[y]
         for x, (Ax, Bx) in enumerate(zip(A, B))
-        for y in r
+        for y in range(len(A))
         for p, (Ap, Bp) in enumerate(zip(A, B))
         for q, Bq in enumerate(B)
     ), d, 4)
-
-
-def _regrouped_qsi(A: list, B: list):
-    """The ``int`` QSI residuals in sweep order, ``c1``, ``c2``, ``c3`` per ``(x, y, p)``."""
-    C = list(zip(*B))  # C[y][q] = B[q][y]
-    for x, (Ax, Bx) in enumerate(zip(A, B)):
-        for y, Cy in enumerate(C):
-            for p, (Ap, Bp, Cp) in enumerate(zip(A, B, C)):
-                c1 = Ax[p] * (Ap[y] * Bx[p] + Ap[x] * Bp[y]) - Ax[x] * Ap[p] * Bp[y]
-                c2 = Ax[y] * Ap[y] * Bx[p]
-                c3 = Ax[y] * Bx[p] * Bp[y]
-                for by, bp, aq in zip(Cy, Cp, Ap):
-                    yield c1 * by - c2 * bp - c3 * aq
 
 
 def _checked_nodes(nodes: Sequence[Scalar]) -> tuple[Scalar, ...]:

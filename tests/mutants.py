@@ -1,0 +1,178 @@
+"""Mutation harness for the verdict core.
+
+Usage (from the repository root):
+
+    python tests/mutants.py
+
+The harness copies ``src/`` to a temporary directory and applies one mutant
+at a time: an exact source replacement that must match exactly once, so a
+refactor that moves or duplicates the line fails loudly instead of testing
+nothing.  It then runs the test modules that own the mutated code with ``-x``
+against the copy and reports whether the mutant was killed.  Before any
+mutant it runs every owning module once against an unmutated copy, which must
+pass.  The repository's own ``src/`` is only read.
+
+Every mutant should be killed, except those in ``EXPECTED_SURVIVORS``: code
+that no verdict depends on, such as a fast path that only saves work.  The
+exit status is 1 when a mutant survives that is not listed there, when a
+listed one is killed (the list is then stale), or when a replacement does not
+match as declared; otherwise 0.  The file is not named ``test_*``, so tier-1
+does not collect it.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from dataclasses import dataclass
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  # relative to src/invrel
+    old: str
+    new: str
+    tests: tuple[str, ...]  # the owning modules, under tests/
+
+
+QSI_SHORTCUT = "    if _alternating(B, d) and max_tsi_residual(kernel, window) == 0:\n        return 0\n"
+ALTERNATING = "    return d is not None and all(Bi[k] == -B[k][i] for i, Bi in enumerate(B) for k in range(i, len(B)))\n"
+
+MUTANTS = (
+    # the QSI shortcut: the exact 0 from an all-zero TSI on an alternating int table
+    Mutant("qsi-shortcut-unconditional", "identities.py", QSI_SHORTCUT,
+           "    if True:\n        return 0\n", ("test_sweeps.py",)),
+    Mutant("qsi-shortcut-without-tsi", "identities.py", QSI_SHORTCUT,
+           "    if _alternating(B, d):\n        return 0\n", ("test_sweeps.py",)),
+    Mutant("alternating-always-true", "identities.py", ALTERNATING,
+           "    return True\n", ("test_sweeps.py",)),
+    Mutant("alternating-always-false", "identities.py", ALTERNATING,
+           "    return False\n", ("test_sweeps.py",)),
+    # the orbit folds on a beta that is not antisymmetric
+    Mutant("alternating-ignores-beta", "identities.py", ALTERNATING,
+           "    return d is not None\n", ("test_sweeps.py",)),
+    # float bits: gasper's alpha with a changed association
+    Mutant("gasper-alpha-association", "families.py",
+           "        return (1 - ap(k) * q_pow(i)) * (1 - bp(k) * q_pow(i))\n",
+           "        return (1 - a * (p_pow(k) * q_pow(i))) * (1 - bp(k) * q_pow(i))\n",
+           ("test_families.py", "test_golden_reports.py")),
+    # the shared window tables kept for the last window, whatever the kernel
+    Mutant("tables-keyed-by-window", "kernels.py",
+           "    return _tables(kernel, *check_window(window))\n",
+           "    global _last\n"
+           "    key = check_window(window)\n"
+           "    if globals().get('_last', (None,))[0] != key:\n"
+           "        _last = (key, _tables(kernel, *key))\n"
+           "    return _last[1]\n",
+           ("test_kernels.py", "test_sweeps.py")),
+    # a float composition that does not subtract the identity on the diagonal
+    Mutant("float-diagonal-minus-zero", "kernels.py",
+           "acc - (scale or 1) if n == k", "acc - (scale or 0) if n == k", ("test_kernels.py",)),
+    Mutant("divided-difference-always-zero", "identities.py",
+           "    return vals[0]\n", "    return 0 * vals[0]\n", ("test_identities.py",)),
+    # guards whose refusal names the input
+    Mutant("window-needs-two-bounds", "cli.py",
+           "    if len(parts) != 2:\n", "    if False:\n", ("test_cli.py",)),
+    Mutant("params-item-needs-equals", "cli.py",
+           '        if "=" not in item:\n', "        if False:\n", ("test_cli.py",)),
+    Mutant("g-entry-zero-beta-guard", "kernels.py",
+           '        if b == 0:\n            raise ZeroDivisor(f"beta({i},{n}) = 0 in G(',
+           '        if False:\n            raise ZeroDivisor(f"beta({i},{n}) = 0 in G(',
+           ("test_kernels.py",)),
+    Mutant("prod-range-zero-guard", "numerics.py",
+           "        if v == 0:\n            raise ZeroDivisor(f\"prod_range(",
+           "        if False:\n            raise ZeroDivisor(f\"prod_range(",
+           ("test_numerics.py",)),
+    Mutant("slope-series-q-check", "numerics.py",
+           '    if abs(q) >= 1:\n        raise DomainError("slope kernel requires',
+           '    if False:\n        raise DomainError("slope kernel requires',
+           ("test_numerics.py",)),
+    Mutant("q-pochhammer-tail-bound", "numerics.py",
+           "        if abs(f) < policy.tail_bound:\n            break\n",
+           "        if False:\n            break\n",
+           ("test_numerics.py",)),
+    # fast paths that only save work
+    Mutant("tsi-orbit-fold-off", "identities.py",
+           "combinations(w, 3) if _alternating(B, d) else product(w, repeat=3)",
+           "product(w, repeat=3)", ("test_sweeps.py",)),
+    Mutant("exact-div-fast-path-off", "numerics.py",
+           "    if isinstance(num, int) and isinstance(den, int) and den != 0:\n",
+           "    if False:\n", ("test_numerics.py", "test_kernels.py", "test_families.py")),
+)
+
+# name -> why the suite cannot kill it
+EXPECTED_SURVIVORS = {
+    "tsi-orbit-fold-off": "speed only: the full fold meets the same first maximiser as the orbit fold",
+    "exact-div-fast-path-off": "speed only: num * reciprocal(den) is the same Fraction as Fraction(num, den)",
+}
+
+
+def pytest_run(src: Path, modules) -> tuple[bool, str]:
+    """``(passed, first failure)`` of ``-x`` runs of ``modules`` against ``src``."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider",
+            *(f"tests/{m}" for m in modules)]
+    proc = subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, text=True)
+    failed = [line for line in proc.stdout.splitlines() if line.startswith(("FAILED", "ERROR"))]
+    return proc.returncode == 0, failed[0] if failed else (proc.stdout.strip().splitlines() or [""])[-1]
+
+
+def mutated_copy(tmp: Path, mutant: Mutant | None) -> Path:
+    """A fresh copy of ``src/`` under ``tmp``, with ``mutant`` applied."""
+    src = tmp / "src"
+    shutil.rmtree(src, ignore_errors=True)
+    shutil.copytree(SRC, src, ignore=shutil.ignore_patterns("__pycache__"))
+    if mutant is not None:
+        path = src / "invrel" / mutant.path
+        text = path.read_text()
+        found = text.count(mutant.old)
+        if found != 1:
+            raise LookupError(f"{mutant.name}: {found} matches in {mutant.path}, expected 1")
+        path.write_text(text.replace(mutant.old, mutant.new))
+    return src
+
+
+def main() -> int:
+    bad = 0
+    with tempfile.TemporaryDirectory(prefix="invrel-mutants-") as tmp:
+        tmp = Path(tmp)
+        owners = sorted({t for m in MUTANTS for t in m.tests})
+        passed, detail = pytest_run(mutated_copy(tmp, None), owners)
+        if not passed:
+            print(f"error: the unmutated copy fails: {detail}", file=sys.stderr)
+            return 1
+        for mutant in MUTANTS:
+            start = time.perf_counter()
+            try:
+                src = mutated_copy(tmp, mutant)
+            except LookupError as exc:
+                print(f"STALE     {exc}")
+                bad += 1
+                continue
+            survived, detail = pytest_run(src, mutant.tests)
+            seconds = time.perf_counter() - start
+            if survived and mutant.name in EXPECTED_SURVIVORS:
+                print(f"survived  {mutant.name} ({seconds:.1f} s), as expected: {EXPECTED_SURVIVORS[mutant.name]}")
+            elif survived:
+                print(f"SURVIVED  {mutant.name} ({seconds:.1f} s): no test in {', '.join(mutant.tests)} fails")
+                bad += 1
+            elif mutant.name in EXPECTED_SURVIVORS:
+                print(f"KILLED    {mutant.name} ({seconds:.1f} s), listed as a survivor: {detail}")
+                bad += 1
+            else:
+                print(f"killed    {mutant.name} ({seconds:.1f} s): {detail}")
+    print(f"{len(MUTANTS)} mutants, {bad} unexpected")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

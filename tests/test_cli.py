@@ -53,6 +53,11 @@ class TestParsing:
         with pytest.raises(ConfigError):
             parse_params("a2")
 
+    def test_params_item_without_equals_is_named(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--family=binomial", "--params=a")
+        assert code == 2 and out == ""
+        assert err == "error: bad params item 'a' (expected key=value)\n"
+
     def test_window(self):
         assert parse_window("0..6") == (0, 6)
         assert parse_window("-2..4") == (-2, 4)
@@ -60,6 +65,13 @@ class TestParsing:
             parse_window("4..0")
         with pytest.raises(ConfigError):
             parse_window("banana")
+
+    @pytest.mark.parametrize("window", ["5", "0..2..4"])
+    def test_window_needs_exactly_two_bounds(self, capsys, window):
+        # one bound is no window, and a third is not dropped
+        code, out, err = run_cli(capsys, "verify", "--family=binomial", f"--window={window}")
+        assert code == 2 and out == ""
+        assert err == f"error: bad window {window!r} (expected lo..hi)\n"
 
     def test_int_range(self):
         assert list(parse_int_range("1..3")) == [1, 2, 3]

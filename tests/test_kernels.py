@@ -240,6 +240,13 @@ class TestWindowValidation:
         with pytest.raises(ZeroDiagonal, match=r"^entry \(0,0\): alpha\(0,0\) = 0 in G\(0,0\)$"):
             pair_from_kernel(kernel, (-1, 1))
 
+    def test_zero_beta_above_the_diagonal_is_named(self):
+        # beta(1,3) divides G(3,1) first, in the gap-2 row of the build
+        base = binomial_kernel()
+        kernel = Kernel(alpha=base.alpha, beta=lambda i, k: 0 if (i, k) == (1, 3) else base.beta(i, k))
+        with pytest.raises(ZeroDivisor, match=r"^entry \(3,1\): beta\(1,3\) = 0 in G\(3,1\)$"):
+            pair_from_kernel(kernel, (0, 4))
+
     def test_pair_from_kernel_validates_eagerly(self):
         cases = [
             # beta(i,i-1) = 0, below the diagonal only

@@ -44,6 +44,8 @@ class TestProdRange:
     def test_reciprocal_branch_zero(self):
         with pytest.raises(ZeroDivisor):
             prod_range(lambda i: i, 3, -1)  # hits f(0) = 0
+        with pytest.raises(ZeroDivisor, match=r"^prod_range\(3,0\): reciprocal branch hit f\(1\) = 0$"):
+            prod_range(lambda i: i - 1, 3, 0)
 
     @given(
         shift=st.fractions(min_value=Fraction(1, 10), max_value=Fraction(9, 10), max_denominator=10),
@@ -168,6 +170,11 @@ class TestTheta:
         v2 = theta(0.45, 0.35, TruncationPolicy(policy.tail_bound / 2, policy.max_terms * 2))
         assert abs(v1 - v2) < policy.tail_bound
 
+    def test_tail_bound_stops_the_product(self):
+        # (0.5;0.5)_inf keeps the factors 1 - 2^-i down to the first |f| < 0.1
+        assert q_pochhammer_infinite(0.5, 0.5, TruncationPolicy(tail_bound=0.1)) == 0.5 * 0.75 * 0.875
+        assert abs(q_pochhammer_infinite(0.5, 0.5) - 0.28879) < 1e-5
+
     def test_domain_errors(self):
         with pytest.raises(DomainError):
             theta(0.5, 1.0)
@@ -246,7 +253,8 @@ class TestSlopeKernel:
     def test_series_requires_q_inside_the_unit_disc(self):
         with pytest.raises(DomainError, match="requires"):
             q_pochhammer_infinite(0.5, 1.0)
-        with pytest.raises(DomainError, match="requires"):
+        # the series' own check, not the one of its first q-Pochhammer
+        with pytest.raises(DomainError, match=r"^slope kernel requires \|q\| < 1$"):
             partial_theta_slope_series(0.3, 0.2, 1.0)
 
     def test_series_refuses_a_vanishing_denominator(self):

@@ -3,15 +3,18 @@
 Each ``max_*`` sweep evaluates its kernel once into tables and, when every
 value is exact, sweeps in integer arithmetic.  The reference here folds the
 public pointwise residual over every tuple in the full order and keeps the
-first largest value.  On ``int`` tables QSI gives the same ``int`` per tuple,
-regrouped; TSI and cond3 with antisymmetric beta, and eds-property with
-``W_0 = 0``, fold one representative per symmetry orbit, the orbit's first
-member in the full order, so they meet the same first maximiser.  Either way
-the two must agree exactly: equal as numbers with the same printed Fraction
-on exact kernels, and ``repr``-identical wherever a float enters the tables.
+first largest value.  On ``int`` tables TSI and cond3 with antisymmetric
+beta, and eds-property with ``W_0 = 0``, fold one representative per symmetry
+orbit, the orbit's first member in the full order, so they meet the same
+first maximiser; QSI there is the exact 0 when TSI is, by the identity that
+writes each QSI residual as a sum of TSI residuals, and every other QSI folds
+all quadruples.  Either way the two must agree exactly: equal as numbers with
+the same printed Fraction on exact kernels, and ``repr``-identical wherever a
+float enters the tables.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import product
 
@@ -41,6 +44,7 @@ from invrel import (
     schlosser_kernel,
     tsi_residual,
 )
+from invrel import identities
 from invrel.errors import VerificationError
 from invrel.identities import _alternating
 from invrel.kernels import window_tables, worst_of
@@ -201,6 +205,85 @@ class TestTiedOrbits:
         assert orbit_fold(self.KERNEL, (0, 3))
         assert max_tsi_residual(self.KERNEL, (0, 3)) == 1
         assert max_anchored_tsi_residual(self.KERNEL, (0, 3)) == -1
+
+
+def table_kernel(A: list, B: list) -> Kernel:
+    """The kernel whose alpha and beta over ``0..len(A)-1`` are the tables."""
+    return Kernel(alpha=lambda i, k: A[i][k], beta=lambda i, k: B[i][k])
+
+
+def qsi_from_tsi(kernel: Kernel, x: int, y: int, p: int, q: int):
+    """The right-hand side of the identity that makes a QSI residual a sum of
+    TSI residuals when beta is antisymmetric, diagonal included."""
+    a, b = kernel.alpha, kernel.beta
+    return a(x, y) * b(x, p) * tsi_residual(kernel, p, y, p, q) + b(q, y) * (
+        a(x, p) * tsi_residual(kernel, p, p, y, x) - a(p, p) * tsi_residual(kernel, x, x, p, y)
+    )
+
+
+class TestQsiFromTsi:
+    """QSI on an ``int`` table with antisymmetric beta is answered from the TSI
+    sweep: the exact 0 when TSI is 0, the full fold otherwise."""
+
+    @staticmethod
+    def int_tables(rng: random.Random, w: int, alternating: bool) -> tuple[list, list]:
+        A = [[rng.randint(-5, 5) for _ in range(w)] for _ in range(w)]
+        B = [[rng.randint(-5, 5) for _ in range(w)] for _ in range(w)]
+        if alternating:
+            B = [[B[i][k] if i < k else -B[k][i] if i > k else 0 for k in range(w)] for i in range(w)]
+        return A, B
+
+    @pytest.mark.parametrize("draw", range(60))
+    def test_identity_holds_with_alternating_beta(self, draw):
+        rng = random.Random(draw)
+        w = 1 + draw % 6
+        kernel = table_kernel(*self.int_tables(rng, w, alternating=True))
+        for t in product(range(w), repeat=4):
+            assert qsi_residual(kernel, *t) == qsi_from_tsi(kernel, *t)
+
+    def test_identity_fails_with_generic_beta(self):
+        # the negative control: without antisymmetry the two sides part
+        kernel = table_kernel(*self.int_tables(random.Random(4), 4, alternating=False))
+        misses = sum(qsi_residual(kernel, *t) != qsi_from_tsi(kernel, *t) for t in product(range(4), repeat=4))
+        assert misses > 200
+
+    @staticmethod
+    def sweep(monkeypatch, kernel: Kernel, window) -> tuple[object, int, int]:
+        """``(QSI, TSI sweeps run, worst_of folds run)`` of one QSI sweep."""
+        calls = Counter()
+        tsi, fold = identities.max_tsi_residual, identities.worst_of
+        monkeypatch.setattr(identities, "max_tsi_residual", lambda *a: calls.update(["tsi"]) or tsi(*a))
+        monkeypatch.setattr(identities, "worst_of", lambda values: calls.update(["fold"]) or fold(values))
+        return identities.max_qsi_residual(kernel, window), calls["tsi"], calls["fold"]
+
+    def test_passing_preset_runs_only_the_tsi_fold(self, monkeypatch):
+        kernel, window = preset("gasper")
+        got, tsi, folds = self.sweep(monkeypatch, kernel, window)
+        assert got == 0 and type(got) is int
+        assert (tsi, folds) == (1, 1)
+
+    def test_failing_tsi_runs_the_qsi_fold(self, monkeypatch):
+        kernel, window = preset("gasper")
+        bad = perturbed(kernel, (window[0] + 3, window[0] + 1))
+        got, tsi, folds = self.sweep(monkeypatch, bad, window)
+        assert_same_exact(got, reference("qsi", bad, window))
+        assert got != 0 and (tsi, folds) == (1, 2)
+
+    @pytest.mark.parametrize("tampering", ["beta-one-sided", "beta-diagonal"])
+    def test_beta_that_is_not_alternating_skips_tsi(self, monkeypatch, tampering):
+        kernel, (lo, _) = preset("gasper")
+        window = (lo, lo + 4)
+        alpha, beta, _ = tamperings(window, 2, 0, Fraction(1, 1000))[tampering]
+        bad = shifted(kernel, alpha, beta)
+        got, tsi, folds = self.sweep(monkeypatch, bad, window)
+        assert_identical(got, reference("qsi", bad, window))
+        assert got != 0 and (tsi, folds) == (0, 1)
+
+    def test_float_tables_skip_tsi(self, monkeypatch):
+        kernel, window = preset("warnaar")
+        got, tsi, folds = self.sweep(monkeypatch, kernel, window)
+        assert repr(got) == repr(reference("qsi", kernel, window))
+        assert (tsi, folds) == (0, 1)
 
 
 def random_draw(rng: random.Random) -> tuple[Kernel, tuple, EdsSequence | None]:
