@@ -135,6 +135,8 @@ def product_ratio_kernel(seqs: FactorSequences, name: str = "product-ratio") -> 
     X, Y, sigma = _product_ratio_sums(seqs)
 
     def alpha(i: int, k: int) -> Scalar:
+        if i == 0:  # Y_0 is the empty product
+            return X(k)
         yi = Y(i)
         if yi == 0:
             raise ZeroDivisor(f"y partial product through {i} vanishes")

@@ -18,7 +18,9 @@ and the pair fold over its tables, which one verdict's checks share.
 :func:`pair_from_kernel` runs :func:`f_entry` and :func:`g_entry`, whose
 guards name any zero divisor, over them into a :class:`TriangularPair` of two
 tables; the scale cancels, as each entry has as many table factors above its
-fraction bar as below.
+fraction bar as below.  ``F(n,n)``, two empty products, is the ``int`` 1 in
+every pair, and so is ``G(n,n)`` where ``alpha(n,n)`` is exact; a float
+``alpha(n,n)`` keeps ``alpha(n,n) * (1/alpha(n,n))``, which need not be 1.
 When every entry is exact, :func:`verify_inversion` composes in ``int`` (row
 ``n`` of the left factor scaled by its least common denominator ``r_n``,
 column ``k`` of the right factor by ``c_k``) and divides only nonzero
@@ -171,6 +173,8 @@ def f_entry(kernel: Kernel, n: int, k: int) -> Scalar:
     """``F(n,k) = prod_{i=k}^{n-1} alpha(i,k) / prod_{i=k+1}^{n} beta(i,k)``."""
     if n < k:
         raise DomainError(f"f_entry requires n >= k, got ({n},{k})")
+    if n == k:
+        return 1
     num: Scalar = 1
     for i in range(k, n):
         num = num * kernel.alpha(i, k)
@@ -191,6 +195,8 @@ def g_entry(kernel: Kernel, n: int, k: int) -> Scalar:
     diag = kernel.alpha(n, n)
     if diag == 0:
         raise ZeroDiagonal(f"alpha({n},{n}) = 0 in G({n},{k})")
+    if n == k and is_exact(diag):
+        return 1
     num = kernel.alpha(k, k)
     for i in range(k + 1, n + 1):
         num = num * kernel.alpha(i, n)

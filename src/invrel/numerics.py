@@ -6,7 +6,14 @@ values are ``float`` or ``complex`` (equality means ``|a - b| <= tol`` for a
 caller-supplied tolerance).  The genuinely infinite objects (theta products,
 the partial theta series and its slope kernel) evaluate only in the numeric
 domain and are truncated by a :class:`TruncationPolicy`; exact inputs are
-refused except where a series terminates.
+refused except where a series terminates.  Each public theta call converts
+and checks its inputs once and shares the product loop of
+:func:`q_pochhammer_infinite` without its checks.
+
+An empty product is the ``int`` 1 in both domains, which meets a float with
+the bits of ``1.0``; so ``F(n,n)`` of :mod:`invrel.kernels` is the ``int`` 1
+in every pair, and no float table or pair carries a ``Fraction`` into float
+arithmetic.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ Scalar = Union[int, Fraction, float, complex]
 
 def is_exact(value: Scalar) -> bool:
     """True for values carrying exact rational arithmetic."""
-    return isinstance(value, (int, Fraction)) and not isinstance(value, bool)
+    return type(value) is not float and isinstance(value, (int, Fraction)) and not isinstance(value, bool)
 
 
 def reciprocal(value: Scalar) -> Scalar:
@@ -146,6 +153,12 @@ def q_pochhammer_infinite(a: Scalar, q: Scalar, policy: TruncationPolicy = DEFAU
     a, q = _to_numeric("(a;q)_inf", a, q)
     if abs(q) >= 1:
         raise DomainError("(a;q)_inf requires |q| < 1")
+    return _q_pochhammer_infinite(a, q, policy)
+
+
+def _q_pochhammer_infinite(a: Scalar, q: Scalar, policy: TruncationPolicy) -> Scalar:
+    """The product loop of :func:`q_pochhammer_infinite`, unchecked: for
+    numeric ``a`` and ``q`` with ``|q| < 1``, which its callers have made sure of."""
     out = 1.0
     f = a
     for _ in range(policy.max_terms):
@@ -166,7 +179,7 @@ def theta(x: Scalar, q: Scalar, policy: TruncationPolicy = DEFAULT_POLICY) -> Sc
         raise DomainError("theta requires x != 0")
     if not 0 < abs(q) < 1:
         raise DomainError("theta requires 0 < |q| < 1")
-    return q_pochhammer_infinite(x, q, policy) * q_pochhammer_infinite(q / x, q, policy)
+    return _q_pochhammer_infinite(x, q, policy) * _q_pochhammer_infinite(q / x, q, policy)
 
 
 def partial_theta(q: Scalar, x: Scalar, policy: TruncationPolicy = DEFAULT_POLICY) -> Scalar:
@@ -214,9 +227,9 @@ def partial_theta_slope_series(
     if abs(q) >= 1:
         raise DomainError("slope kernel requires |q| < 1")
     prefactor = -(
-        q_pochhammer_infinite(q, q, policy)
-        * q_pochhammer_infinite(x * q, q, policy)
-        * q_pochhammer_infinite(y * q, q, policy)
+        _q_pochhammer_infinite(q, q, policy)
+        * _q_pochhammer_infinite(x * q, q, policy)
+        * _q_pochhammer_infinite(y * q, q, policy)
     )
     total = 0.0
     term = 1.0

@@ -100,6 +100,33 @@ MUTANTS = (
            "        if abs(f) < policy.tail_bound:\n            break\n",
            "        if False:\n            break\n",
            ("test_numerics.py",)),
+    # theta's own check, the only one in front of the unchecked product loop
+    Mutant("theta-q-check", "numerics.py",
+           '    if not 0 < abs(q) < 1:\n        raise DomainError("theta requires',
+           '    if False:\n        raise DomainError("theta requires',
+           ("test_numerics.py",)),
+    # each sweep's terms
+    Mutant("antisym-term-difference", "kernels.py",
+           "worst_of(Bi[k] + B[k][i] for", "worst_of(Bi[k] - B[k][i] for", ("test_sweeps.py",)),
+    Mutant("tsi-term-transposed", "identities.py",
+           "An[k] * B[p][q] for An in A", "An[k] * B[q][p] for An in A", ("test_sweeps.py",)),
+    Mutant("cond3-term-transposed", "identities.py",
+           "        Ap[x] * By[p] + Ap[y] * Bp[x] + Ap[p] * Bx[y]\n",
+           "        Ap[x] * By[p] + Ap[y] * Bp[x] + Ap[p] * By[x]\n", ("test_sweeps.py",)),
+    Mutant("qsi-term-sign", "identities.py",
+           "        - Ax[x] * Ap[p] * Bq[y] * Bp[y]\n", "        + Ax[x] * Ap[p] * Bq[y] * Bp[y]\n",
+           ("test_sweeps.py",)),
+    # verdict rules
+    Mutant("unscale-ignores-degree", "kernels.py",
+           "Fraction(worst, d**degree)", "Fraction(worst, d)", ("test_kernels.py", "test_sweeps.py")),
+    Mutant("passes-strict-bound", "numerics.py",
+           "magnitude(worst) <= tol", "magnitude(worst) < tol", ("test_kernels.py",)),
+    Mutant("gf-only-without-zero-check", "kernels.py",
+           "    if exact and tol is None and not any(transposed.values()):\n",
+           "    if exact and tol is None:\n", ("test_kernels.py", "test_entry_table.py")),
+    Mutant("magnitude-overflow-reads-zero", "numerics.py",
+           "    except OverflowError:\n        return math.inf\n",
+           "    except OverflowError:\n        return 0.0\n", ("test_numerics.py",)),
     # fast paths that only save work
     Mutant("tsi-orbit-fold-off", "identities.py",
            "combinations(w, 3) if _alternating(B, d) else product(w, repeat=3)",

@@ -35,12 +35,15 @@ from invrel import (
     kernels,
     verify_inversion,
 )
-from invrel.numerics import reciprocal
+from invrel.numerics import is_exact, reciprocal
 
 
 def loop_f(kernel, n, k):
     """``F(n,k)``: the alpha factors, then the beta factors, each multiplied
-    in from the left, and one quotient."""
+    in from the left, and one quotient; the diagonal, two empty products, is
+    the int 1."""
+    if n == k:
+        return 1
     num = 1
     for i in range(k, n):
         num = num * kernel.alpha(i, k)
@@ -51,7 +54,10 @@ def loop_f(kernel, n, k):
 
 
 def loop_g(kernel, n, k):
-    """``G(n,k)`` in the same way, from ``alpha(k,k)`` and ``alpha(n,n)``."""
+    """``G(n,k)`` in the same way, from ``alpha(k,k)`` and ``alpha(n,n)``;
+    the diagonal is the int 1 where ``alpha(n,n)`` is exact."""
+    if n == k and is_exact(kernel.alpha(n, n)):
+        return 1
     num = kernel.alpha(k, k)
     for i in range(k + 1, n + 1):
         num = num * kernel.alpha(i, n)
@@ -285,6 +291,52 @@ class TestFloatAndMixedTables:
         assert_same_residuals(report.transposed_residuals, reference_compose(g, f, window), same)
         assert any(isinstance(v, float) for v in report.residuals.values())
         assert_orders(compositions, pair, ["G.F", "F.G"])
+
+
+def drawn_float_preset(family: str, seed: int | None) -> tuple[Kernel, tuple[int, int]]:
+    """A float family's preset kernel on its window, or, for a seed, one
+    whose every parameter is the preset's scaled by a random factor in
+    0.9..1.1, drawn again until its pair builds."""
+    spec = FAMILIES[family]
+    rng = random.Random(f"{family}:{seed}")
+    while True:
+        params = spec.params if seed is None else {k: v * rng.uniform(0.9, 1.1) for k, v in spec.params.items()}
+        try:
+            kernel = spec.build(params, spec.window, DEFAULT_POLICY)[0]
+            pair_from_kernel(kernel, spec.window)
+        except VerificationError:
+            continue
+        return kernel, spec.window
+
+
+class TestDiagonals:
+    """``F(n,n)`` is the int 1 in every pair, and so is ``G(n,n)`` where
+    ``alpha(n,n)`` is exact, so a float table or pair holds no Fraction."""
+
+    @pytest.mark.parametrize("seed", [None, *range(4)])
+    @pytest.mark.parametrize("family", ["warnaar", "elliptic-sum", "partial-theta"])
+    def test_float_tables_and_pairs_hold_no_fraction(self, family, seed):
+        kernel, window = drawn_float_preset(family, seed)
+        A, B, d = kernels.window_tables(kernel, window)
+        pair = pair_from_kernel(kernel, window)
+        assert d is None
+        for table in (A, B, pair.F, pair.G):
+            assert not any(isinstance(v, Fraction) for row in table for v in row)
+
+    @pytest.mark.parametrize("family", EXACT)
+    def test_exact_diagonals_are_the_int_one(self, family):
+        kernel, window = EXACT[family]
+        pair = pair_from_kernel(kernel, window)
+        for i in range(len(pair.F)):
+            assert type(pair.F[i][i]) is int and pair.F[i][i] == 1
+            assert type(pair.G[i][i]) is int and pair.G[i][i] == 1
+
+    def test_float_diagonal_of_g_keeps_its_quotient(self):
+        # 49 * (1/49) is 0.9999999999999999 in floats
+        kernel = Kernel(alpha=lambda i, k: 49.0, beta=lambda i, k: float(k - i))
+        pair = pair_from_kernel(kernel, (0, 2))
+        assert [row[-1] for row in pair.F] == [1, 1, 1] and all(type(row[-1]) is int for row in pair.F)
+        assert [row[-1] for row in pair.G] == [49.0 * (1 / 49.0)] * 3 != [1.0] * 3
 
 
 class TestBothCompositions:

@@ -452,6 +452,10 @@ class TestUnscale:
     def test_nonzero_worst_divides_back_to_the_fraction(self):
         assert unscale(-9, 12) == Fraction(-3, 4) and type(unscale(-9, 12)) is Fraction
 
+    def test_degree_counts_the_table_factors(self):
+        # a TSI term has two table factors, a QSI term four
+        assert unscale(-9, 12, 2) == Fraction(-1, 16) and unscale(6, 2, 4) == Fraction(3, 8)
+
     def test_zero_stays_the_exact_int(self):
         assert unscale(0, 12) == 0 and type(unscale(0, 12)) is int
 

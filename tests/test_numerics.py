@@ -176,16 +176,79 @@ class TestTheta:
         assert abs(q_pochhammer_infinite(0.5, 0.5) - 0.28879) < 1e-5
 
     def test_domain_errors(self):
-        with pytest.raises(DomainError):
-            theta(0.5, 1.0)
-        with pytest.raises(DomainError):
+        # theta's own checks: its product loop checks nothing
+        for q in (1.0, -1.0, 1.5, 1j, 0.0):
+            with pytest.raises(DomainError, match=r"^theta requires 0 < \|q\| < 1$"):
+                theta(0.5, q)
+        with pytest.raises(DomainError, match=r"^theta requires x != 0$"):
             theta(0.0, 0.1)
-        with pytest.raises(DomainError):
-            theta(0.5, 0.0)
 
     def test_exact_domain_refused(self):
-        with pytest.raises(DomainError):
+        with pytest.raises(DomainError, match=r"^theta evaluates only in the numeric \(float\) domain$"):
             theta(Fraction(1, 2), Fraction(1, 10))
+
+
+def reference_theta(x, q, policy=DEFAULT_POLICY):
+    """``theta`` composed from the public q-Pochhammer, as it was before
+    theta shared its unchecked product loop."""
+    x, q = (float(v) if is_exact(v) else v for v in (x, q))
+    return q_pochhammer_infinite(x, q, policy) * q_pochhammer_infinite(q / x, q, policy)
+
+
+def reference_slope_series(x, y, q, policy=DEFAULT_POLICY):
+    """``partial_theta_slope_series`` with its prefactor composed from the
+    public q-Pochhammer, its series summed as printed."""
+    x, y, q = (float(v) if is_exact(v) else v for v in (x, y, q))
+    prefactor = -(
+        q_pochhammer_infinite(q, q, policy)
+        * q_pochhammer_infinite(x * q, q, policy)
+        * q_pochhammer_infinite(y * q, q, policy)
+    )
+    total, term = 0.0, 1.0
+    for n in range(policy.max_terms):
+        total = total + term
+        num = (1 - x * y * q ** (2 * n)) * (1 - x * y * q ** (2 * n + 1)) * q
+        den = (1 - q ** (n + 1)) * (1 - x * q ** (n + 1)) * (1 - y * q ** (n + 1)) * (1 - x * y * q**n)
+        term = term * num / den
+        if abs(term) < policy.tail_bound:
+            return prefactor * (total + term)
+    raise AssertionError("reference series did not converge")
+
+
+nomes = st.floats(min_value=-0.9, max_value=0.9).filter(lambda q: q != 0)
+bases = st.one_of(
+    st.floats(min_value=-3, max_value=3).filter(lambda x: abs(x) > 1e-3),
+    st.fractions(min_value=Fraction(1, 10), max_value=3, max_denominator=12),
+    st.complex_numbers(min_magnitude=0.01, max_magnitude=3, allow_nan=False, allow_infinity=False),
+)
+policies = st.sampled_from([DEFAULT_POLICY, TruncationPolicy(1e-8, 16), TruncationPolicy(0.0, 8)])
+
+
+class TestSharedProductLoop:
+    """theta and the slope series run the public q-Pochhammer's product
+    loop without its checks, to the same bits as composing the public one."""
+
+    @given(x=bases, q=nomes, policy=policies)
+    def test_theta_matches_the_public_composition(self, x, q, policy):
+        assert repr(theta(x, q, policy)) == repr(reference_theta(x, q, policy))
+
+    @given(
+        x=st.floats(min_value=-0.6, max_value=0.6),
+        y=st.floats(min_value=-0.6, max_value=0.6),
+        q=st.floats(min_value=-0.5, max_value=0.5).filter(lambda q: q != 0),
+    )
+    def test_slope_series_matches_the_public_composition(self, x, y, q):
+        assert repr(partial_theta_slope_series(x, y, q)) == repr(reference_slope_series(x, y, q))
+
+    @pytest.mark.parametrize("a, q", [(Fraction(1, 2), Fraction(1, 10)), (1, 0), (2, Fraction(1, 3))])
+    def test_public_product_refuses_exact_input(self, a, q):
+        with pytest.raises(DomainError, match=r"^\(a;q\)_inf evaluates only in the numeric \(float\) domain$"):
+            q_pochhammer_infinite(a, q)
+
+    @pytest.mark.parametrize("q", [1.0, -1.0, 1.5, 1j, Fraction(-2)])
+    def test_public_product_refuses_q_outside_the_unit_disc(self, q):
+        with pytest.raises(DomainError, match=r"^\(a;q\)_inf requires \|q\| < 1$"):
+            q_pochhammer_infinite(0.5, q)
 
 
 class TestPartialTheta:
