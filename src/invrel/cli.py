@@ -286,20 +286,25 @@ def cmd_counterexample(k_values) -> dict:
 
 
 def cmd_eds(seeds: tuple[Scalar, Scalar, Scalar], n_max: int, window=None) -> dict:
-    """Table, recurrence round-trip, exhaustive property check, and delta."""
+    """Table, recurrence round-trip, exhaustive property check, and delta, from
+    exact seeds only: a float seed is a domain error, raised before the table."""
     if n_max < 1:
         raise ConfigError("n_max must be at least 1")
     if window is None:
         window = (1, max(1, min(6, n_max // 2)))
     doc = _report(
         subcommand="eds",
-        seeds=[serialize_scalar(Fraction(s)) for s in seeds],
+        seeds=[serialize_scalar(s) for s in seeds],
         n_max=n_max,
         checks=[],
         passed=False,
     )
 
     def steps():
+        if floats := [f"W_{i}" for i, s in enumerate(seeds, 2) if not is_exact(s)]:
+            raise DomainError(
+                f"eds: exact mode needs exact seeds, but {', '.join(floats)} given as float; write each as p/q"
+            )
         seq = eds_generate(*seeds, n_max)
         doc["table"] = [[n, serialize_scalar(seq.w(n))] for n in range(0, seq.n_max + 1)]
         doc["window"] = f"{window[0]}..{window[1]}"

@@ -512,21 +512,20 @@ class EdsSequence:
 
         W_{n+2} W_{n-2} = W_{n+1} W_{n-1} W_2^2 - W_1 W_3 W_n^2
 
-    with ``W_0 = 0``, ``W_1 = 1``, ``W_{-n} = -W_n`` and seeds
-    ``(W_2, W_3, W_4)``."""
+    with ``W_1 = 1`` and ``W_{-n} = -W_n``, built from ``values = W_0..W_N``.
+    ``table`` lays it out once as ``W_0..W_N`` followed by ``-W_N..-W_1``, so
+    that ``table[n]`` is ``W_n`` for every ``|n| <= N = n_max`` by Python's
+    negative indexing; ``W_0`` is stored as given, without the negation."""
 
-    def __init__(self, seeds: tuple[Fraction, Fraction, Fraction], table: dict[int, Fraction]):
-        self.seeds = seeds
-        self._table = dict(table)
-        self.n_max = max(table)
+    def __init__(self, values: list[Fraction]):
+        self.table = [*values, *(-v for v in reversed(values[1:]))]
+        self.n_max = len(values) - 1
 
     def w(self, n: int) -> Fraction:
         """``W_n`` with the odd bilateral extension."""
-        idx = abs(n)
-        if idx > self.n_max:
+        if abs(n) > self.n_max:
             raise IndexOutOfTable(f"W({n}) outside generated table (|n| <= {self.n_max})")
-        value = self._table[idx]
-        return -value if n < 0 else value
+        return self.table[n]
 
     def recurrence_residual(self, n: int) -> Fraction:
         """``W_{n+2} W_{n-2} - W_{n+1} W_{n-1} W_2^2 + W_1 W_3 W_n^2``;
@@ -545,18 +544,12 @@ def eds_generate(w2: Scalar, w3: Scalar, w4: Scalar, n_max: int) -> EdsSequence:
     """
     if n_max < 1:
         raise IndexOutOfTable("n_max must be at least 1")
-    seeds = (Fraction(w2), Fraction(w3), Fraction(w4))
-    table = {0: Fraction(0), 1: Fraction(1)}
-    for i, v in zip((2, 3, 4), seeds):
-        if i <= n_max:
-            table[i] = v
+    w = [Fraction(0), Fraction(1), Fraction(w2), Fraction(w3), Fraction(w4)][: n_max + 1]
     for n in range(3, n_max - 1):
-        if table[n - 2] == 0:
+        if w[n - 2] == 0:
             raise ZeroDivisor(f"W({n + 2}) needs division by W({n - 2}) = 0")
-        table[n + 2] = (
-            table[n + 1] * table[n - 1] * seeds[0] ** 2 - table[3] * table[n] ** 2
-        ) / table[n - 2]
-    return EdsSequence(seeds, table)
+        w.append((w[n + 1] * w[n - 1] * w[2] ** 2 - w[3] * w[n] ** 2) / w[n - 2])
+    return EdsSequence(w)
 
 
 def max_recurrence_residual(W: EdsSequence) -> Scalar:
@@ -585,18 +578,15 @@ def eds_property_residual(W: EdsSequence, k: int, p: int, q: int) -> Fraction:
 
 def max_eds_property_residual(W: EdsSequence) -> Scalar:
     """Largest-magnitude :func:`eds_property_residual` over all triples
-    ``(k, p, q)`` with ``|k|, |p|, |q| <= n_max // 2``, the first met in that
-    order, with its terms.  ``W_{-2h..2h}`` is read once, scaled to integers by
-    the least common denominator ``L``; each term has degree 4, so the worst is
-    divided back by ``L^4``.  The table is laid out as ``W_0..W_{2h}``
-    followed by ``W_{-2h}..W_{-1}``, so that ``w[n]`` is ``W_n`` for every
-    ``|n| <= 2h`` by Python's negative indexing.  When ``W_0 = 0`` the
+    ``(k, p, q)`` with ``|k|, |p|, |q| <= h = n_max // 2``, the first met in
+    that order, with its terms.  :attr:`EdsSequence.table` is read once,
+    scaled to integers by the least common denominator ``L``; each term has
+    degree 4, so the worst is divided back by ``L^4``.  When ``W_0 = 0`` the
     residual is alternating in ``(k, p, q)`` and even in each index, so an
     orbit's first member is ``(-c, -b, -a)`` with ``0 <= a < b < c``, and only
     ``-h <= k < p < q <= 0`` is folded."""
     h = W.n_max // 2
-    order = [*range(2 * h + 1), *range(-2 * h, 0)]
-    (w,), d = integer_rows([[W.w(n) for n in order]])
+    (w,), d = integer_rows([W.table])
     idx = range(-h, h + 1)
     triples = combinations(range(-h, 1), 3) if d is not None and w[0] == 0 else product(idx, repeat=3)
     worst = worst_of(

@@ -127,6 +127,11 @@ MUTANTS = (
     Mutant("magnitude-overflow-reads-zero", "numerics.py",
            "    except OverflowError:\n        return math.inf\n",
            "    except OverflowError:\n        return 0.0\n", ("test_numerics.py",)),
+    # the bilateral eds table: its bound, and W_{-n} = -W_n in its layout
+    Mutant("eds-bound-excludes-n-max", "families.py",
+           "        if abs(n) > self.n_max:\n", "        if abs(n) >= self.n_max:\n", ("test_families.py",)),
+    Mutant("eds-layout-without-negation", "families.py",
+           "*(-v for v in reversed(values[1:]))", "*reversed(values[1:])", ("test_families.py",)),
     # fast paths that only save work
     Mutant("tsi-orbit-fold-off", "identities.py",
            "combinations(w, 3) if _alternating(B, d) else product(w, repeat=3)",

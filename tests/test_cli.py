@@ -615,6 +615,22 @@ class TestEdsCommand:
         doc = json.loads(out)
         assert doc["error"] == "ZeroDivisor: W(6) needs division by W(2) = 0" and not doc["passed"]
 
+    def test_float_seeds_are_refused(self, capsys):
+        # as verify refuses float params in exact mode, named before the table is generated
+        code, out, err = run_cli(capsys, "eds", "--seeds=0.1,-1,0.5", "--n=6")
+        assert code == 1 and err == ""
+        doc = json.loads(out)
+        assert doc["error"] == (
+            "DomainError: eds: exact mode needs exact seeds, but W_2, W_4 given as float; write each as p/q"
+        )
+        assert doc["seeds"] == [0.1, "-1", 0.5]
+        assert "table" not in doc and doc["checks"] == [] and not doc["passed"]
+
+    def test_int_and_fraction_seeds_are_shown_as_parsed(self, capsys):
+        code, out, _ = run_cli(capsys, "eds", "--seeds=1/2,3,-10/14", "--n=10")
+        doc = json.loads(out)
+        assert code == 0 and doc["passed"] and doc["seeds"] == ["1/2", "3", "-5/7"]
+
     def test_generation_failure_reported(self, capsys):
         code, out, _ = run_cli(capsys, "eds", "--seeds", "1,1,1", "--n", "12")
         assert code == 1

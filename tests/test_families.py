@@ -485,10 +485,20 @@ class TestEdsSequence:
         with pytest.raises(ZeroDivisor, match=r"W\(9\).*W\(5\)"):
             eds_generate(1, 1, 1, 12)
 
-    def test_index_out_of_table(self):
-        seq = eds_generate(1, -1, 1, 12)
-        with pytest.raises(IndexOutOfTable):
-            seq.w(13)
+    @pytest.mark.parametrize("n_max", [9, 12])
+    def test_index_out_of_table(self, n_max):
+        seq = eds_generate(1, -1, 1, n_max)
+        assert seq.w(-n_max) == -seq.w(n_max) != 0
+        for n in (n_max + 1, -n_max - 1):
+            with pytest.raises(IndexOutOfTable, match=rf"^W\({n}\) outside generated table \(\|n\| <= {n_max}\)$"):
+                seq.w(n)
+
+    def test_tampered_w0_is_read_as_given(self):
+        # W_0 is stored once, not negated; every other W_{-n} reads -W_n
+        values = [Fraction(1, 3), *(eds_generate(1, -1, 1, 6).w(n) for n in range(1, 7))]
+        seq = EdsSequence(values)
+        assert [seq.w(n) for n in range(7)] == values
+        assert [seq.w(-n) for n in range(1, 7)] == [-v for v in values[1:]]
 
     def test_recurrence_on_a_one_term_table_reaches_past_it(self):
         # n = 0 is always folded, so a table with no full index is an error, not a pass
@@ -516,9 +526,9 @@ class TestNegativeControls:
     def test_recurrence_sees_one_scaled_seed(self):
         seq = eds_generate(Fraction(1, 2), 3, Fraction(-5, 7), 10)
         assert max_recurrence_residual(seq) == 0
-        table = {n: seq.w(n) for n in range(seq.n_max + 1)}
+        table = [seq.w(n) for n in range(seq.n_max + 1)]
         table[3] *= Fraction(1001, 1000)
-        tampered = EdsSequence(seq.seeds, table)
+        tampered = EdsSequence(table)
         worst = max_recurrence_residual(tampered)
         assert worst == Fraction(68195550272547, 19275612160)
         # the first largest-magnitude pointwise residual over |n| <= n_max - 2, with its sign

@@ -550,6 +550,31 @@ class TestNodeSequences:
             report = verify_inversion(pair_from_nodes(seqs, (0, 5)))
             assert report.passed and report.worst == 0
 
+    def test_every_node_pair_is_a_kernel_pair(self):
+        # the node pair of (a, b, s, m) is the kernel pair of
+        # alpha(j,k) = (s_k - s_j + a_j b_j m_j) b_{j+1} m_{j+1} / b_j and beta(i,k) = s_k - s_i,
+        # a kernel that reads b and m one index past the window
+        rng = random.Random(20250109)
+        lo, hi = -2, 4
+        idx = range(lo - 1, hi + 2)
+
+        def nonzero():
+            return Fraction(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 4))
+
+        for _ in range(100):
+            vals = {field: {n: nonzero() for n in idx} for field in "abm"}
+            den = rng.randint(1, 5)
+            vals["s"] = {n: Fraction(v, den) for n, v in zip(idx, rng.sample(range(-30, 30), len(idx)))}
+            a, b, s, m = (lambda n, t=vals[field]: t[n] for field in "absm")
+            kernel = Kernel(
+                alpha=lambda j, k: (s(k) - s(j) + a(j) * b(j) * m(j)) * b(j + 1) * m(j + 1) / b(j),
+                beta=lambda i, k: s(k) - s(i),
+            )
+            nodes = pair_from_nodes(NodeSequences(a, b, s, m), (lo, hi))
+            pair = pair_from_kernel(kernel, (lo, hi))
+            assert (nodes.F, nodes.G) == (pair.F, pair.G)
+            assert max_tsi_residual(kernel, (lo, hi)) == 0
+
     def test_duplicate_nodes_rejected(self):
         seqs = NodeSequences(
             a=lambda n: 1, b=lambda n: 1, s=lambda n: n * n, m=lambda n: 1

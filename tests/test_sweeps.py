@@ -327,10 +327,10 @@ def test_random_draw_matches_reference(draw):
     for check, (sweep, _, _) in SWEEPS.items():
         assert_identical(sweep(bad, window), reference(check, bad, window))
     if seq is not None:
-        table = {n: seq.w(n) for n in range(seq.n_max + 1)}
+        table = [seq.w(n) for n in range(seq.n_max + 1)]
         for n in rng.sample(range(seq.n_max + 1), rng.choice((1, 2))):
             table[n] += by
-        tampered = EdsSequence(seq.seeds, table)
+        tampered = EdsSequence(table)
         assert_identical(max_eds_property_residual(tampered), TestEdsPropertySweep.reference(tampered))
         assert_identical(max_recurrence_residual(tampered), TestEdsPropertySweep.recurrence_reference(tampered))
 
@@ -384,9 +384,9 @@ class TestEdsPropertySweep:
     @pytest.mark.parametrize("n_max", [9, 10])
     def test_perturbed_table_matches_reference(self, n_max):
         seq = eds_generate(Fraction(1, 2), 3, Fraction(-5, 7), n_max)
-        table = {n: seq.w(n) for n in range(seq.n_max + 1)}
+        table = [seq.w(n) for n in range(seq.n_max + 1)]
         table[3] *= Fraction(1001, 1000)
-        bad = EdsSequence(seq.seeds, table)
+        bad = EdsSequence(table)
         want = self.reference(bad)
         assert want != 0
         assert_same_exact(max_eds_property_residual(bad), want)
@@ -399,10 +399,10 @@ class TestEdsPropertySweep:
     def test_tampered_table_matches_reference(self, tamper):
         # a nonzero W_0 breaks the orbit argument, so those take the full fold
         seq = eds_generate(-1, 2, 3, 12)
-        table = {n: seq.w(n) for n in range(seq.n_max + 1)}
+        table = [seq.w(n) for n in range(seq.n_max + 1)]
         for n, by in tamper.items():
             table[n] += by
-        bad = EdsSequence(seq.seeds, table)
+        bad = EdsSequence(table)
         want = self.reference(bad)
         assert want != 0
         assert_identical(max_eds_property_residual(bad), want)
@@ -412,9 +412,9 @@ class TestEdsPropertySweep:
         # W_7 - 1 in the (1, -1, 1) table: the residual is -7 at n = 7 and +7 at
         # n = 8, so the ascending full fold meets n = -8 first and returns +7
         seq = eds_generate(1, -1, 1, 10)
-        table = {n: seq.w(n) for n in range(seq.n_max + 1)}
+        table = [seq.w(n) for n in range(seq.n_max + 1)]
         table[7] -= 1
-        bad = EdsSequence(seq.seeds, table)
+        bad = EdsSequence(table)
         assert [bad.recurrence_residual(n) for n in (7, 8)] == [-7, 7]
         assert_identical(max_recurrence_residual(bad), self.recurrence_reference(bad))
         assert max_recurrence_residual(bad) == 7
