@@ -301,10 +301,6 @@ def cmd_eds(seeds: tuple[Scalar, Scalar, Scalar], n_max: int, window=None) -> di
     )
 
     def steps():
-        if floats := [f"W_{i}" for i, s in enumerate(seeds, 2) if not is_exact(s)]:
-            raise DomainError(
-                f"eds: exact mode needs exact seeds, but {', '.join(floats)} given as float; write each as p/q"
-            )
         seq = eds_generate(*seeds, n_max)
         doc["table"] = [[n, serialize_scalar(seq.w(n))] for n in range(0, seq.n_max + 1)]
         doc["window"] = f"{window[0]}..{window[1]}"

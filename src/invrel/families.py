@@ -16,7 +16,11 @@ write an entry once: a monomial ``(c, ((b, e), ...))`` = ``c b^e ...`` and
 ``(numerator, denominator)`` groups of factors (monomials, q-Pochhammers
 ``(x, q, m)``), one unreduced int pair (a :class:`Ratio`) for exact parameters,
 else ``(mono * prod N_1) * 1/prod D_1 ...`` in the printed order, bit for
-bit.  The checks of these claims live here too: :func:`max_closed_form_residual`
+bit.  The gasper and schlosser kernels run their formulas on Ratio pairs too
+when every parameter is exact and one at least is a Fraction, and reduce each
+alpha and beta value to its Fraction once; a divisibility sequence keeps each
+integral term as an ``int``, so no gcd is taken where none is needed.  The
+checks of these claims live here too: :func:`max_closed_form_residual`
 and, for divisibility sequences, :func:`max_recurrence_residual` and
 :func:`max_eds_property_residual`.  :data:`FAMILIES` registers each family's
 preset, checks and builder.
@@ -33,6 +37,7 @@ from typing import Callable
 
 from .errors import (
     DegenerateParams,
+    DomainError,
     IndexOutOfTable,
     VerificationError,
     ZeroDivisor,
@@ -182,7 +187,15 @@ def _scalar_form(mono: tuple, groups: list) -> Scalar:
 
 class Ratio:
     """An exact value as an unreduced int pair ``numerator/denominator`` (the
-    denominator nonzero, of either sign); ``==`` cross-multiplies, with no gcd."""
+    denominator nonzero, of either sign), with no gcd anywhere: ``==``
+    cross-multiplies, and the arithmetic of the kernel formulas gives a
+    Ratio: ``x + y``, ``x - y``, ``n - x``, ``x * y``, ``n * x``, ``n / x``
+    and ``x ** e``, for Ratios ``x``, a Ratio or int ``y``, an int ``n`` and
+    any int exponent ``e``.  The closed forms build each entry as one Ratio,
+    and gasper and schlosser run their kernel formulas on lifted parameters
+    (:func:`_lift`); :meth:`fraction` reduces once."""
+
+    __slots__ = ("numerator", "denominator")
 
     def __init__(self, numerator: int, denominator: int):
         self.numerator, self.denominator = numerator, denominator
@@ -191,6 +204,54 @@ class Ratio:
         if not (is_exact(other) or isinstance(other, Ratio)):
             return NotImplemented
         return self.numerator * other.denominator == other.numerator * self.denominator
+
+    # an int operand is read as numerator/denominator too, which is n/1
+    def __add__(self, other) -> Ratio:
+        return Ratio(self.numerator * other.denominator + other.numerator * self.denominator,
+                     self.denominator * other.denominator)
+
+    def __sub__(self, other) -> Ratio:
+        return Ratio(self.numerator * other.denominator - other.numerator * self.denominator,
+                     self.denominator * other.denominator)
+
+    def __rsub__(self, other) -> Ratio:
+        return Ratio(other.numerator * self.denominator - self.numerator * other.denominator,
+                     other.denominator * self.denominator)
+
+    def __mul__(self, other) -> Ratio:
+        return Ratio(self.numerator * other.numerator, self.denominator * other.denominator)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent: int) -> Ratio:
+        """A negative ``exponent`` raises the reciprocal, the swapped pair."""
+        n, d = (self.numerator, self.denominator) if exponent >= 0 else (self.denominator, self.numerator)
+        return Ratio(n ** abs(exponent), d ** abs(exponent))
+
+    def __rtruediv__(self, other) -> Ratio:
+        return other * self**-1
+
+    def fraction(self) -> Fraction:
+        return Fraction(self.numerator, self.denominator)
+
+
+def _lift(*params: Scalar) -> tuple[tuple, bool]:
+    """``(params, True)`` with each parameter as a :class:`Ratio` when all are
+    exact and one at least is a Fraction; else ``(params, False)`` unchanged.
+    All-int params keep the plain arithmetic, where ``alpha(i,0)`` can be an
+    ``int``; with a Fraction among them every gasper and schlosser value is
+    already a Fraction, so a lifted value, reduced once, is the same one."""
+    if all(map(is_exact, params)) and not all(isinstance(v, int) for v in params):
+        return tuple(Ratio(v.numerator, v.denominator) for v in params), True
+    return params, False
+
+
+def _kernel(alpha: Callable, beta: Callable, name: str, lifted: bool) -> Kernel:
+    """The kernel of ``alpha`` and ``beta``; on lifted params (:func:`_lift`)
+    each value becomes its Fraction once, before :class:`Kernel`'s memo."""
+    if lifted:
+        return Kernel(lambda i, k: alpha(i, k).fraction(), lambda i, k: beta(i, k).fraction(), name=name)
+    return Kernel(alpha, beta, name=name)
 
 
 def _pair(f: tuple) -> tuple[int, int]:
@@ -278,12 +339,14 @@ def gasper_kernel(
     Each single-index factor (``p^j``, ``q^j``, ``a p^k``, ``b p^{-k}`` and
     ``1 - (b/a) p^{-s}`` with ``s = i + k``) is built once per kernel; alpha
     and beta combine them in the printed order, so values and errors are the
-    formula's own.
+    formula's own.  Exact params with a Fraction among them are lifted to
+    :class:`Ratio` pairs (:func:`_lift`).
     """
     if a == 0:
         raise DegenerateParams("gasper: a must be nonzero")
     if p in (0, 1, -1) or q == 0:
         raise DegenerateParams("gasper: need p not in {0, 1, -1} and q != 0")
+    (a, b, p, q), lifted = _lift(a, b, p, q)
     ba = exact_div(b, a)
     p_pow = lru_cache(maxsize=None)(lambda j: power(p, j))
     q_pow = lru_cache(maxsize=None)(lambda j: power(q, j))
@@ -297,7 +360,7 @@ def gasper_kernel(
     def beta(i: int, k: int) -> Scalar:
         return (p_pow(i) - p_pow(k)) * tail(k + i)
 
-    return _validated(Kernel(alpha, beta, name="gasper"), window)
+    return _validated(_kernel(alpha, beta, "gasper", lifted), window)
 
 
 def gasper_closed_entries(a: Scalar, b: Scalar, p: Scalar, q: Scalar) -> tuple[Callable, Callable]:
@@ -337,12 +400,15 @@ def schlosser_kernel(
 
     Each single-index factor (``q^j``, ``q^j / b``, ``a + q^j`` and
     ``a + b q^j``) is built once per kernel; alpha and beta combine them in
-    the printed order, so values and errors are the formula's own.
+    the printed order, so values and errors are the formula's own.  Exact
+    params with a Fraction among them are lifted to :class:`Ratio` pairs
+    (:func:`_lift`).
     """
     if b == 0:
         raise DegenerateParams("schlosser: b must be nonzero")
     if q in (0, 1, -1):
         raise DegenerateParams("schlosser: need q not in {0, 1, -1}")
+    (a, b, c, q), lifted = _lift(a, b, c, q)
     q_pow = lru_cache(maxsize=None)(lambda j: power(q, j))
     q_by_b = lru_cache(maxsize=None)(lambda j: exact_div(q_pow(j), b))
     a_q = lru_cache(maxsize=None)(lambda j: a + q_pow(j))
@@ -354,7 +420,7 @@ def schlosser_kernel(
     def beta(i: int, k: int) -> Scalar:
         return (q_pow(k) - q_pow(i)) * (c - a_bq(k) * a_bq(i))
 
-    return _validated(Kernel(alpha, beta, name="schlosser"), window)
+    return _validated(_kernel(alpha, beta, "schlosser", lifted), window)
 
 
 def schlosser_closed_entries(a: Scalar, b: Scalar, c: Scalar, q: Scalar) -> tuple[Callable, Callable]:
@@ -515,23 +581,31 @@ class EdsSequence:
     with ``W_1 = 1`` and ``W_{-n} = -W_n``, built from ``values = W_0..W_N``.
     ``table`` lays it out once as ``W_0..W_N`` followed by ``-W_N..-W_1``, so
     that ``table[n]`` is ``W_n`` for every ``|n| <= N = n_max`` by Python's
-    negative indexing; ``W_0`` is stored as given, without the negation."""
+    negative indexing; ``W_0`` is stored as given, without the negation.
+    :func:`eds_generate` gives each integral term as an ``int`` and each other
+    one as a Fraction, so the kernel reads and sweeps of an integral table
+    run in ``int``."""
 
-    def __init__(self, values: list[Fraction]):
+    def __init__(self, values: list[int | Fraction]):
         self.table = [*values, *(-v for v in reversed(values[1:]))]
         self.n_max = len(values) - 1
 
-    def w(self, n: int) -> Fraction:
+    def w(self, n: int) -> int | Fraction:
         """``W_n`` with the odd bilateral extension."""
         if abs(n) > self.n_max:
             raise IndexOutOfTable(f"W({n}) outside generated table (|n| <= {self.n_max})")
         return self.table[n]
 
-    def recurrence_residual(self, n: int) -> Fraction:
+    def recurrence_residual(self, n: int) -> int | Fraction:
         """``W_{n+2} W_{n-2} - W_{n+1} W_{n-1} W_2^2 + W_1 W_3 W_n^2``;
         zero at every tabulated index."""
         w = self.w
         return w(n + 2) * w(n - 2) - w(n + 1) * w(n - 1) * w(2) ** 2 + w(1) * w(3) * w(n) ** 2
+
+
+def _integral(v: int | Fraction) -> int | Fraction:
+    """An exact ``v`` as an ``int`` when it is integral."""
+    return v.numerator if v.denominator == 1 else v
 
 
 def eds_generate(w2: Scalar, w3: Scalar, w4: Scalar, n_max: int) -> EdsSequence:
@@ -540,15 +614,20 @@ def eds_generate(w2: Scalar, w3: Scalar, w4: Scalar, n_max: int) -> EdsSequence:
         W_{n+2} = (W_{n+1} W_{n-1} W_2^2 - W_1 W_3 W_n^2) / W_{n-2}
 
     raising :class:`~invrel.errors.ZeroDivisor` (naming the index) at the
-    first step whose divisor ``W_{n-2}`` vanishes.
+    first step whose divisor ``W_{n-2}`` vanishes.  The seeds must be exact:
+    a float seed is a :class:`~invrel.errors.DomainError` naming each one.
     """
+    if floats := [f"W_{i}" for i, s in enumerate((w2, w3, w4), 2) if not is_exact(s)]:
+        raise DomainError(
+            f"eds: exact mode needs exact seeds, but {', '.join(floats)} given as float; write each as p/q"
+        )
     if n_max < 1:
         raise IndexOutOfTable("n_max must be at least 1")
-    w = [Fraction(0), Fraction(1), Fraction(w2), Fraction(w3), Fraction(w4)][: n_max + 1]
+    w = [0, 1, *map(_integral, (w2, w3, w4))][: n_max + 1]
     for n in range(3, n_max - 1):
         if w[n - 2] == 0:
             raise ZeroDivisor(f"W({n + 2}) needs division by W({n - 2}) = 0")
-        w.append((w[n + 1] * w[n - 1] * w[2] ** 2 - w[3] * w[n] ** 2) / w[n - 2])
+        w.append(_integral(exact_div(w[n + 1] * w[n - 1] * w[2] ** 2 - w[3] * w[n] ** 2, w[n - 2])))
     return EdsSequence(w)
 
 
@@ -565,7 +644,7 @@ def max_recurrence_residual(W: EdsSequence) -> Scalar:
     return worst_of(W.recurrence_residual(n) for n in indices)
 
 
-def eds_property_residual(W: EdsSequence, k: int, p: int, q: int) -> Fraction:
+def eds_property_residual(W: EdsSequence, k: int, p: int, q: int) -> int | Fraction:
     """``W_k^2 W_{p+q} W_{p-q} + W_p^2 W_{q+k} W_{q-k} + W_q^2 W_{k+p} W_{k-p}``;
     identically zero for any divisibility sequence."""
     w = W.w

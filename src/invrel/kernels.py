@@ -58,13 +58,15 @@ Window = tuple[int, int]
 def worst_of(values: Iterable[Scalar]) -> Scalar:
     """The largest-magnitude value (the first on ties), or the exact ``0``
     when there is none, so an all-zero sweep reports ``0`` in every domain.
-    The first NaN met is returned at once: it is no smaller than anything."""
+    The first NaN met is returned at once: it is no smaller than anything.
+    The magnitude of the worst so far is kept, so each value takes one ``abs``."""
     worst: Scalar = 0
+    top: Scalar = 0
     for v in values:
-        if not abs(v) <= abs(worst):
+        if not (size := abs(v)) <= top:
             if v != v:
                 return v
-            worst = v
+            worst, top = v, size
     return worst
 
 

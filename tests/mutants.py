@@ -132,6 +132,22 @@ MUTANTS = (
            "        if abs(n) > self.n_max:\n", "        if abs(n) >= self.n_max:\n", ("test_families.py",)),
     Mutant("eds-layout-without-negation", "families.py",
            "*(-v for v in reversed(values[1:]))", "*reversed(values[1:])", ("test_families.py",)),
+    # the unreduced int pairs that exact gasper and schlosser kernels run on
+    Mutant("ratio-sub-operands-swapped", "families.py",
+           "    def __sub__(self, other) -> Ratio:\n"
+           "        return Ratio(self.numerator * other.denominator - other.numerator * self.denominator,\n",
+           "    def __sub__(self, other) -> Ratio:\n"
+           "        return Ratio(other.numerator * self.denominator - self.numerator * other.denominator,\n",
+           ("test_closed_forms.py", "test_families.py")),
+    Mutant("ratio-reciprocal-without-swap", "families.py",
+           "else (self.denominator, self.numerator)", "else (self.numerator, self.denominator)",
+           ("test_closed_forms.py", "test_families.py")),
+    # all-int params keep their int values, as alpha(i,0) of gasper
+    Mutant("lift-all-int-params", "families.py",
+           " and not all(isinstance(v, int) for v in params):\n", ":\n", ("test_families.py",)),
+    # an eds term is an int only where it is integral
+    Mutant("eds-int-for-non-integral-term", "families.py",
+           "    return v.numerator if v.denominator == 1 else v\n", "    return int(v)\n", ("test_families.py",)),
     # fast paths that only save work
     Mutant("tsi-orbit-fold-off", "identities.py",
            "combinations(w, 3) if _alternating(B, d) else product(w, repeat=3)",

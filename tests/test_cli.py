@@ -626,6 +626,16 @@ class TestEdsCommand:
         assert doc["seeds"] == [0.1, "-1", 0.5]
         assert "table" not in doc and doc["checks"] == [] and not doc["passed"]
 
+    def test_float_seed_is_refused_by_verify_in_tolerance_mode_too(self, capsys):
+        # the divisibility sequence is generated only from exact seeds, whatever the mode
+        code, out, _ = run_cli(capsys, "verify", "--family=eds", "--params=w3=0.5", "--tolerance=1e-9")
+        assert code == 1
+        doc = json.loads(out)
+        assert doc["error"] == (
+            "DomainError: eds: exact mode needs exact seeds, but W_3 given as float; write each as p/q"
+        )
+        assert doc["checks"] == [] and not doc["passed"]
+
     def test_int_and_fraction_seeds_are_shown_as_parsed(self, capsys):
         code, out, _ = run_cli(capsys, "eds", "--seeds=1/2,3,-10/14", "--n=10")
         doc = json.loads(out)

@@ -256,6 +256,20 @@ def test_ratio_equals_exact_values_only():
     assert not Ratio(1, 2) == 0.5
 
 
+def test_ratio_arithmetic_is_fraction_arithmetic():
+    # unreduced pairs of either denominator sign, with the operand orders the kernel formulas use
+    rng = random.Random(2401)
+    for _ in range(300):
+        n, d, m, e = (rng.choice((-1, 1)) * rng.randint(1, 30) for _ in range(4))
+        x, y, other = Ratio(n * m, d * m), Fraction(n, d), Ratio(e * 3, m * 3)
+        z = Fraction(e, m)
+        assert [v.fraction() for v in (x + other, x + e, x - other, x - e, e - x, x * other, x * e, e * x, e / x)] == [
+            y + z, y + e, y - z, y - e, e - y, y * z, y * e, e * y, e / y]
+        for k in range(-4, 5):
+            assert (x**k).fraction() == y**k
+    assert Ratio(6, -4).fraction() == Fraction(-3, 2) and type(Ratio(6, -4).fraction()) is Fraction
+
+
 class TestExactAgainstTheReference:
     @pytest.mark.parametrize("lo", range(-3, 4))
     def test_binomial(self, lo):

@@ -11,6 +11,7 @@ from invrel import (
     DEFAULT_POLICY,
     FAMILIES,
     DegenerateParams,
+    DomainError,
     EdsSequence,
     FactorSequences,
     IndexOutOfTable,
@@ -334,6 +335,32 @@ class TestKernelsMatchPrintedFormulas:
             assert_matches_printed(kernel, build, params)
 
 
+class TestExactLiftEdges:
+    """Exact params with a Fraction among them run the formulas on unreduced
+    int pairs; every value is the printed formula's, type and repr included,
+    and a Fraction.  All-int params keep the plain arithmetic, whose
+    values are ints where no division or negative power meets them."""
+
+    @pytest.mark.parametrize("build, params", [
+        (gasper_kernel, (3, -5, 2, 7)),
+        (schlosser_kernel, (2, 3, 7, 3)),
+        (gasper_kernel, (2, 3, Fraction(1, 5), 7)),
+        (gasper_kernel, (Fraction(2), 3, 5, 7)),
+        (schlosser_kernel, (1, 2, Fraction(7), 3)),
+        (gasper_kernel, (2, 3, Fraction(-1, 5), Fraction(-2, 7))),
+        (schlosser_kernel, (Fraction(1, 2), -2, 7, Fraction(-1, 3))),
+        (gasper_kernel, (Fraction(10**400, 7), Fraction(3), Fraction(1, 5), Fraction(1, 7))),
+        (schlosser_kernel, (Fraction(1, 2), Fraction(10**400, 3), Fraction(7), Fraction(1, 3))),
+    ], ids=["gasper-ints", "schlosser-ints", "gasper-one-fraction", "gasper-integral-fraction",
+            "schlosser-integral-fraction", "gasper-negative-bases", "schlosser-negative-q",
+            "gasper-huge-numerator", "schlosser-huge-numerator"])
+    def test_fixed_params(self, build, params):
+        kernel = build(*params)
+        assert_matches_printed(kernel, build, params)
+        types = {type(read(i, k)) for read in (kernel.alpha, kernel.beta) for i, k in product(FORMULA_WINDOW, repeat=2)}
+        assert types == ({int, Fraction} if all(isinstance(v, int) for v in params) else {Fraction})
+
+
 WARNAAR_Q = 0.1
 WARNAAR_B = affine_sequence(2.0, 0.1)
 WARNAAR_X = affine_sequence(0.3, 0.05)
@@ -504,6 +531,27 @@ class TestEdsSequence:
         # n = 0 is always folded, so a table with no full index is an error, not a pass
         with pytest.raises(IndexOutOfTable, match=r"W\(2\)"):
             max_recurrence_residual(eds_generate(1, -1, 1, 1))
+
+    @pytest.mark.parametrize("seeds", [
+        (1, -1, 1), (2, 1, 6), (-1, 3, -2), (Fraction(4, 2), 3, 1),
+        (Fraction(1, 2), -1, 1), (Fraction(1, 2), 3, Fraction(-5, 7)),
+    ])
+    def test_integral_terms_are_ints(self, seeds):
+        # the reference: the forward recurrence in Fraction arithmetic
+        want = [Fraction(0), Fraction(1), *map(Fraction, seeds)]
+        for n in range(3, 14):
+            want.append((want[n + 1] * want[n - 1] * want[2] ** 2 - want[3] * want[n] ** 2) / want[n - 2])
+        seq = eds_generate(*seeds, 15)
+        assert any(v.denominator == 1 for v in want[2:]) and seq.n_max == len(want) - 1
+        for n in range(-15, 16):
+            v, w = seq.w(n), want[n] if n >= 0 else -want[-n]
+            assert v == w and type(v) is (int if w.denominator == 1 else Fraction), (n, v, w)
+
+    def test_float_seeds_are_refused(self):
+        with pytest.raises(DomainError, match=(
+            r"^eds: exact mode needs exact seeds, but W_2, W_4 given as float; write each as p/q$"
+        )):
+            eds_generate(0.1, -1, 0.5, 6)
 
     def test_empty_table_is_refused(self):
         with pytest.raises(IndexOutOfTable, match="n_max must be at least 1"):
