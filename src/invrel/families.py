@@ -12,27 +12,28 @@ front and reports a refusal as :class:`~invrel.errors.DegenerateParams`
 (eds: as the entry's own error).  Where an independent closed form
 of the entries exists, ``*_closed_entries`` returns ``(F, G)`` callables to
 compare against the generic builders.  The gasper, schlosser and eds forms
-write an entry once: a monomial ``(c, ((b, e), ...))`` = ``c b^e ...`` and
-``(numerator, denominator)`` groups of factors (monomials, q-Pochhammers
-``(x, q, m)``), one unreduced int pair (a :class:`Ratio`) for exact parameters,
-else ``(mono * prod N_1) * 1/prod D_1 ...`` in the printed order, bit for
-bit.  The gasper and schlosser kernels run their formulas on Ratio pairs too
-when every parameter is exact and one at least is a Fraction, and reduce each
-alpha and beta value to its Fraction once; a divisibility sequence keeps each
-integral term as an ``int``, so no gcd is taken where none is needed.  The
-checks of these claims live here too: :func:`max_closed_form_residual`
-and, for divisibility sequences, :func:`max_recurrence_residual` and
-:func:`max_eds_property_residual`.  :data:`FAMILIES` registers each family's
-preset, checks and builder.
+are each the plain formula of their docstring, built at the first entry
+asked for.  Gasper and schlosser, kernel and closed form alike, run it on the
+parameters :func:`_lift` returns: on unreduced int pairs (:class:`Ratio`)
+when every parameter is exact and one at least is a Fraction, else on the
+parameters as given, so that float and mixed closed forms keep their printed
+order of operations, ``mono * (N_1 N_2 ...) * reciprocal(D_1 D_2 ...)``, bit
+for bit.  The kernels reduce each alpha and beta value to its Fraction once.
+A divisibility sequence keeps each integral term as an ``int``, so no gcd is
+taken where none is needed, and its closed forms run on the terms scaled to
+ints.  The checks of these claims live here too:
+:func:`max_closed_form_residual` and, for divisibility sequences,
+:func:`max_recurrence_residual` and :func:`max_eds_property_residual`.
+:data:`FAMILIES` registers each family's preset, checks and builder.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, reduce
+from functools import lru_cache, wraps
 from itertools import combinations, product
-from math import factorial, prod
+from math import factorial, lcm, prod
 from typing import Callable
 
 from .errors import (
@@ -171,29 +172,15 @@ def bilinear_kernel(
     )
 
 
-def _scalar(f: tuple) -> Scalar:
-    if len(f) == 3:
-        return q_pochhammer(_scalar(f[0]), f[1], f[2])
-    c, powers = f
-    return reduce(lambda out, be: out * power(*be), powers, c)
-
-
-def _scalar_form(mono: tuple, groups: list) -> Scalar:
-    out = _scalar(mono)
-    for nums, dens in groups:
-        out = out * prod(map(_scalar, nums)) * reciprocal(prod(map(_scalar, dens)))
-    return out
-
-
 class Ratio:
     """An exact value as an unreduced int pair ``numerator/denominator`` (the
     denominator nonzero, of either sign), with no gcd anywhere: ``==``
     cross-multiplies, and the arithmetic of the kernel formulas gives a
     Ratio: ``x + y``, ``x - y``, ``n - x``, ``x * y``, ``n * x``, ``n / x``
     and ``x ** e``, for Ratios ``x``, a Ratio or int ``y``, an int ``n`` and
-    any int exponent ``e``.  The closed forms build each entry as one Ratio,
-    and gasper and schlosser run their kernel formulas on lifted parameters
-    (:func:`_lift`); :meth:`fraction` reduces once."""
+    any int exponent ``e``.  Gasper and schlosser run their kernel and closed
+    form formulas on lifted parameters (:func:`_lift`), and the eds closed
+    forms build each entry as one Ratio; :meth:`fraction` reduces once."""
 
     __slots__ = ("numerator", "denominator")
 
@@ -254,29 +241,28 @@ def _kernel(alpha: Callable, beta: Callable, name: str, lifted: bool) -> Kernel:
     return Kernel(alpha, beta, name=name)
 
 
-def _pair(f: tuple) -> tuple[int, int]:
-    if len(f) == 3:  # with x = u/v and q = s/t, 1 - x q^e is (v t^e - u s^e) / (v t^e)
-        (u, v), s, t, m = _pair(f[0]), f[1].numerator, f[1].denominator, f[2]
-        num, sp, tp = 1, 1, 1
-        for _ in range(m):
-            num, sp, tp = num * (v * tp - u * sp), sp * s, tp * t
-        return num, v**m * t ** (m * (m - 1) // 2)
-    c, powers = f
-    num, den = c.numerator, c.denominator
-    for base, e in powers:
-        u, v = (base.numerator, base.denominator) if e >= 0 else (base.denominator, base.numerator)
-        num, den = num * u ** abs(e), den * v ** abs(e)
-    return num, den
+def _on_first_entry(constructor: Callable[..., tuple]) -> Callable[..., tuple]:
+    """``constructor`` of an ``(F, G)`` pair with its work (the lift, the caches)
+    put off to the first entry asked for: a verdict without closed-form builds none."""
+
+    def deferred(*args, **kwargs) -> tuple[Callable, Callable]:
+        forms = lru_cache(maxsize=None)(lambda: constructor(*args, **kwargs))
+        return (lambda n, k: forms()[0](n, k)), (lambda n, k: forms()[1](n, k))
+
+    return wraps(constructor)(deferred)
 
 
-def _ratio_form(mono: tuple, groups: list) -> Ratio:
-    num, den = _pair(mono)
-    for nums, dens in groups:
-        for a, b in [*map(_pair, nums), *(_pair(f)[::-1] for f in dens)]:
-            num, den = num * a, den * b
-    if den == 0:
-        raise ZeroDivisor("reciprocal of zero")
-    return Ratio(num, den)
+def _poch(x: Scalar, q: Scalar, m: int) -> Scalar:
+    """``(x;q)_m`` for ``m >= 0``.  On a :class:`Ratio` ``x = u/v`` and
+    ``q = s/t`` it is one int pair, each factor ``1 - x q^e`` read as
+    ``(v t^e - u s^e) / (v t^e)``; otherwise :func:`~invrel.numerics.q_pochhammer`."""
+    if not isinstance(x, Ratio):
+        return q_pochhammer(x, q, m)
+    u, v, s, t = x.numerator, x.denominator, q.numerator, q.denominator
+    num, sp, tp = 1, 1, 1
+    for _ in range(m):
+        num, sp, tp = num * (v * tp - u * sp), sp * s, tp * t
+    return Ratio(num, v**m * t ** (m * (m - 1) // 2))
 
 
 def max_closed_form_residual(pair: TriangularPair, closed) -> Scalar:
@@ -299,11 +285,6 @@ def max_closed_form_residual(pair: TriangularPair, closed) -> Scalar:
                         yield Fraction(cross, c.denominator * e.denominator)
 
     return worst_of(diffs())
-
-
-def _domain(*params: Scalar) -> Callable:
-    """The form evaluator: int pairs if every parameter is exact, else the scalar arithmetic."""
-    return _ratio_form if all(map(is_exact, params)) else _scalar_form
 
 
 # --- exact q-series families --------------------------------------------------
@@ -363,28 +344,35 @@ def gasper_kernel(
     return _validated(_kernel(alpha, beta, "gasper", lifted), window)
 
 
+@_on_first_entry
 def gasper_closed_entries(a: Scalar, b: Scalar, p: Scalar, q: Scalar) -> tuple[Callable, Callable]:
-    """Printed closed forms of the bibasic entries, with ``m = n - k`` and ``(x; 1)_1 = 1 - x``:
+    """Printed closed forms of the bibasic entries, with ``m = n - k``:
 
         F(n,k) = (-1)^m p^{-mk} (a p^k q^k, b p^{-k} q^k; q)_m / (p, (b/a) p^{-n-k}; p)_m
-        G(n,k) = p^{binom(k,2) - binom(n,2)} (a p^k q^k, b p^{-k} q^k; 1)_1 (a p^n q^k, b q^k p^{-n}; q)_m
-                 / ((a p^n q^k, b p^{-n} q^k; 1)_1 (p, (b/a) p^{1-2n}; p)_m)
+        G(n,k) = p^{binom(k,2) - binom(n,2)} (1 - a p^k q^k)(1 - b p^{-k} q^k) (a p^n q^k, b q^k p^{-n}; q)_m
+                 / ((1 - a p^n q^k)(1 - b p^{-n} q^k) (p, (b/a) p^{1-2n}; p)_m)
     """
-    form, ba = _domain(a, b, p, q), exact_div(b, a)
+    (a, b, p, q), _ = _lift(a, b, p, q)
+    ba = exact_div(b, a)
+    p_pow = lru_cache(maxsize=None)(lambda j: power(p, j))
+    q_pow = lru_cache(maxsize=None)(lambda j: power(q, j))
+    ap = lru_cache(maxsize=None)(lambda j: a * p_pow(j))
+    bp = lru_cache(maxsize=None)(lambda j: b * p_pow(-j))
+    p_fact = lru_cache(maxsize=None)(lambda m: _poch(p, p, m))
 
     def f_closed(n: int, k: int) -> Scalar:
         m = n - k
-        return form(((-1) ** m, ((p, -m * k),)), [(
-            [((a, ((p, k), (q, k))), q, m), ((b, ((p, -k), (q, k))), q, m)],
-            [((p, ()), p, m), ((ba, ((p, -n - k),)), p, m)])])
+        num = _poch(ap(k) * q_pow(k), q, m) * _poch(bp(k) * q_pow(k), q, m)
+        den = p_fact(m) * _poch(ba * p_pow(-n - k), p, m)
+        return (-1) ** m * p_pow(-m * k) * num * reciprocal(den)
 
     def g_closed(n: int, k: int) -> Scalar:
         m = n - k
-        return form((1, ((p, (k * (k - 1) - n * (n - 1)) // 2),)), [(
-            [((a, ((p, k), (q, k))), 1, 1), ((b, ((p, -k), (q, k))), 1, 1),
-             ((a, ((p, n), (q, k))), q, m), ((b, ((q, k), (p, -n))), q, m)],
-            [((a, ((p, n), (q, k))), 1, 1), ((b, ((p, -n), (q, k))), 1, 1),
-             ((p, ()), p, m), ((ba, ((p, 1 - 2 * n),)), p, m)])])
+        num = (1 - ap(k) * q_pow(k)) * (1 - bp(k) * q_pow(k)) * _poch(ap(n) * q_pow(k), q, m) * _poch(
+            b * q_pow(k) * p_pow(-n), q, m)
+        den = (1 - ap(n) * q_pow(k)) * (1 - bp(n) * q_pow(k)) * p_fact(m) * _poch(
+            ba * p_pow(1 - 2 * n), p, m)
+        return p_pow((k * (k - 1) - n * (n - 1)) // 2) * num * reciprocal(den)
 
     return f_closed, g_closed
 
@@ -423,6 +411,7 @@ def schlosser_kernel(
     return _validated(_kernel(alpha, beta, "schlosser", lifted), window)
 
 
+@_on_first_entry
 def schlosser_closed_entries(a: Scalar, b: Scalar, c: Scalar, q: Scalar) -> tuple[Callable, Callable]:
     """Printed closed forms of the three-parameter entries, with ``m = n - k``,
     ``B_j = a + b q^j``, ``R_j = c - a B_j`` and ``C_j = c - B_j (a + q^j)``
@@ -432,23 +421,24 @@ def schlosser_closed_entries(a: Scalar, b: Scalar, c: Scalar, q: Scalar) -> tupl
         G(n,k) = (-1)^m q^{binom(m,2)} (C_k / C_n) (q^{1-m} / b, B_n q^{k+1} / R_n; q)_m
                  / (q, B_n b q^k / R_n; q)_m
     """
-    form, inv_b = _domain(a, b, c, q), reciprocal(b)
-    big = lru_cache(maxsize=None)(lambda j: a + b * power(q, j))
+    (a, b, c, q), _ = _lift(a, b, c, q)
+    inv_b = reciprocal(b)
+    q_pow = lru_cache(maxsize=None)(lambda j: power(q, j))
+    big = lru_cache(maxsize=None)(lambda j: a + b * q_pow(j))
     row = lru_cache(maxsize=None)(lambda j: (big(j), reciprocal(c - a * big(j))))
-    lam = lru_cache(maxsize=None)(lambda j: c - big(j) * (a + power(q, j)))
+    lam = lru_cache(maxsize=None)(lambda j: c - big(j) * (a + q_pow(j)))
+    q_fact = lru_cache(maxsize=None)(lambda m: _poch(q, q, m))
 
     def f_closed(n: int, k: int) -> Scalar:
         m, (big_k, inv_rest) = n - k, row(k)
-        return form((1, ()), [(
-            [((inv_b, ()), q, m), ((big_k, ((q, k), (inv_rest, 1))), q, m)],
-            [((q, ()), q, m), ((big_k, ((b, 1), (q, k + 1), (inv_rest, 1))), q, m)])])
+        num = _poch(inv_b, q, m) * _poch(big_k * q_pow(k) * inv_rest, q, m)
+        return num * reciprocal(q_fact(m) * _poch(big_k * b * q_pow(k + 1) * inv_rest, q, m))
 
     def g_closed(n: int, k: int) -> Scalar:
         m, (big_n, inv_rest) = n - k, row(n)
-        return form(((-1) ** m, ((q, m * (m - 1) // 2),)), [
-            ([(lam(k), ())], [(lam(n), ())]),
-            ([((inv_b, ((q, 1 - m),)), q, m), ((big_n, ((q, k + 1), (inv_rest, 1))), q, m)],
-             [((q, ()), q, m), ((big_n, ((b, 1), (q, k), (inv_rest, 1))), q, m)])])
+        num = _poch(inv_b * q_pow(1 - m), q, m) * _poch(big_n * q_pow(k + 1) * inv_rest, q, m)
+        den = q_fact(m) * _poch(big_n * b * q_pow(k) * inv_rest, q, m)
+        return (-1) ** m * q_pow(m * (m - 1) // 2) * lam(k) * reciprocal(lam(n)) * num * reciprocal(den)
 
     return f_closed, g_closed
 
@@ -698,24 +688,33 @@ def eds_kernel(W: EdsSequence, window: Window | None = None) -> Kernel:
     return kern
 
 
+@_on_first_entry
 def eds_closed_entries(W: EdsSequence) -> tuple[Callable, Callable]:
     """Printed closed forms of the divisibility-sequence entries, with ``m = n - k``:
 
         F(n,k) = W_k^{2m} / (prod_{i=2k+1}^{n+k} W_i * prod_{i=1}^{m} W_i)
         G(n,k) = (-1)^m (W_k^2/W_n^2) W_n^{2m} / (prod_{i=n+k}^{2n-1} W_i * prod_{i=1}^{m} W_i)
 
-    Each product has ``m`` factors, so none crosses ``W_0 = 0`` where the pair is defined."""
+    Each product has ``m`` factors, so none crosses ``W_0 = 0`` where the pair
+    is defined.  Both forms are homogeneous of degree 0 in ``W``, so they run
+    on the terms scaled by their least common denominator, each read once, and
+    give each entry as one int pair (a :class:`Ratio`)."""
+    d = lcm(*(v.denominator for v in W.table))
+    w = lru_cache(maxsize=None)(lambda i: (v := W.w(i)).numerator * (d // v.denominator))
 
-    def den(lo: int, hi: int) -> tuple:  # prod_{i=lo}^{hi} W_i prod_{i=1}^{hi-lo+1} W_i
-        return (1, tuple((W.w(i), 1) for i in [*range(lo, hi + 1), *range(1, hi - lo + 2)]))
+    def over(num: int, den: int) -> Ratio:
+        if den == 0:
+            raise ZeroDivisor("reciprocal of zero")
+        return Ratio(num, den)
 
     def f_closed(n: int, k: int) -> Ratio:
-        return _ratio_form((1, ((W.w(k), 2 * (n - k)),)), [((), (den(2 * k + 1, n + k),))])
+        m = n - k
+        return over(w(k) ** (2 * m), prod(map(w, range(2 * k + 1, n + k + 1))) * prod(map(w, range(1, m + 1))))
 
     def g_closed(n: int, k: int) -> Ratio:
-        wn = W.w(n)
-        mono = ((-1) ** (n - k), ((W.w(k), 2), (wn, 2 * (n - k)), (wn, -2)))
-        return _ratio_form(mono, [((), (den(n + k, 2 * n - 1),))])
+        m, wn = n - k, w(n)
+        num = (-1) ** m * w(k) ** 2 * wn ** (2 * m)
+        return over(num, wn**2 * prod(map(w, range(n + k, 2 * n))) * prod(map(w, range(1, m + 1))))
 
     return f_closed, g_closed
 

@@ -148,7 +148,19 @@ MUTANTS = (
     # an eds term is an int only where it is integral
     Mutant("eds-int-for-non-integral-term", "families.py",
            "    return v.numerator if v.denominator == 1 else v\n", "    return int(v)\n", ("test_families.py",)),
+    # the int product loop of (x;q)_m on Ratio pairs, which exact closed forms run
+    Mutant("ratio-pochhammer-factor-negated", "families.py",
+           "num * (v * tp - u * sp)", "num * (u * sp - v * tp)", ("test_closed_forms.py",)),
+    Mutant("ratio-pochhammer-denominator-exponent", "families.py",
+           "t ** (m * (m - 1) // 2)", "t ** (m * (m + 1) // 2)", ("test_closed_forms.py",)),
+    # the eds closed forms on a table that is not all integral
+    Mutant("eds-closed-form-unscaled", "families.py",
+           "(v := W.w(i)).numerator * (d // v.denominator)", "(v := W.w(i)).numerator", ("test_closed_forms.py",)),
     # fast paths that only save work
+    Mutant("gasper-closed-form-unlifted", "families.py",
+           "    (a, b, p, q), _ = _lift(a, b, p, q)\n", "", ("test_closed_forms.py", "test_families.py")),
+    Mutant("schlosser-closed-form-unlifted", "families.py",
+           "    (a, b, c, q), _ = _lift(a, b, c, q)\n", "", ("test_closed_forms.py", "test_families.py")),
     Mutant("tsi-orbit-fold-off", "identities.py",
            "combinations(w, 3) if _alternating(B, d) else product(w, repeat=3)",
            "product(w, repeat=3)", ("test_sweeps.py",)),
@@ -161,6 +173,8 @@ MUTANTS = (
 EXPECTED_SURVIVORS = {
     "tsi-orbit-fold-off": "speed only: the full fold meets the same first maximiser as the orbit fold",
     "exact-div-fast-path-off": "speed only: num * reciprocal(den) is the same Fraction as Fraction(num, den)",
+    "gasper-closed-form-unlifted": "speed only: unlifted exact params give the same values in Fraction arithmetic",
+    "schlosser-closed-form-unlifted": "speed only: unlifted exact params give the same values in Fraction arithmetic",
 }
 
 

@@ -4,7 +4,8 @@ The reference below is the earlier evaluation of the binomial, gasper,
 schlosser and eds closed forms: every value a reduced ``Fraction`` (or the
 float arithmetic of the parameters), and the closed-form check a plain fold
 of ``form(n, k) - entry``.  Exact forms now come as unreduced int pairs
-compared by cross-multiplication; these tests hold them to the reference's
+compared by cross-multiplication (all-int gasper and schlosser parameters
+give Fractions); these tests hold them to the reference's
 worst residual as a string, its error type and message on singular draws,
 and, for float and mixed parameters, its values bit for bit.  The
 elliptic-sum reference builds its factorials with ``elliptic_pochhammer`` and
@@ -42,7 +43,7 @@ from invrel import (
 )
 from invrel.cli import main
 from invrel.errors import located
-from invrel.families import Ratio
+from invrel.families import Ratio, _poch
 from invrel.kernels import TriangularPair, worst_of
 from invrel.numerics import (
     DEFAULT_POLICY,
@@ -270,6 +271,19 @@ def test_ratio_arithmetic_is_fraction_arithmetic():
     assert Ratio(6, -4).fraction() == Fraction(-3, 2) and type(Ratio(6, -4).fraction()) is Fraction
 
 
+def test_ratio_pochhammer_is_fraction_pochhammer():
+    """``(x;q)_m`` on unreduced pairs of either denominator sign.  Every closed
+    form has as many q-Pochhammers of length ``m`` above as below, so a sign
+    slip in each factor cancels there and only this test sees it."""
+    rng = random.Random(2402)
+    for _ in range(200):
+        u, v, s, t = (rng.choice((-1, 1)) * rng.randint(1, 9) for _ in range(4))
+        c = rng.randint(1, 3)
+        for m in range(6):
+            got = _poch(Ratio(u * c, v * c), Ratio(s * c, t * c), m)
+            assert got.fraction() == q_pochhammer(Fraction(u, v), Fraction(s, t), m)
+
+
 class TestExactAgainstTheReference:
     @pytest.mark.parametrize("lo", range(-3, 4))
     def test_binomial(self, lo):
@@ -279,17 +293,21 @@ class TestExactAgainstTheReference:
     @pytest.mark.parametrize("params, window", [
         ({"a": Fraction(2), "b": Fraction(3), "p": Fraction(1, 5), "q": Fraction(1, 7)}, (0, 16)),
         ({"a": Fraction(3), "b": Fraction(-5), "p": Fraction(2, 13), "q": Fraction(1, 3)}, (0, 16)),
-        ({"a": 2, "b": 3, "p": 3, "q": 2}, (0, 8)),
+        ({"a": 2, "b": 3, "p": 3, "q": 2}, (0, 8)),  # singular at G(1,0)
+        ({"a": 2, "b": 7, "p": 3, "q": 2}, (0, 8)),
+        ({"a": Fraction(3), "b": Fraction(-5), "p": Fraction(2, 13), "q": Fraction(1, 3)}, (-4, 12)),
     ])
     def test_gasper_presets(self, params, window):
         kernel = gasper_kernel(**params)
-        assert_same_check(kernel, window, gasper_closed_entries(**params), ref_gasper(**params))
+        assert assert_same_check(kernel, window, gasper_closed_entries(**params), ref_gasper(**params))
 
-    def test_gasper_draws(self):
+    @pytest.mark.parametrize("lo", [0, -3])
+    def test_gasper_draws(self, lo):
+        """Below 0 the forms meet ``p^{-k}``, ``q^{1-m}`` and Pochhammers with ``k < 0``."""
         rng, tested = random.Random(11), 0
         while tested < EXACT_DRAWS:
             params = gasper_draw(rng)
-            window = (0, 16) if tested < 2 else (0, rng.randint(3, 6))
+            window = (lo, 16) if tested < 2 else (lo, rng.randint(3, 6))
             try:
                 kernel = gasper_kernel(**params)
             except VerificationError:
@@ -306,17 +324,20 @@ class TestExactAgainstTheReference:
     @pytest.mark.parametrize("params, window", [
         ({"a": Fraction(1, 2), "b": Fraction(2), "c": Fraction(7), "q": Fraction(1, 3)}, (0, 16)),
         ({"a": Fraction(3, 5), "b": Fraction(3), "c": Fraction(9), "q": Fraction(1, 5)}, (0, 16)),
-        ({"a": 1, "b": 2, "c": 7, "q": 3}, (0, 8)),
+        ({"a": 1, "b": 2, "c": 7, "q": 3}, (0, 8)),  # singular at G(1,0)
+        ({"a": 1, "b": 2, "c": 9, "q": 3}, (0, 8)),
+        ({"a": Fraction(3, 5), "b": Fraction(3), "c": Fraction(9), "q": Fraction(1, 5)}, (-4, 12)),
     ])
     def test_schlosser_presets(self, params, window):
         kernel = schlosser_kernel(**params)
-        assert_same_check(kernel, window, schlosser_closed_entries(**params), ref_schlosser(**params))
+        assert assert_same_check(kernel, window, schlosser_closed_entries(**params), ref_schlosser(**params))
 
-    def test_schlosser_draws(self):
+    @pytest.mark.parametrize("lo", [0, -3])
+    def test_schlosser_draws(self, lo):
         rng, tested = random.Random(12), 0
         while tested < EXACT_DRAWS:
             params = schlosser_draw(rng)
-            window = (0, 16) if tested < 2 else (0, rng.randint(3, 6))
+            window = (lo, 16) if tested < 2 else (lo, rng.randint(3, 6))
             try:
                 kernel = schlosser_kernel(**params)
             except VerificationError:
@@ -335,10 +356,12 @@ class TestExactAgainstTheReference:
 
     @pytest.mark.parametrize("seeds, window", [
         ((1, -1, 1), (1, 12)), ((1, 2, 4), (1, 12)), ((1, 3, 4), (1, 11)), ((-1, 2, -3), (1, 13)),
+        # terms that are not all integral: the forms run on the table scaled to ints
+        ((2, 3, 5), (1, 8)), ((Fraction(1, 2), 3, Fraction(2, 3)), (1, 7)),
     ])
     def test_eds_presets(self, seeds, window):
         seq = eds_generate(*seeds, 2 * window[1])
-        assert_same_check(eds_kernel(seq), window, eds_closed_entries(seq), ref_eds(seq))
+        assert assert_same_check(eds_kernel(seq), window, eds_closed_entries(seq), ref_eds(seq))
 
     def test_eds_draws(self):
         rng, tested = random.Random(13), 0
@@ -353,10 +376,11 @@ class TestExactAgainstTheReference:
                 continue
             tested += assert_same_check(kernel, window, eds_closed_entries(seq), ref_eds(seq))
 
+    @pytest.mark.parametrize("seeds", [(1, 2, 4), (Fraction(3, 2), Fraction(-1, 3), 2)])
     @pytest.mark.parametrize("window", [(-3, -1), (-5, -2), (-6, -1)])
-    def test_eds_below_zero(self, window):
+    def test_eds_below_zero(self, window, seeds):
         """Below 0 the earlier G crosses ``W_0``; the new one equals the entries."""
-        seq = eds_generate(1, 2, 4, 2 * abs(window[0]))
+        seq = eds_generate(*seeds, 2 * abs(window[0]))
         kernel = eds_kernel(seq, window=window)
         pair = pair_from_kernel(kernel, window)
         f_closed, g_closed = eds_closed_entries(seq)
@@ -382,25 +406,27 @@ def mixed(rng, exact, ranges):
 class TestFloatAndMixedKeepTheirBits:
     """With any float parameter the forms are the reference's arithmetic."""
 
-    def _same_bits(self, closed, reference, hi):
-        for k in range(hi + 1):
+    def _same_bits(self, closed, reference, lo, hi):
+        for k in range(lo, hi + 1):
             for n in range(k, hi + 1):
                 for form, ref in zip(closed, reference):
                     assert _outcome(lambda: repr(form(n, k))) == _outcome(lambda: repr(ref(n, k)))
 
-    def test_gasper(self):
+    @pytest.mark.parametrize("lo", [0, -3])
+    def test_gasper(self, lo):
         rng = random.Random(21)
         ranges = {"a": (0.5, 3.0), "b": (-3.0, 5.0), "p": (0.05, 0.6), "q": (0.05, 0.6)}
         for _ in range(50):
             params = mixed(rng, gasper_draw(rng), ranges)
-            self._same_bits(gasper_closed_entries(**params), ref_gasper(**params), 6)
+            self._same_bits(gasper_closed_entries(**params), ref_gasper(**params), lo, 6)
 
-    def test_schlosser(self):
+    @pytest.mark.parametrize("lo", [0, -3])
+    def test_schlosser(self, lo):
         rng = random.Random(22)
         ranges = {"a": (0.2, 2.0), "b": (-3.0, 4.0), "c": (3.0, 11.0), "q": (0.05, 0.6)}
         for _ in range(50):
             params = mixed(rng, schlosser_draw(rng), ranges)
-            self._same_bits(schlosser_closed_entries(**params), ref_schlosser(**params), 6)
+            self._same_bits(schlosser_closed_entries(**params), ref_schlosser(**params), lo, 6)
 
 
 ELLIPTIC_SUM = {"x": 0.3, "y": 0.7, "q": 0.4, "p": 0.1, "t": 1.0}
