@@ -243,7 +243,7 @@ def cmd_verify(
             "qsi": lambda: max_qsi_residual(kernel, window),
             "cond3": lambda: max_anchored_tsi_residual(kernel, window),
             "delta": lambda: verify_inversion(pair(), tolerance).worst_value,
-            "closed-form": lambda: max_closed_form_residual(pair(), closed),
+            "closed-form": lambda: max_closed_form_residual(pair(), closed()),
             "eds-property": lambda: max_eds_property_residual(seq),
         }
         for name in checks:

@@ -12,13 +12,13 @@ front and reports a refusal as :class:`~invrel.errors.DegenerateParams`
 (eds: as the entry's own error).  Where an independent closed form
 of the entries exists, ``*_closed_entries`` returns ``(F, G)`` callables to
 compare against the generic builders.  The gasper, schlosser and eds forms
-are each the plain formula of their docstring, built at the first entry
-asked for.  Gasper and schlosser, kernel and closed form alike, run it on the
-parameters :func:`_lift` returns: on unreduced int pairs (:class:`Ratio`)
-when every parameter is exact and one at least is a Fraction, else on the
-parameters as given, so that float and mixed closed forms keep their printed
-order of operations, ``mono * (N_1 N_2 ...) * reciprocal(D_1 D_2 ...)``, bit
-for bit.  The kernels reduce each alpha and beta value to its Fraction once.
+are each the plain formula of their docstring.  Gasper and schlosser, kernel
+and closed form alike, run it on the parameters :func:`_lift` returns: on
+unreduced int pairs (:class:`Ratio`) when every parameter is exact, else on
+the parameters as given, so that float and mixed closed forms keep their
+printed order of operations, ``mono * (N_1 N_2 ...) * reciprocal(D_1 D_2
+...)``, bit for bit.  The kernels reduce each alpha and beta value to its
+Fraction once.
 A divisibility sequence keeps each integral term as an ``int``, so no gcd is
 taken where none is needed, and its closed forms run on the terms scaled to
 ints.  The checks of these claims live here too:
@@ -31,7 +31,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache, wraps
+from functools import lru_cache, partial
 from itertools import combinations, product
 from math import factorial, lcm, prod
 from typing import Callable
@@ -224,11 +224,9 @@ class Ratio:
 
 def _lift(*params: Scalar) -> tuple[tuple, bool]:
     """``(params, True)`` with each parameter as a :class:`Ratio` when all are
-    exact and one at least is a Fraction; else ``(params, False)`` unchanged.
-    All-int params keep the plain arithmetic, where ``alpha(i,0)`` can be an
-    ``int``; with a Fraction among them every gasper and schlosser value is
-    already a Fraction, so a lifted value, reduced once, is the same one."""
-    if all(map(is_exact, params)) and not all(isinstance(v, int) for v in params):
+    exact; else ``(params, False)`` unchanged.  A lifted gasper or schlosser
+    value, reduced once, is the Fraction that the params as Fractions give."""
+    if all(map(is_exact, params)):
         return tuple(Ratio(v.numerator, v.denominator) for v in params), True
     return params, False
 
@@ -239,17 +237,6 @@ def _kernel(alpha: Callable, beta: Callable, name: str, lifted: bool) -> Kernel:
     if lifted:
         return Kernel(lambda i, k: alpha(i, k).fraction(), lambda i, k: beta(i, k).fraction(), name=name)
     return Kernel(alpha, beta, name=name)
-
-
-def _on_first_entry(constructor: Callable[..., tuple]) -> Callable[..., tuple]:
-    """``constructor`` of an ``(F, G)`` pair with its work (the lift, the caches)
-    put off to the first entry asked for: a verdict without closed-form builds none."""
-
-    def deferred(*args, **kwargs) -> tuple[Callable, Callable]:
-        forms = lru_cache(maxsize=None)(lambda: constructor(*args, **kwargs))
-        return (lambda n, k: forms()[0](n, k)), (lambda n, k: forms()[1](n, k))
-
-    return wraps(constructor)(deferred)
 
 
 def _poch(x: Scalar, q: Scalar, m: int) -> Scalar:
@@ -320,8 +307,8 @@ def gasper_kernel(
     Each single-index factor (``p^j``, ``q^j``, ``a p^k``, ``b p^{-k}`` and
     ``1 - (b/a) p^{-s}`` with ``s = i + k``) is built once per kernel; alpha
     and beta combine them in the printed order, so values and errors are the
-    formula's own.  Exact params with a Fraction among them are lifted to
-    :class:`Ratio` pairs (:func:`_lift`).
+    formula's own.  Exact params are lifted to :class:`Ratio` pairs
+    (:func:`_lift`).
     """
     if a == 0:
         raise DegenerateParams("gasper: a must be nonzero")
@@ -344,7 +331,6 @@ def gasper_kernel(
     return _validated(_kernel(alpha, beta, "gasper", lifted), window)
 
 
-@_on_first_entry
 def gasper_closed_entries(a: Scalar, b: Scalar, p: Scalar, q: Scalar) -> tuple[Callable, Callable]:
     """Printed closed forms of the bibasic entries, with ``m = n - k``:
 
@@ -389,8 +375,7 @@ def schlosser_kernel(
     Each single-index factor (``q^j``, ``q^j / b``, ``a + q^j`` and
     ``a + b q^j``) is built once per kernel; alpha and beta combine them in
     the printed order, so values and errors are the formula's own.  Exact
-    params with a Fraction among them are lifted to :class:`Ratio` pairs
-    (:func:`_lift`).
+    params are lifted to :class:`Ratio` pairs (:func:`_lift`).
     """
     if b == 0:
         raise DegenerateParams("schlosser: b must be nonzero")
@@ -411,7 +396,6 @@ def schlosser_kernel(
     return _validated(_kernel(alpha, beta, "schlosser", lifted), window)
 
 
-@_on_first_entry
 def schlosser_closed_entries(a: Scalar, b: Scalar, c: Scalar, q: Scalar) -> tuple[Callable, Callable]:
     """Printed closed forms of the three-parameter entries, with ``m = n - k``,
     ``B_j = a + b q^j``, ``R_j = c - a B_j`` and ``C_j = c - B_j (a + q^j)``
@@ -688,7 +672,6 @@ def eds_kernel(W: EdsSequence, window: Window | None = None) -> Kernel:
     return kern
 
 
-@_on_first_entry
 def eds_closed_entries(W: EdsSequence) -> tuple[Callable, Callable]:
     """Printed closed forms of the divisibility-sequence entries, with ``m = n - k``:
 
@@ -730,7 +713,8 @@ class Family:
     ``tolerance`` of None marks an exact family.  ``checks`` lists, in report
     order, every check the family offers: its default suite, and the only list
     ``verify`` consults.  ``build(params, window, policy)`` returns ``(kernel,
-    closed, eds_seq)``: the kernel, the printed ``(F, G)`` closed forms and the
+    closed, eds_seq)``: the kernel, a zero-argument builder of the printed
+    ``(F, G)`` closed forms, called by the closed-form check alone, and the
     divisibility sequence, the last two None exactly when ``checks`` lacks
     ``closed-form``, respectively ``eds-property``.  Builders call the
     constructors through their module names, so wrapping a constructor in
@@ -746,12 +730,12 @@ class Family:
 
 def _build_elliptic_sum(p: dict, window: Window, policy: TruncationPolicy) -> tuple:
     args = (p["x"], p["y"], p["q"], p["p"], constant_sequence(p["t"]), policy)
-    return elliptic_sum_kernel(*args), elliptic_sum_closed_entries(*args), None
+    return elliptic_sum_kernel(*args), partial(elliptic_sum_closed_entries, *args), None
 
 
 def _build_eds(p: dict, window: Window, policy: TruncationPolicy) -> tuple:
     seq = eds_generate(p["w2"], p["w3"], p["w4"], n_max=2 * max(abs(window[0]), abs(window[1])))
-    return eds_kernel(seq), eds_closed_entries(seq), seq
+    return eds_kernel(seq), partial(eds_closed_entries, seq), seq
 
 
 # the checks every family offers, then those that also have a printed closed form
@@ -761,15 +745,15 @@ _CLOSED = _COMMON + ("closed-form",)
 FAMILIES: dict[str, Family] = {
     "binomial": Family(
         {}, (0, 8), None, _CLOSED,
-        lambda p, w, policy: (binomial_kernel(), binomial_closed_entries(), None),
+        lambda p, w, policy: (binomial_kernel(), binomial_closed_entries, None),
     ),
     "gasper": Family(
         {"a": Fraction(2), "b": Fraction(3), "p": Fraction(1, 5), "q": Fraction(1, 7)}, (0, 6), None, _CLOSED,
-        lambda p, w, policy: (gasper_kernel(**p), gasper_closed_entries(**p), None),
+        lambda p, w, policy: (gasper_kernel(**p), partial(gasper_closed_entries, **p), None),
     ),
     "schlosser": Family(
         {"a": Fraction(1, 2), "b": Fraction(2), "c": Fraction(7), "q": Fraction(1, 3)}, (0, 6), None, _CLOSED,
-        lambda p, w, policy: (schlosser_kernel(**p), schlosser_closed_entries(**p), None),
+        lambda p, w, policy: (schlosser_kernel(**p), partial(schlosser_closed_entries, **p), None),
     ),
     "warnaar": Family(
         {"q": 0.1, "b0": 2.0, "bstep": 0.1, "x0": 0.3, "xstep": 0.05}, (0, 4), 1e-9, _COMMON,

@@ -142,9 +142,14 @@ MUTANTS = (
     Mutant("ratio-reciprocal-without-swap", "families.py",
            "else (self.denominator, self.numerator)", "else (self.numerator, self.denominator)",
            ("test_closed_forms.py", "test_families.py")),
-    # all-int params keep their int values, as alpha(i,0) of gasper
-    Mutant("lift-all-int-params", "families.py",
-           " and not all(isinstance(v, int) for v in params):\n", ":\n", ("test_families.py",)),
+    # all-int params lifted like every other exact set, so that their closed forms give Ratios
+    Mutant("lift-skips-all-int-params", "families.py",
+           "    if all(map(is_exact, params)):\n",
+           "    if all(map(is_exact, params)) and not all(isinstance(v, int) for v in params):\n",
+           ("test_closed_forms.py", "test_families.py")),
+    # a registry builder that builds its closed form for every verdict
+    Mutant("closed-form-built-eagerly", "families.py",
+           "partial(gasper_closed_entries, **p)", "gasper_closed_entries(**p)", ("test_cli.py",)),
     # an eds term is an int only where it is integral
     Mutant("eds-int-for-non-integral-term", "families.py",
            "    return v.numerator if v.denominator == 1 else v\n", "    return int(v)\n", ("test_families.py",)),
@@ -156,11 +161,12 @@ MUTANTS = (
     # the eds closed forms on a table that is not all integral
     Mutant("eds-closed-form-unscaled", "families.py",
            "(v := W.w(i)).numerator * (d // v.denominator)", "(v := W.w(i)).numerator", ("test_closed_forms.py",)),
-    # fast paths that only save work
+    # exact closed forms on Fractions in place of Ratio pairs
     Mutant("gasper-closed-form-unlifted", "families.py",
            "    (a, b, p, q), _ = _lift(a, b, p, q)\n", "", ("test_closed_forms.py", "test_families.py")),
     Mutant("schlosser-closed-form-unlifted", "families.py",
            "    (a, b, c, q), _ = _lift(a, b, c, q)\n", "", ("test_closed_forms.py", "test_families.py")),
+    # fast paths that only save work
     Mutant("tsi-orbit-fold-off", "identities.py",
            "combinations(w, 3) if _alternating(B, d) else product(w, repeat=3)",
            "product(w, repeat=3)", ("test_sweeps.py",)),
@@ -173,8 +179,6 @@ MUTANTS = (
 EXPECTED_SURVIVORS = {
     "tsi-orbit-fold-off": "speed only: the full fold meets the same first maximiser as the orbit fold",
     "exact-div-fast-path-off": "speed only: num * reciprocal(den) is the same Fraction as Fraction(num, den)",
-    "gasper-closed-form-unlifted": "speed only: unlifted exact params give the same values in Fraction arithmetic",
-    "schlosser-closed-form-unlifted": "speed only: unlifted exact params give the same values in Fraction arithmetic",
 }
 
 

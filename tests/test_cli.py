@@ -4,13 +4,14 @@ import contextlib
 import io
 import json
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invrel import DEFAULT_POLICY, FAMILIES, ConfigError, VerificationError
+from invrel import DEFAULT_POLICY, FAMILIES, ConfigError, VerificationError, families
 from invrel.cli import (
     _build_parser,
     cmd_counterexample,
@@ -534,6 +535,27 @@ class TestRegistry:
         _, closed, seq = preset.build(preset.params, preset.window, DEFAULT_POLICY)
         assert (closed is not None) == ("closed-form" in preset.checks)
         assert (seq is not None) == ("eds-property" in preset.checks)
+        if closed is not None:
+            forms = closed()
+            assert len(forms) == 2 and all(map(callable, forms))
+
+    @pytest.mark.parametrize("family", [f for f in sorted(FAMILIES) if "closed-form" in FAMILIES[f].checks])
+    def test_only_the_closed_form_check_builds_a_closed_form(self, family, monkeypatch):
+        calls = Counter()
+
+        def counting(name, constructor):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return constructor(*args, **kwargs)
+            return wrapper
+
+        for stem in ("binomial", "gasper", "schlosser", "elliptic_sum", "eds"):
+            name = f"{stem}_closed_entries"
+            monkeypatch.setattr(families, name, counting(name, getattr(families, name)))
+        assert cmd_verify(family, checks=("antisym", "tsi"))["passed"]
+        assert calls == {}
+        assert cmd_verify(family, checks=("delta", "closed-form"))["passed"]
+        assert calls == {family.replace("-", "_") + "_closed_entries": 1}
 
     @pytest.mark.parametrize(
         "family,check", [(f, c) for f in sorted(FAMILIES) for c in FAMILIES[f].checks]

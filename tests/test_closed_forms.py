@@ -3,14 +3,14 @@
 The reference below is the earlier evaluation of the binomial, gasper,
 schlosser and eds closed forms: every value a reduced ``Fraction`` (or the
 float arithmetic of the parameters), and the closed-form check a plain fold
-of ``form(n, k) - entry``.  Exact forms now come as unreduced int pairs
-compared by cross-multiplication (all-int gasper and schlosser parameters
-give Fractions); these tests hold them to the reference's
-worst residual as a string, its error type and message on singular draws,
-and, for float and mixed parameters, its values bit for bit.  The
-elliptic-sum reference builds its factorials with ``elliptic_pochhammer`` and
-its own sigma; the closed form now shares the kernel's partial products and
-sigma, and keeps the reference's values bit for bit.
+of ``form(n, k) - entry``.  Exact forms, all-int parameters included, now
+come as unreduced int pairs compared by cross-multiplication; these tests
+hold them to the reference's worst residual as a string, its error type and
+message on singular draws, and, for float and mixed parameters, its values
+bit for bit.  The elliptic-sum reference builds its factorials with
+``elliptic_pochhammer`` and its own sigma; the closed form now shares the
+kernel's partial products and sigma, and keeps the reference's values bit
+for bit.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from invrel import (
     schlosser_kernel,
 )
 from invrel.cli import main
-from invrel.errors import located
+from invrel.errors import ZeroDivisor, located
 from invrel.families import Ratio, _poch
 from invrel.kernels import TriangularPair, worst_of
 from invrel.numerics import (
@@ -282,6 +282,50 @@ def test_ratio_pochhammer_is_fraction_pochhammer():
         for m in range(6):
             got = _poch(Ratio(u * c, v * c), Ratio(s * c, t * c), m)
             assert got.fraction() == q_pochhammer(Fraction(u, v), Fraction(s, t), m)
+
+
+# every constructor, called when the form's test runs, with all-int, Fraction and integral-Fraction params
+EXACT_FORMS = {
+    "binomial": binomial_closed_entries,
+    "gasper-ints": lambda: gasper_closed_entries(2, 7, 3, 2),
+    "gasper-fractions": lambda: gasper_closed_entries(Fraction(2), Fraction(3), Fraction(1, 5), Fraction(1, 7)),
+    "gasper-integral-fractions": lambda: gasper_closed_entries(Fraction(2), Fraction(7), Fraction(3), Fraction(2)),
+    "schlosser-ints": lambda: schlosser_closed_entries(1, 2, 9, 3),
+    "schlosser-fractions": lambda: schlosser_closed_entries(Fraction(1, 2), Fraction(2), Fraction(7), Fraction(1, 3)),
+    "schlosser-integral-fractions": lambda: schlosser_closed_entries(Fraction(1), Fraction(2), Fraction(9), Fraction(3)),
+    "eds-ints": lambda: eds_closed_entries(eds_generate(1, -1, 1, 14)),
+    "eds-fractions": lambda: eds_closed_entries(eds_generate(Fraction(1, 2), 3, Fraction(2, 3), 14)),
+}
+FLOAT_FORMS = {
+    "gasper-floats": lambda: gasper_closed_entries(2.0, 3.0, 0.2, 0.125),
+    "gasper-mixed": lambda: gasper_closed_entries(Fraction(2), 3, Fraction(1, 5), 0.125),
+    "schlosser-floats": lambda: schlosser_closed_entries(0.5, 2.0, 7.0, 0.25),
+    "schlosser-mixed": lambda: schlosser_closed_entries(Fraction(1, 2), 2, 7, 0.25),
+}
+
+
+def entry_types(closed, gap=0) -> set[type]:
+    """The types of the ``(F, G)`` entries on ``1..7`` with ``n - k >= gap``."""
+    return {type(form(n, k)) for form in closed for k in range(1, 8) for n in range(k + gap, 8)}
+
+
+@pytest.mark.parametrize("build", EXACT_FORMS.values(), ids=EXACT_FORMS)
+def test_exact_forms_give_ratios(build):
+    assert entry_types(build()) == {Ratio}
+
+
+def test_constructor_does_its_work_at_the_call():
+    # a = 0 is refused by gasper_kernel first; called directly, the form's own b/a raises here
+    with pytest.raises(ZeroDivisor, match="^reciprocal of zero$"):
+        gasper_closed_entries(0, 3, Fraction(1, 5), Fraction(1, 7))
+
+
+@pytest.mark.parametrize("build", FLOAT_FORMS.values(), ids=FLOAT_FORMS)
+def test_float_and_mixed_forms_give_floats(build):
+    """Off the diagonal; ``F(n,n)``, a quotient of empty products, is an exact 1 as in the reference."""
+    closed = build()
+    assert entry_types(closed, gap=1) == {float}
+    assert all(closed[0](n, n) == 1 and not isinstance(closed[0](n, n), Ratio) for n in range(1, 8))
 
 
 class TestExactAgainstTheReference:

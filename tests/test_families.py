@@ -50,7 +50,7 @@ from invrel import (
     warnaar_kernel,
     weierstrass_addition_residual,
 )
-from invrel.numerics import exact_div, power
+from invrel.numerics import exact_div, is_exact, power
 
 
 def rational_nonzero(rng, span=5):
@@ -281,10 +281,12 @@ def outcome(f, *args):
 def assert_matches_printed(kernel, build, params):
     """Every alpha and beta of ``kernel`` on ``FORMULA_WINDOW`` squared is the
     printed formula's value for ``build(*params)``, type and repr included, or
-    raises its exception with its message."""
+    raises its exception with its message.  All-exact params are read as
+    Fractions, so that every value is a Fraction, an int one included."""
+    printed = tuple(map(Fraction, params)) if all(map(is_exact, params)) else params
     for read, formula in zip((kernel.alpha, kernel.beta), PRINTED[build]):
         for i, k in product(FORMULA_WINDOW, repeat=2):
-            assert outcome(read, i, k) == outcome(formula, *params, i, k), (build.__name__, params, i, k)
+            assert outcome(read, i, k) == outcome(formula, *printed, i, k), (build.__name__, params, i, k)
 
 
 def random_params(rng, build, exact):
@@ -336,10 +338,9 @@ class TestKernelsMatchPrintedFormulas:
 
 
 class TestExactLiftEdges:
-    """Exact params with a Fraction among them run the formulas on unreduced
-    int pairs; every value is the printed formula's, type and repr included,
-    and a Fraction.  All-int params keep the plain arithmetic, whose
-    values are ints where no division or negative power meets them."""
+    """Exact params, all-int ones included, run the formulas on unreduced int
+    pairs; every value is the printed formula's on the params as Fractions,
+    type and repr included, and a Fraction."""
 
     @pytest.mark.parametrize("build, params", [
         (gasper_kernel, (3, -5, 2, 7)),
@@ -358,7 +359,7 @@ class TestExactLiftEdges:
         kernel = build(*params)
         assert_matches_printed(kernel, build, params)
         types = {type(read(i, k)) for read in (kernel.alpha, kernel.beta) for i, k in product(FORMULA_WINDOW, repeat=2)}
-        assert types == ({int, Fraction} if all(isinstance(v, int) for v in params) else {Fraction})
+        assert types == {Fraction}
 
 
 WARNAAR_Q = 0.1
@@ -620,11 +621,3 @@ class TestEdsKernel:
             eds_kernel(seq, window=(1, 4))
         with pytest.raises(ZeroDivisor, match=r"^entry \(3,2\): beta\(3,2\) = 0 in F\(3,2\)$"):
             pair_from_kernel(eds_kernel(seq), (1, 4))
-
-
-@pytest.mark.parametrize("name", sorted(FAMILIES))
-def test_registry_checks_match_what_the_builder_returns(name):
-    family = FAMILIES[name]
-    _, closed, eds_seq = family.build(family.params, family.window, DEFAULT_POLICY)
-    assert (closed is not None) == ("closed-form" in family.checks)
-    assert (eds_seq is not None) == ("eds-property" in family.checks)
