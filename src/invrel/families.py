@@ -18,7 +18,7 @@ unreduced int pairs (:class:`Ratio`) when every parameter is exact, else on
 the parameters as given, so that float and mixed closed forms keep their
 printed order of operations, ``mono * (N_1 N_2 ...) * reciprocal(D_1 D_2
 ...)``, bit for bit.  The kernels reduce each alpha and beta value to its
-Fraction once.
+Fraction once, and hand the window tables the unreduced Ratios.
 A divisibility sequence keeps each integral term as an ``int``, so no gcd is
 taken where none is needed, and its closed forms run on the terms scaled to
 ints.  The checks of these claims live here too:
@@ -55,6 +55,7 @@ from .kernels import (
 )
 from .numerics import (
     DEFAULT_POLICY,
+    Ratio,
     Scalar,
     TruncationPolicy,
     exact_div,
@@ -172,56 +173,6 @@ def bilinear_kernel(
     )
 
 
-class Ratio:
-    """An exact value as an unreduced int pair ``numerator/denominator`` (the
-    denominator nonzero, of either sign), with no gcd anywhere: ``==``
-    cross-multiplies, and the arithmetic of the kernel formulas gives a
-    Ratio: ``x + y``, ``x - y``, ``n - x``, ``x * y``, ``n * x``, ``n / x``
-    and ``x ** e``, for Ratios ``x``, a Ratio or int ``y``, an int ``n`` and
-    any int exponent ``e``.  Gasper and schlosser run their kernel and closed
-    form formulas on lifted parameters (:func:`_lift`), and the eds closed
-    forms build each entry as one Ratio; :meth:`fraction` reduces once."""
-
-    __slots__ = ("numerator", "denominator")
-
-    def __init__(self, numerator: int, denominator: int):
-        self.numerator, self.denominator = numerator, denominator
-
-    def __eq__(self, other) -> bool:
-        if not (is_exact(other) or isinstance(other, Ratio)):
-            return NotImplemented
-        return self.numerator * other.denominator == other.numerator * self.denominator
-
-    # an int operand is read as numerator/denominator too, which is n/1
-    def __add__(self, other) -> Ratio:
-        return Ratio(self.numerator * other.denominator + other.numerator * self.denominator,
-                     self.denominator * other.denominator)
-
-    def __sub__(self, other) -> Ratio:
-        return Ratio(self.numerator * other.denominator - other.numerator * self.denominator,
-                     self.denominator * other.denominator)
-
-    def __rsub__(self, other) -> Ratio:
-        return Ratio(other.numerator * self.denominator - self.numerator * other.denominator,
-                     other.denominator * self.denominator)
-
-    def __mul__(self, other) -> Ratio:
-        return Ratio(self.numerator * other.numerator, self.denominator * other.denominator)
-
-    __rmul__ = __mul__
-
-    def __pow__(self, exponent: int) -> Ratio:
-        """A negative ``exponent`` raises the reciprocal, the swapped pair."""
-        n, d = (self.numerator, self.denominator) if exponent >= 0 else (self.denominator, self.numerator)
-        return Ratio(n ** abs(exponent), d ** abs(exponent))
-
-    def __rtruediv__(self, other) -> Ratio:
-        return other * self**-1
-
-    def fraction(self) -> Fraction:
-        return Fraction(self.numerator, self.denominator)
-
-
 def _lift(*params: Scalar) -> tuple[tuple, bool]:
     """``(params, True)`` with each parameter as a :class:`Ratio` when all are
     exact; else ``(params, False)`` unchanged.  A lifted gasper or schlosser
@@ -233,10 +184,12 @@ def _lift(*params: Scalar) -> tuple[tuple, bool]:
 
 def _kernel(alpha: Callable, beta: Callable, name: str, lifted: bool) -> Kernel:
     """The kernel of ``alpha`` and ``beta``; on lifted params (:func:`_lift`)
-    each value becomes its Fraction once, before :class:`Kernel`'s memo."""
-    if lifted:
-        return Kernel(lambda i, k: alpha(i, k).fraction(), lambda i, k: beta(i, k).fraction(), name=name)
-    return Kernel(alpha, beta, name=name)
+    each value becomes its Fraction once, and ``Kernel.lifted`` its Ratio."""
+    if not lifted:
+        return Kernel(alpha, beta, name=name)
+    kernel = Kernel(lambda i, k: alpha(i, k).fraction(), lambda i, k: beta(i, k).fraction(), name=name)
+    object.__setattr__(kernel, "lifted", (alpha, beta))
+    return kernel
 
 
 def _poch(x: Scalar, q: Scalar, m: int) -> Scalar:

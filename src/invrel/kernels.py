@@ -12,9 +12,10 @@ and :func:`verify_inversion` checks ``sum_i F(n,i) G(i,k) = delta_{n,k}``
 exhaustively over a finite index window, G.F first and F.G unless G.F is an
 exact-mode ``int`` zero (over Q, a square ``G.F = I`` gives ``F.G = I``).
 
-:func:`window_tables` reads ``alpha`` and ``beta`` over ``window^2``, scaled
-to integers by one common denominator when all values are exact; every sweep
-and the pair fold over its tables, which one verdict's checks share.
+:func:`window_tables` reads ``alpha`` and ``beta`` (a lifted kernel's as
+unreduced Ratios) over ``window^2``, scaled to integers by one common
+denominator when all values are exact; every sweep and the pair fold over
+its tables, which one verdict's checks share.
 :func:`pair_from_kernel` runs :func:`f_entry` and :func:`g_entry`, whose
 guards name any zero divisor, over them into a :class:`TriangularPair` of two
 tables; the scale cancels, as each entry has as many table factors above its
@@ -33,11 +34,11 @@ nested as ``n`` grows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache, partial, reduce
 from itertools import chain
-from math import inf, lcm
+from math import gcd, inf, lcm
 from operator import add, mul
 from types import SimpleNamespace
 from typing import Callable, Iterable
@@ -50,7 +51,7 @@ from .errors import (
     ZeroDivisor,
     located,
 )
-from .numerics import Scalar, exact_div, is_exact, magnitude, passes, reciprocal
+from .numerics import Ratio, Scalar, exact_div, is_exact, magnitude, passes, reciprocal
 
 Window = tuple[int, int]
 
@@ -74,19 +75,27 @@ def integer_rows(
     rows: list[list[Scalar]], per_row: bool = False
 ) -> tuple[list[list[Scalar]], int | list[int] | None]:
     """``(int_rows, d)`` with ``rows == int_rows / d`` and ``d`` the least
-    common denominator, when every value is exact; otherwise ``(rows, None)``
-    with the rows unchanged.  A sweep over several tables scales all of them
-    or none, so that exact and float values never meet in one residual.
-    ``per_row=True`` scales each row by its own least common denominator and
-    returns the list of those as ``d``; to scale the columns of a table,
-    pass its columns as the rows."""
-    if not all(is_exact(v) for row in rows for v in row):
+    common denominator, when every value is exact (by one
+    :func:`~invrel.numerics.is_exact` per value type) or a :class:`Ratio`;
+    otherwise ``(rows, None)``, the rows unchanged.  A sweep over several
+    tables scales all of them or none, so that exact and float values never
+    meet in one residual.  Scaled by the lcm ``m`` of the denominators, the
+    rows and ``m`` are divided by ``g = gcd(m, *scaled)``, so ``m/g = d``
+    for unreduced Ratios too.  ``per_row=True`` scales each row of reduced
+    values by its own least common denominator and returns the list of those
+    as ``d``; to scale the columns of a table, pass its columns as the rows."""
+    if float in map(type, chain.from_iterable(rows)):  # the common inexact case, found at its first value
+        return rows, None
+    flat = list(chain.from_iterable(rows))
+    if not all(isinstance(v, Ratio) or is_exact(v) for v in dict(zip(map(type, flat), flat)).values()):
         return rows, None
     if per_row:
         d = [lcm(*(v.denominator for v in row)) for row in rows]
         return [[v.numerator * (dn // v.denominator) for v in row] for row, dn in zip(rows, d)], d
-    d = lcm(*(v.denominator for row in rows for v in row))
-    return [[v.numerator * (d // v.denominator) for v in row] for row in rows], d
+    m = lcm(*(v.denominator for v in flat))
+    scaled = [[v.numerator * (m // v.denominator) for v in row] for row in rows]
+    g = gcd(m, *chain.from_iterable(scaled))
+    return ([[v // g for v in row] for row in scaled], m // g) if g > 1 else (scaled, m)
 
 
 def unscale(worst: Scalar, d: int | None, degree: int = 1) -> Scalar:
@@ -114,12 +123,16 @@ class Kernel:
     :func:`dataclasses.replace`, so they must be pure.  ``beta_antisymmetric``
     records the expectation ``beta(i,k) = -beta(k,i)``; nothing reads it, and
     only the benchmark harness (``bench/workloads.py``) still passes it.
+    ``lifted``, set only by the lifted gasper and schlosser constructors,
+    reads the same values as unreduced :class:`Ratio` pairs for the window
+    tables; as no init field, it never outlives a rebuild.
     """
 
     alpha: Callable[[int, int], Scalar]
     beta: Callable[[int, int], Scalar]
     beta_antisymmetric: bool = True
     name: str = ""
+    lifted: tuple[Callable, Callable] | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "alpha", lru_cache(maxsize=None)(self.alpha))
@@ -293,8 +306,9 @@ def window_tables(kernel: Kernel, window: Window) -> tuple[list, list, int | Non
 @lru_cache(maxsize=1)
 def _tables(kernel: Kernel, lo: int, hi: int) -> tuple[list, list, int | None]:
     idx = range(lo, hi + 1)
-    rows = [[kernel.alpha(i, k) for k in idx] for i in idx]
-    rows += [[kernel.beta(i, k) for k in idx] for i in idx]
+    alpha, beta = kernel.lifted or (kernel.alpha, kernel.beta)
+    rows = [[alpha(i, k) for k in idx] for i in idx]
+    rows += [[beta(i, k) for k in idx] for i in idx]
     scaled, d = integer_rows(rows)
     return scaled[: len(idx)], scaled[len(idx) :], d
 

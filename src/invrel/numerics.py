@@ -78,6 +78,56 @@ def passes(worst: Scalar, tol: float | None) -> bool:
     return worst == 0 if tol is None else magnitude(worst) <= tol
 
 
+class Ratio:
+    """An exact value as an unreduced int pair ``numerator/denominator`` (the
+    denominator nonzero, of either sign), with no gcd anywhere: ``==``
+    cross-multiplies, and the arithmetic of the kernel formulas gives a
+    Ratio: ``x + y``, ``x - y``, ``n - x``, ``x * y``, ``n * x``, ``n / x``
+    and ``x ** e``, for Ratios ``x``, a Ratio or int ``y``, an int ``n`` and
+    any int exponent ``e``.  Gasper and schlosser run their kernel and closed
+    form formulas on lifted parameters (:mod:`~invrel.families`), and the eds
+    closed forms build each entry as one Ratio; :meth:`fraction` reduces once."""
+
+    __slots__ = ("numerator", "denominator")
+
+    def __init__(self, numerator: int, denominator: int):
+        self.numerator, self.denominator = numerator, denominator
+
+    def __eq__(self, other) -> bool:
+        if not (is_exact(other) or isinstance(other, Ratio)):
+            return NotImplemented
+        return self.numerator * other.denominator == other.numerator * self.denominator
+
+    # an int operand is read as numerator/denominator too, which is n/1
+    def __add__(self, other) -> Ratio:
+        return Ratio(self.numerator * other.denominator + other.numerator * self.denominator,
+                     self.denominator * other.denominator)
+
+    def __sub__(self, other) -> Ratio:
+        return Ratio(self.numerator * other.denominator - other.numerator * self.denominator,
+                     self.denominator * other.denominator)
+
+    def __rsub__(self, other) -> Ratio:
+        return Ratio(other.numerator * self.denominator - self.numerator * other.denominator,
+                     other.denominator * self.denominator)
+
+    def __mul__(self, other) -> Ratio:
+        return Ratio(self.numerator * other.numerator, self.denominator * other.denominator)
+
+    __rmul__ = __mul__
+
+    def __pow__(self, exponent: int) -> Ratio:
+        """A negative ``exponent`` raises the reciprocal, the swapped pair."""
+        n, d = (self.numerator, self.denominator) if exponent >= 0 else (self.denominator, self.numerator)
+        return Ratio(n ** abs(exponent), d ** abs(exponent))
+
+    def __rtruediv__(self, other) -> Ratio:
+        return other * self**-1
+
+    def fraction(self) -> Fraction:
+        return Fraction(self.numerator, self.denominator)
+
+
 @dataclass(frozen=True)
 class TruncationPolicy:
     """Cutoff rule for infinite products and series.

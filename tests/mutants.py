@@ -74,6 +74,19 @@ MUTANTS = (
            "        _last = (key, _tables(kernel, *key))\n"
            "    return _last[1]\n",
            ("test_kernels.py", "test_sweeps.py")),
+    # exact window tables scaled from unreduced Ratios: the least denominator, and no stale reader
+    Mutant("table-scale-without-gcd", "kernels.py",
+           "    return ([[v // g for v in row] for row in scaled], m // g) if g > 1 else (scaled, m)\n",
+           "    return scaled, m\n", ("test_kernels.py",)),
+    Mutant("lifted-reader-copied-by-replace", "kernels.py",
+           "field(default=None, init=False, repr=False, compare=False)",
+           "field(default=None, repr=False, compare=False)", ("test_sweeps.py", "test_families.py")),
+    # the kept TSI value: keyed by kernel and window, and cond3 answered only by its zero
+    Mutant("tsi-memo-key-without-window", "identities.py",
+           "    key = (kernel, *check_window(window))\n", "    key = (kernel,)\n", ("test_sweeps.py",)),
+    Mutant("cond3-shortcut-without-tsi-zero", "identities.py",
+           "    if _last_tsi.get((kernel, *check_window(window))) == 0:\n",
+           "    if (kernel, *check_window(window)) in _last_tsi:\n", ("test_sweeps.py",)),
     # a float composition that does not subtract the identity on the diagonal
     Mutant("float-diagonal-minus-zero", "kernels.py",
            "acc - (scale or 1) if n == k", "acc - (scale or 0) if n == k", ("test_kernels.py",)),
@@ -133,13 +146,13 @@ MUTANTS = (
     Mutant("eds-layout-without-negation", "families.py",
            "*(-v for v in reversed(values[1:]))", "*reversed(values[1:])", ("test_families.py",)),
     # the unreduced int pairs that exact gasper and schlosser kernels run on
-    Mutant("ratio-sub-operands-swapped", "families.py",
+    Mutant("ratio-sub-operands-swapped", "numerics.py",
            "    def __sub__(self, other) -> Ratio:\n"
            "        return Ratio(self.numerator * other.denominator - other.numerator * self.denominator,\n",
            "    def __sub__(self, other) -> Ratio:\n"
            "        return Ratio(other.numerator * self.denominator - self.numerator * other.denominator,\n",
            ("test_closed_forms.py", "test_families.py")),
-    Mutant("ratio-reciprocal-without-swap", "families.py",
+    Mutant("ratio-reciprocal-without-swap", "numerics.py",
            "else (self.denominator, self.numerator)", "else (self.numerator, self.denominator)",
            ("test_closed_forms.py", "test_families.py")),
     # all-int params lifted like every other exact set, so that their closed forms give Ratios

@@ -23,6 +23,8 @@ from invrel import (
     ZeroDiagonal,
     ZeroDivisor,
     binomial_kernel,
+    eds_generate,
+    eds_kernel,
     f_entry,
     g_entry,
     gasper_closed_entries,
@@ -35,11 +37,13 @@ from invrel import (
     pair_from_entries,
     pair_from_kernel,
     pair_from_nodes,
+    schlosser_kernel,
     verify_inversion,
 )
 from invrel import kernels
 from invrel.cli import cmd_verify
 from invrel.kernels import check_window, integer_rows, passes, unscale, window_tables, worst_of
+from invrel.numerics import Ratio, is_exact
 
 GASPER_PARAMS = (Fraction(2), Fraction(3), Fraction(1, 5), Fraction(1, 7))
 
@@ -446,6 +450,72 @@ class TestIntegerRows:
         assert d == [2, 6, 1, 1] and int_rows == [[1], [2, -5], [4, 0, 1], []]
         assert all(type(v) is int for row in int_rows for v in row)
         assert [[Fraction(v, d[i]) for v in row] for i, row in enumerate(int_rows)] == rows
+
+
+class ExactInt(int):
+    pass
+
+
+class ExactFraction(Fraction):
+    pass
+
+
+class TestIntegerRowsByType:
+    """Exactness is decided once per value type, exactly as ``is_exact`` says,
+    with :class:`Ratio` exact too."""
+
+    @pytest.mark.parametrize("value", [True, False, ExactInt(3), ExactFraction(2, 3), 0.5, 1j, 7, Fraction(-1, 4)])
+    def test_each_type_as_is_exact_says(self, value):
+        for per_row in (False, True):
+            rows = [[Fraction(1, 6), value], [Ratio(2, -4)]]
+            got, d = integer_rows(rows, per_row=per_row)
+            assert (d is not None) == is_exact(value)
+            if d is None:
+                assert got is rows
+
+    def test_subclass_values_scale_to_plain_ints(self):
+        rows, d = integer_rows([[ExactInt(3), ExactFraction(2, 3)], [Ratio(-6, 4)]])
+        assert (rows, d) == ([[18, 4], [-9]], 6) and all(type(v) is int for row in rows for v in row)
+
+    def test_unreduced_ratios_scale_to_the_least_denominator(self):
+        # denominators 8, -20 and 12 have lcm 120; the reduced ones, 1, 5 and 3, have lcm 15
+        rows = [[Ratio(8, 8), Ratio(-4, -20)], [Ratio(4, 12), Ratio(0, 7)]]
+        assert integer_rows(rows) == ([[15, 3], [5, 0]], 15)
+        assert integer_rows([[Ratio(0, 9), Ratio(0, -4)]]) == ([[0, 0]], 1)
+
+
+def fraction_tables(kernel: Kernel, lo: int, hi: int) -> tuple:
+    """The window tables built from each value as its own Fraction, as
+    :func:`integer_rows` scales them."""
+    idx = range(lo, hi + 1)
+    rows = [[Fraction(f(i, k)) for k in idx] for f in (kernel.alpha, kernel.beta) for i in idx]
+    scaled, d = integer_rows(rows)
+    return scaled[: len(idx)], scaled[len(idx) :], d
+
+
+EXACT_TABLES = {
+    "binomial": (binomial_kernel, ()),
+    "gasper-preset": (gasper_kernel, GASPER_PARAMS),
+    "gasper-perturbed": (gasper_kernel, (3, -5, Fraction(2, 13), Fraction(1, 3))),
+    "gasper-ints": (gasper_kernel, (2, 3, 2, 3)),
+    "gasper-integral-fractions": (gasper_kernel, (Fraction(4), Fraction(-1), Fraction(-2), Fraction(5))),
+    "schlosser-preset": (schlosser_kernel, (Fraction(1, 2), Fraction(2), Fraction(7), Fraction(1, 3))),
+    "schlosser-perturbed": (schlosser_kernel, (Fraction(3, 5), 3, 9, Fraction(1, 5))),
+    "schlosser-ints": (schlosser_kernel, (2, 3, 5, 2)),
+    "eds-preset": (lambda: eds_kernel(eds_generate(1, -1, 1, 16)), ()),
+    "eds-perturbed": (lambda: eds_kernel(eds_generate(2, -3, Fraction(1, 2), 16)), ()),
+}
+
+
+@pytest.mark.parametrize("window", [(0, 6), (1, 5), (-4, -1), (-3, 2)], ids=str)
+@pytest.mark.parametrize("family", EXACT_TABLES)
+def test_window_tables_are_the_fraction_tables(family, window):
+    make, params = EXACT_TABLES[family]
+    kernel = make(*params)
+    A, B, d = window_tables(kernel, window)
+    assert (A, B, d) == fraction_tables(kernel, *window)
+    assert type(d) is int and all(type(v) is int for row in A + B for v in row)
+    assert (kernel.lifted is not None) == family.startswith(("gasper", "schlosser"))
 
 
 class TestUnscale:

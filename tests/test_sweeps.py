@@ -13,7 +13,10 @@ the same printed Fraction on exact kernels, and ``repr``-identical wherever a
 float enters the tables.
 """
 
+import dataclasses
 import random
+import sys
+import threading
 from collections import Counter
 from fractions import Fraction
 from itertools import product
@@ -44,7 +47,7 @@ from invrel import (
     schlosser_kernel,
     tsi_residual,
 )
-from invrel import identities
+from invrel import identities, kernels
 from invrel.errors import VerificationError
 from invrel.identities import _alternating
 from invrel.kernels import window_tables, worst_of
@@ -248,19 +251,30 @@ class TestQsiFromTsi:
         assert misses > 200
 
     @staticmethod
-    def sweep(monkeypatch, kernel: Kernel, window) -> tuple[object, int, int]:
-        """``(QSI, TSI sweeps run, worst_of folds run)`` of one QSI sweep."""
+    def sweep(monkeypatch, kernel: Kernel, window, check: str = "qsi") -> tuple[object, int, int]:
+        """``(value, TSI sweeps called, worst_of folds run)`` of one sweep."""
         calls = Counter()
         tsi, fold = identities.max_tsi_residual, identities.worst_of
         monkeypatch.setattr(identities, "max_tsi_residual", lambda *a: calls.update(["tsi"]) or tsi(*a))
         monkeypatch.setattr(identities, "worst_of", lambda values: calls.update(["fold"]) or fold(values))
-        return identities.max_qsi_residual(kernel, window), calls["tsi"], calls["fold"]
+        return getattr(identities, SWEEPS[check][0].__name__)(kernel, window), calls["tsi"], calls["fold"]
 
     def test_passing_preset_runs_only_the_tsi_fold(self, monkeypatch):
+        # QSI alone runs the TSI fold once; then the kept TSI value answers QSI again, and cond3
         kernel, window = preset("gasper")
         got, tsi, folds = self.sweep(monkeypatch, kernel, window)
         assert got == 0 and type(got) is int
         assert (tsi, folds) == (1, 1)
+        for check in ("qsi", "cond3"):
+            got, _, folds = self.sweep(monkeypatch, kernel, window, check)
+            assert got == 0 and type(got) is int and folds == 0
+
+    def test_qsi_after_tsi_runs_no_fold(self, monkeypatch):
+        kernel, window = preset("gasper")
+        assert max_tsi_residual(kernel, window) == 0
+        got, tsi, folds = self.sweep(monkeypatch, kernel, window)
+        assert got == 0 and type(got) is int
+        assert (tsi, folds) == (1, 0)
 
     def test_failing_tsi_runs_the_qsi_fold(self, monkeypatch):
         kernel, window = preset("gasper")
@@ -268,6 +282,11 @@ class TestQsiFromTsi:
         got, tsi, folds = self.sweep(monkeypatch, bad, window)
         assert_same_exact(got, reference("qsi", bad, window))
         assert got != 0 and (tsi, folds) == (1, 2)
+        # the kept nonzero TSI answers TSI again but not cond3, which folds its own tuples
+        for check, want_folds in (("tsi", 0), ("cond3", 1)):
+            got, _, folds = self.sweep(monkeypatch, bad, window, check)
+            assert_same_exact(got, reference(check, bad, window))
+            assert got != 0 and folds == want_folds
 
     @pytest.mark.parametrize("tampering", ["beta-one-sided", "beta-diagonal"])
     def test_beta_that_is_not_alternating_skips_tsi(self, monkeypatch, tampering):
@@ -284,6 +303,69 @@ class TestQsiFromTsi:
         got, tsi, folds = self.sweep(monkeypatch, kernel, window)
         assert repr(got) == repr(reference("qsi", kernel, window))
         assert (tsi, folds) == (0, 1)
+
+
+class TestKeptTsi:
+    """The TSI sweep keeps the worst value of the last ``(kernel, window)``,
+    keyed like the window tables, so no other kernel or window reads it."""
+
+    @pytest.mark.parametrize("what", ["alpha", "beta"])
+    def test_replaced_lifted_kernel_reads_its_own_values(self, what):
+        kernel, window = preset("gasper")
+        lo, hi = window
+        assert kernel.lifted is not None
+        assert max_tsi_residual(kernel, window) == 0 and max_anchored_tsi_residual(kernel, window) == 0
+        old = getattr(kernel, what)
+        moved = {(lo + 3, lo + 1), (lo + 1, lo + 3)} if what == "beta" else {(lo + 3, lo + 1)}
+        rebuilt = dataclasses.replace(
+            kernel, **{what: lambda i, k: old(i, k) * Fraction(1001, 1000) if (i, k) in moved else old(i, k)}
+        )
+        assert rebuilt.lifted is None
+        assert window_tables(rebuilt, window) == kernels._tables.__wrapped__(rebuilt, lo, hi)
+        assert window_tables(rebuilt, window)[:2] != kernels._tables.__wrapped__(kernel, lo, hi)[:2]
+        for check in ("cond3", "tsi", "qsi", "cond3"):
+            got = SWEEPS[check][0](rebuilt, window)
+            assert got != 0
+            assert_same_exact(got, reference(check, rebuilt, window))
+
+    def test_interleaved_kernels_and_windows_keep_their_own_memo(self):
+        gasper = gasper_kernel(Fraction(2), Fraction(3), Fraction(1, 5), Fraction(1, 7))
+        # the same name and alpha, one antisymmetric beta pair moved: TSI is 0 on (0, 2) only
+        moved = lambda i, k: gasper.beta(i, k) + {(3, 1): 1, (1, 3): -1}.get((i, k), 0)
+        tampered = Kernel(gasper.alpha, moved, name=gasper.name)
+        reads = [(gasper, (0, 4)), (tampered, (0, 4)), (gasper, (0, 4)), (gasper, (1, 5)), (gasper, (0, 4)),
+                 (tampered, (0, 2)), (tampered, (0, 4)), (tampered, (0, 2))]
+        for kernel, window in reads:
+            for check in ("tsi", "cond3", "qsi"):
+                assert_same_exact(SWEEPS[check][0](kernel, window), reference(check, kernel, window))
+        assert max_tsi_residual(tampered, (0, 2)) == 0 != max_tsi_residual(tampered, (0, 4))
+
+    def test_threads_sharing_the_kept_value_read_their_own(self):
+        kernel, window = preset("gasper")
+        kernels_ = (kernel, perturbed(kernel, (window[0] + 3, window[0] + 1)))
+        checks = ("tsi", "qsi", "cond3")
+        want = [{c: SWEEPS[c][0](k, window) for c in checks} for k in kernels_]
+        assert want[0]["cond3"] == 0 != want[1]["cond3"]
+        wrong = []
+
+        def work(seed: int):
+            rng = random.Random(seed)
+            for _ in range(40):
+                i, check = rng.randrange(2), rng.choice(checks)
+                if (got := SWEEPS[check][0](kernels_[i], window)) != want[i][check]:
+                    wrong.append((i, check, got))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads) and wrong == []
 
 
 def random_draw(rng: random.Random) -> tuple[Kernel, tuple, EdsSequence | None]:
