@@ -263,26 +263,32 @@ def cmd_verify(
 
 
 def cmd_counterexample(k_values) -> dict:
-    """Exact gap discrepancies of the two beta routes for each k."""
+    """Exact gap discrepancies of the two beta routes for each k; a domain failure ends the rows as ``error``."""
     if any(k < 1 for k in k_values):
         raise ConfigError("k must be at least 1")
     rows = []
-    for k in k_values:
-        got = counterexample_discrepancies(k)
-        want = counterexample_reference(k)
-        rows.append(
-            {
-                "k": k,
-                "gap2": serialize_scalar(got[0]),
-                "gap3": serialize_scalar(got[1]),
-                "gap4": serialize_scalar(got[2]),
-                "expected_gap2": serialize_scalar(want[0]),
-                "expected_gap3": serialize_scalar(want[1]),
-                "expected_gap4": serialize_scalar(want[2]),
-                "match": got == want,
-            }
-        )
-    return _report(subcommand="counterexample", rows=rows, passed=all(r["match"] for r in rows))
+    doc = _report(subcommand="counterexample", rows=rows, passed=False)
+    try:
+        for k in k_values:
+            got = counterexample_discrepancies(k)
+            want = counterexample_reference(k)
+            rows.append(
+                {
+                    "k": k,
+                    "gap2": serialize_scalar(got[0]),
+                    "gap3": serialize_scalar(got[1]),
+                    "gap4": serialize_scalar(got[2]),
+                    "expected_gap2": serialize_scalar(want[0]),
+                    "expected_gap3": serialize_scalar(want[1]),
+                    "expected_gap4": serialize_scalar(want[2]),
+                    "match": got == want,
+                }
+            )
+    except VerificationError as exc:
+        doc["error"] = f"{type(exc).__name__}: {exc}"
+    else:
+        doc["passed"] = all(r["match"] for r in rows)
+    return doc
 
 
 def cmd_eds(seeds: tuple[Scalar, Scalar, Scalar], n_max: int, window=None) -> dict:

@@ -7,12 +7,12 @@ Given ``alpha`` and the seed ``t(k) = beta(k, k+1)``, the full antisymmetric
   :func:`beta_closed_tsi`), a first-order recursion in the gap ``n - k``;
 * the window-delta route (:func:`beta_table_inversion`), which solves the
   lowest nontrivial orthogonality constraint of the induced F/G pair,
-  ``sum_{i=k}^{n} F(n,i) G(i,k) = 0``, for ``beta(k, n)``, gap by gap on
-  the pair's own F/G tables.  :func:`beta_from_inversion` solves the same
-  constraint through the cleared-denominator weights :func:`f_weight` and
-  :func:`g_weight`; it is the reference.  A table comes from the pair
-  route, or the reference route for the whole table where the induced pair
-  is undefined.
+  ``sum_{i=k}^{n} F(n,i) G(i,k) = 0``, for ``beta(k, n)``, gap by gap on the
+  pair's own F/G tables, int pairs with one gcd per stored value on exact
+  seeds.  :func:`beta_from_inversion` solves the same constraint through the
+  cleared-denominator weights :func:`f_weight` and :func:`g_weight`; it is
+  the reference, and fills the whole table where the induced pair is
+  undefined.
 
 The two routes agree at gap 2 for every seed but diverge from gap 3 on;
 :func:`counterexample_discrepancies` exhibits the canonical divergent seed
@@ -24,11 +24,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd
 from typing import Callable, Mapping
 
 from .errors import DomainError, MissingBeta, ZeroDenominator, ZeroDiagonal, ZeroDivisor
 from .kernels import Window, check_window
-from .numerics import Scalar, reciprocal
+from .numerics import Scalar, is_exact, reciprocal
 
 
 @dataclass(frozen=True)
@@ -180,10 +181,13 @@ def beta_table_inversion(seed: BetaSeed) -> dict[tuple[int, int], Scalar]:
     :func:`beta_from_inversion` divided by ``alpha(k,k)`` and every
     shorter-gap beta in ``[k,n]``.
 
-    Where the induced pair is undefined (a zero ``t(k)``, ``S`` or solved
-    beta), the reference route :func:`beta_from_inversion` fills the whole
-    table instead.  It raises :class:`~invrel.errors.ZeroDenominator` when
-    the constraint leaves ``beta(k,n)`` undetermined.
+    Exact seeds (every ``t(k)`` and alpha value read exact) are solved on int
+    pairs, with no gcd in ``S``, summed over one common denominator, and one
+    per stored ``beta(k,n)``, ``F(n,k)`` and ``G(n,k)``.  Where the induced
+    pair is undefined (a zero ``t(k)``, ``S`` or solved beta), the reference
+    route :func:`beta_from_inversion` fills the whole table instead.  It raises
+    :class:`~invrel.errors.ZeroDenominator` when the constraint leaves
+    ``beta(k,n)`` undetermined.
     """
     lo, hi = seed.window
     alpha = seed.alpha
@@ -191,6 +195,8 @@ def beta_table_inversion(seed: BetaSeed) -> dict[tuple[int, int], Scalar]:
     F: dict[tuple[int, int], Scalar] = {}
     G: dict[tuple[int, int], Scalar] = {}
     try:
+        if _solved_on_pairs(seed, table):
+            return table
         for k in range(lo, hi):
             ratio = alpha(k, k) * reciprocal(table[(k, k + 1)])
             F[(k + 1, k)] = -ratio
@@ -214,6 +220,53 @@ def beta_table_inversion(seed: BetaSeed) -> dict[tuple[int, int], Scalar]:
             for k in range(lo, hi - gap + 1):
                 table[(k, k + gap)] = beta_from_inversion(seed, k, k + gap, table)
     return table
+
+
+def _reduced(num: int, den: int) -> tuple[int, int]:
+    g = gcd(num, den)
+    return num // g, den // g
+
+
+def _solved_on_pairs(seed: BetaSeed, table: dict[tuple[int, int], Scalar]) -> bool:
+    """:func:`beta_table_inversion`'s solve on int pairs ``(num, den)``, or
+    False, with nothing stored, where a ``t`` or alpha value it reads is not exact."""
+    lo, hi = seed.window
+    # the diagonal but alpha(hi,hi), alpha(n-1,k) below it and alpha(k+1,n) above
+    w = range(lo, hi + 1)
+    a = {(i, j): seed.alpha(i, j) for i in w for j in w if lo < i < j or j <= i < hi}
+    if not all(map(is_exact, [*table.values(), *a.values()])):
+        return False
+    a = {ij: (v.numerator, v.denominator) for ij, v in a.items()}
+    F: dict[tuple[int, int], tuple[int, int]] = {}
+    G: dict[tuple[int, int], tuple[int, int]] = {}
+    for k in range(lo, hi):
+        t, (an, ad) = table[k, k + 1], a[k, k]
+        if t == 0:
+            raise ZeroDivisor(f"t({k}) = 0")
+        G[k + 1, k] = gn, gd = _reduced(an * t.denominator, ad * t.numerator)
+        F[k + 1, k] = (-gn, gd)
+    for gap in range(2, hi - lo + 1):
+        for k in range(lo, hi - gap + 1):
+            n = k + gap
+            sn, sd = 0, 1
+            for i in range(k + 1, n):
+                (fn, fd), (gn, gd) = F[n, i], G[i, k]
+                pd = fd * gd
+                sn, sd = sn * pd + fn * gn * sd, sd * pd
+            if sn == 0:
+                raise ZeroDivisor(f"S = 0 at ({k},{n})")
+            (fn, fd), (an, ad) = F[n - 1, k], a[n - 1, k]
+            fn, fd = fn * an, fd * ad  # Fm
+            (gn, gd), (bn, bd), (cn, cd), (en, ed) = G[n, k + 1], a[k, k], a[k + 1, n], a[k + 1, k + 1]
+            gn, gd = gn * bn * cn * ed, gd * bd * cd * en  # Gm
+            beta = Fraction((fn * gd - gn * fd) * sd, fd * gd * sn)
+            if beta == 0:
+                raise ZeroDivisor(f"beta({k},{n}) = 0")
+            table[k, n] = beta
+            bn, bd = beta.numerator, beta.denominator
+            F[n, k] = _reduced(-fn * bd, fd * bn)
+            G[n, k] = _reduced(gn * bd, gd * bn)
+    return True
 
 
 def counterexample_discrepancies(k: int) -> tuple[Scalar, Scalar, Scalar]:

@@ -583,6 +583,19 @@ class TestCounterexampleCommand:
         doc = cmd_counterexample([1, 2])
         assert json.loads(json.dumps(doc)) == doc
 
+    def test_value_past_the_digit_limit_is_reported(self, capsys):
+        # the gap-4 value of k = 10**400 has more digits than the interpreter
+        # prints as an int string: a JSON error, not a traceback
+        code, out, _ = run_cli(capsys, "counterexample", f"--k={10**400}")
+        assert code == 1
+        doc = json.loads(out)
+        limit = sys.get_int_max_str_digits()
+        assert doc["error"] == f"DomainError: exact value past the {limit}-digit int str limit"
+        assert doc["rows"] == [] and not doc["passed"]
+        # k = 10**300 stays under the limit
+        code, out, _ = run_cli(capsys, "counterexample", f"--k={10**300}")
+        assert code == 0 and "error" not in json.loads(out)
+
 
 class TestEdsCommand:
     def test_default_run(self, capsys):

@@ -2,6 +2,7 @@
 
 import math
 import random
+from collections import Counter
 import re
 from fractions import Fraction
 
@@ -300,6 +301,56 @@ class TestInversionTable:
         )
         assert beta_table_inversion(seed) == reference_inversion_table(seed)
         assert weight_route_calls == self.every_entry_of_gap_two_or_more(seed)
+
+    @pytest.mark.parametrize("alpha, t, expected", [
+        # float alpha and t
+        (lambda i, j: 0.5 * i + j + 0.25, lambda j: 1.5 * j - 0.2, {
+            (1, 3): "0x1.d1b91b91b91b8p+1", (2, 4): "0x1.b2308158ed231p+2", (3, 5): "0x1.3b851eb851eb8p+3",
+            (1, 4): "0x1.0b74d443bfc83p+3", (2, 5): "0x1.ca588a9622b6ep+2", (1, 5): "0x1.bc1a31ed8c827p+2",
+        }),
+        # Fraction alpha, float t
+        (lambda i, j: Fraction(i + j), lambda j: j + 0.1, {
+            (1, 3): "0x1.799999999999bp+1", (2, 4): "0x1.4222222222222p+2", (3, 5): "0x1.c4cccccccccccp+2",
+            (1, 4): "0x1.9799999999988p+2", (2, 5): "0x1.37f507507508bp+3", (1, 5): "0x1.bbdf264af3b01p+3",
+        }),
+        # float alpha, Fraction t
+        (lambda i, j: (i + j) / 3, lambda j: Fraction(j), {
+            (1, 3): "0x1.6000000000000p+1", (2, 4): "0x1.3555555555555p+2", (3, 5): "0x1.b800000000000p+2",
+            (1, 4): "0x1.7666666666660p+2", (2, 5): "0x1.26db6db6db6e5p+3", (1, 5): "0x1.78539ecc1605ap+3",
+        }),
+    ])
+    def test_float_and_mixed_seeds_keep_their_bits(self, alpha, t, expected):
+        # these seeds take the Scalar loop, rounding included
+        table = beta_table_inversion(BetaSeed(alpha=alpha, t=t, window=(1, 5)))
+        assert {kn: v.hex() for kn, v in table.items() if kn[1] - kn[0] >= 2} == expected
+        for k in range(1, 5):
+            assert table[(k, k + 1)] == t(k) and type(table[(k, k + 1)]) is type(t(k))
+
+    def test_int_seed_keeps_the_raw_t_and_gives_fractions(self):
+        table = beta_table_inversion(BetaSeed(alpha=lambda i, j: i + j, t=lambda j: j, window=(1, 6)))
+        assert table == reference_inversion_table(sum_seed((1, 6)))
+        assert all(type(v) is (int if n - k == 1 else Fraction) for (k, n), v in table.items())
+
+    @pytest.mark.parametrize("window", [(1, 2), (1, 5), (3, 9)])
+    def test_exact_seeds_read_the_scalar_loops_alpha_pairs_once_each(self, window):
+        reads = Counter()
+
+        def alpha(i, j):
+            reads[(i, j)] += 1
+            return Fraction(i + j)
+
+        seed = BetaSeed(alpha=alpha, t=lambda j: Fraction(j), window=window)
+        reads.clear()  # the seed reads its diagonal on construction
+        assert beta_table_inversion(seed) == reference_inversion_table(sum_seed(window))
+        # what the Scalar loop reads: alpha(k,k) for each F(k+1,k) and G(k+1,k),
+        # then alpha(n-1,k), alpha(k,k), alpha(k+1,n), alpha(k+1,k+1) per step
+        lo, hi = window
+        scalar_loop = {(k, k) for k in range(lo, hi)}
+        for gap in range(2, hi - lo + 1):
+            for k in range(lo, hi - gap + 1):
+                n = k + gap
+                scalar_loop |= {(n - 1, k), (k, k), (k + 1, n), (k + 1, k + 1)}
+        assert set(reads) == scalar_loop and set(reads.values()) == {1}
 
     def test_table_passes_delta_exactly_and_a_perturbation_fails(self):
         rng = random.Random(99)
