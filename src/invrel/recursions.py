@@ -8,8 +8,9 @@ Given ``alpha`` and the seed ``t(k) = beta(k, k+1)``, the full antisymmetric
 * the window-delta route (:func:`beta_table_inversion`), which solves the
   lowest nontrivial orthogonality constraint of the induced F/G pair,
   ``sum_{i=k}^{n} F(n,i) G(i,k) = 0``, for ``beta(k, n)``, gap by gap on the
-  pair's own F/G tables, int pairs with one gcd per stored value on exact
-  seeds.  :func:`beta_from_inversion` solves the same constraint through the
+  pair's own F/G tables.  It reads each alpha value once, and exact seeds run
+  on int pairs whose only gcd is each stored beta's.
+  :func:`beta_from_inversion` solves the same constraint through the
   cleared-denominator weights :func:`f_weight` and :func:`g_weight`; it is
   the reference, and fills the whole table where the induced pair is
   undefined.
@@ -24,7 +25,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd
 from typing import Callable, Mapping
 
 from .errors import DomainError, MissingBeta, ZeroDenominator, ZeroDiagonal, ZeroDivisor
@@ -181,39 +181,22 @@ def beta_table_inversion(seed: BetaSeed) -> dict[tuple[int, int], Scalar]:
     :func:`beta_from_inversion` divided by ``alpha(k,k)`` and every
     shorter-gap beta in ``[k,n]``.
 
-    Exact seeds (every ``t(k)`` and alpha value read exact) are solved on int
-    pairs, with no gcd in ``S``, summed over one common denominator, and one
-    per stored ``beta(k,n)``, ``F(n,k)`` and ``G(n,k)``.  Where the induced
-    pair is undefined (a zero ``t(k)``, ``S`` or solved beta), the reference
-    route :func:`beta_from_inversion` fills the whole table instead.  It raises
-    :class:`~invrel.errors.ZeroDenominator` when the constraint leaves
-    ``beta(k,n)`` undetermined.
+    Every alpha value the solve needs (the diagonal but ``alpha(hi,hi)``,
+    each ``alpha(n-1,k)`` and ``alpha(k+1,n)``) is read once.  Exact seeds
+    (every ``t(k)`` and alpha value ``int`` or ``Fraction``) run on int
+    pairs whose only gcd is each stored beta's ``Fraction``; float and mixed
+    seeds run the Scalar loop.  Where the induced pair is undefined (a zero
+    ``t(k)``, ``S`` or solved beta), :func:`beta_from_inversion` fills the
+    whole table instead, raising :class:`~invrel.errors.ZeroDenominator`
+    when the constraint leaves ``beta(k,n)`` undetermined.
     """
     lo, hi = seed.window
-    alpha = seed.alpha
     table = {(k, k + 1): seed.t(k) for k in range(lo, hi)}
-    F: dict[tuple[int, int], Scalar] = {}
-    G: dict[tuple[int, int], Scalar] = {}
     try:
-        if _solved_on_pairs(seed, table):
-            return table
-        for k in range(lo, hi):
-            ratio = alpha(k, k) * reciprocal(table[(k, k + 1)])
-            F[(k + 1, k)] = -ratio
-            G[(k + 1, k)] = ratio
-        for gap in range(2, hi - lo + 1):
-            for k in range(lo, hi - gap + 1):
-                n = k + gap
-                s: Scalar = 0
-                for i in range(k + 1, n):
-                    s = s + F[(n, i)] * G[(i, k)]
-                fm = F[(n - 1, k)] * alpha(n - 1, k)
-                gm = G[(n, k + 1)] * alpha(k, k) * alpha(k + 1, n) * reciprocal(alpha(k + 1, k + 1))
-                beta = (fm - gm) * reciprocal(s)
-                inv = reciprocal(beta)
-                table[(k, n)] = beta
-                F[(n, k)] = -fm * inv
-                G[(n, k)] = gm * inv
+        w = range(lo, hi + 1)
+        a = {(i, j): seed.alpha(i, j) for i in w for j in w if lo < i < j or j <= i < hi}
+        exact = all(map(is_exact, [*table.values(), *a.values()]))
+        (_solve_on_pairs if exact else _solve_on_scalars)(a, table, lo, hi)
     except ZeroDivisor:
         # no induced pair: the weights solve every entry, from shorter gaps only
         for gap in range(2, hi - lo + 1):
@@ -222,20 +205,30 @@ def beta_table_inversion(seed: BetaSeed) -> dict[tuple[int, int], Scalar]:
     return table
 
 
-def _reduced(num: int, den: int) -> tuple[int, int]:
-    g = gcd(num, den)
-    return num // g, den // g
+def _solve_on_scalars(a: dict, table: dict, lo: int, hi: int) -> None:
+    """:func:`beta_table_inversion`'s solve in Scalar arithmetic, on the alpha values ``a``."""
+    F: dict[tuple[int, int], Scalar] = {}
+    G: dict[tuple[int, int], Scalar] = {}
+    for k in range(lo, hi):
+        ratio = a[k, k] * reciprocal(table[k, k + 1])
+        F[k + 1, k], G[k + 1, k] = -ratio, ratio
+    for gap in range(2, hi - lo + 1):
+        for k in range(lo, hi - gap + 1):
+            n = k + gap
+            s: Scalar = 0
+            for i in range(k + 1, n):
+                s = s + F[n, i] * G[i, k]
+            fm = F[n - 1, k] * a[n - 1, k]
+            gm = G[n, k + 1] * a[k, k] * a[k + 1, n] * reciprocal(a[k + 1, k + 1])
+            beta = (fm - gm) * reciprocal(s)
+            inv = reciprocal(beta)
+            table[k, n] = beta
+            F[n, k] = -fm * inv
+            G[n, k] = gm * inv
 
 
-def _solved_on_pairs(seed: BetaSeed, table: dict[tuple[int, int], Scalar]) -> bool:
-    """:func:`beta_table_inversion`'s solve on int pairs ``(num, den)``, or
-    False, with nothing stored, where a ``t`` or alpha value it reads is not exact."""
-    lo, hi = seed.window
-    # the diagonal but alpha(hi,hi), alpha(n-1,k) below it and alpha(k+1,n) above
-    w = range(lo, hi + 1)
-    a = {(i, j): seed.alpha(i, j) for i in w for j in w if lo < i < j or j <= i < hi}
-    if not all(map(is_exact, [*table.values(), *a.values()])):
-        return False
+def _solve_on_pairs(a: dict, table: dict, lo: int, hi: int) -> None:
+    """:func:`beta_table_inversion`'s solve on int pairs ``(num, den)``, for exact ``a`` and ``t``."""
     a = {ij: (v.numerator, v.denominator) for ij, v in a.items()}
     F: dict[tuple[int, int], tuple[int, int]] = {}
     G: dict[tuple[int, int], tuple[int, int]] = {}
@@ -243,7 +236,7 @@ def _solved_on_pairs(seed: BetaSeed, table: dict[tuple[int, int], Scalar]) -> bo
         t, (an, ad) = table[k, k + 1], a[k, k]
         if t == 0:
             raise ZeroDivisor(f"t({k}) = 0")
-        G[k + 1, k] = gn, gd = _reduced(an * t.denominator, ad * t.numerator)
+        G[k + 1, k] = gn, gd = an * t.denominator, ad * t.numerator
         F[k + 1, k] = (-gn, gd)
     for gap in range(2, hi - lo + 1):
         for k in range(lo, hi - gap + 1):
@@ -264,9 +257,8 @@ def _solved_on_pairs(seed: BetaSeed, table: dict[tuple[int, int], Scalar]) -> bo
                 raise ZeroDivisor(f"beta({k},{n}) = 0")
             table[k, n] = beta
             bn, bd = beta.numerator, beta.denominator
-            F[n, k] = _reduced(-fn * bd, fd * bn)
-            G[n, k] = _reduced(gn * bd, gd * bn)
-    return True
+            F[n, k] = (-fn * bd, fd * bn)
+            G[n, k] = (gn * bd, gd * bn)
 
 
 def counterexample_discrepancies(k: int) -> tuple[Scalar, Scalar, Scalar]:

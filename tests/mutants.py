@@ -179,11 +179,14 @@ MUTANTS = (
            "    (a, b, p, q), _ = _lift(a, b, p, q)\n", "", ("test_closed_forms.py", "test_families.py")),
     Mutant("schlosser-closed-form-unlifted", "families.py",
            "    (a, b, c, q), _ = _lift(a, b, c, q)\n", "", ("test_closed_forms.py", "test_families.py")),
-    # beta_table_inversion's solve on int pairs: the zero-S fallback, the F(n,k) step, the S product
+    # beta_table_inversion's choice of loop, and its solve on int pairs: the zero-S fallback,
+    # the F(n,k) step, the S product
+    Mutant("every-seed-on-pairs", "recursions.py",
+           "exact = all(map(is_exact, [*table.values(), *a.values()]))", "exact = True", ("test_recursions.py",)),
     Mutant("pairs-zero-s-fallback-skipped", "recursions.py",
            "            if sn == 0:\n", "            if False:\n", ("test_recursions.py",)),
     Mutant("pairs-f-step-sign-flipped", "recursions.py",
-           "F[n, k] = _reduced(-fn * bd, fd * bn)", "F[n, k] = _reduced(fn * bd, fd * bn)", ("test_recursions.py",)),
+           "F[n, k] = (-fn * bd, fd * bn)", "F[n, k] = (fn * bd, fd * bn)", ("test_recursions.py",)),
     Mutant("pairs-s-product-reads-g-for-f", "recursions.py",
            "(fn, fd), (gn, gd) = F[n, i], G[i, k]", "(fn, fd), (gn, gd) = G[n, i], G[i, k]",
            ("test_recursions.py",)),
@@ -194,15 +197,12 @@ MUTANTS = (
     Mutant("exact-div-fast-path-off", "numerics.py",
            "    if isinstance(num, int) and isinstance(den, int) and den != 0:\n",
            "    if False:\n", ("test_numerics.py", "test_kernels.py", "test_families.py")),
-    Mutant("pairs-stored-without-gcd", "recursions.py",
-           "    g = gcd(num, den)\n    return num // g, den // g\n", "    return num, den\n", ("test_recursions.py",)),
 )
 
 # name -> why the suite cannot kill it
 EXPECTED_SURVIVORS = {
     "tsi-orbit-fold-off": "speed only: the full fold meets the same first maximiser as the orbit fold",
     "exact-div-fast-path-off": "speed only: num * reciprocal(den) is the same Fraction as Fraction(num, den)",
-    "pairs-stored-without-gcd": "speed only: each beta is reduced in its Fraction, and F and G are read only as ratios",
 }
 
 
