@@ -4,16 +4,19 @@ Given ``alpha`` and the seed ``t(k) = beta(k, k+1)``, the full antisymmetric
 ``beta`` is forced in two a-priori different ways:
 
 * the triple-sum-identity route (:func:`beta_step_tsi`,
-  :func:`beta_closed_tsi`), a first-order recursion in the gap ``n - k``;
+  :func:`beta_closed_tsi`, :func:`beta_table_tsi`), a first-order recursion
+  in the gap ``n - k``;
 * the window-delta route (:func:`beta_table_inversion`), which solves the
   lowest nontrivial orthogonality constraint of the induced F/G pair,
   ``sum_{i=k}^{n} F(n,i) G(i,k) = 0``, for ``beta(k, n)``, gap by gap on the
-  pair's own F/G tables.  It reads each alpha value once, and exact seeds run
-  on int pairs whose only gcd is each stored beta's.
-  :func:`beta_from_inversion` solves the same constraint through the
-  cleared-denominator weights :func:`f_weight` and :func:`g_weight`; it is
-  the reference, and fills the whole table where the induced pair is
-  undefined.
+  pair's own F/G tables.  :func:`beta_from_inversion` solves the same
+  constraint through the cleared-denominator weights :func:`f_weight` and
+  :func:`g_weight`; it is the reference, and fills the whole table where the
+  induced pair is undefined.
+
+Both table builders read each ``t(k)`` and alpha value once, and on exact
+seeds (the window-delta route up to 10 indices) run on int pairs whose only
+gcd is each stored beta's ``Fraction``.
 
 The two routes agree at gap 2 for every seed but diverge from gap 3 on;
 :func:`counterexample_discrepancies` exhibits the canonical divergent seed
@@ -25,7 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import Callable, Mapping
+from typing import Callable, Iterable, Mapping
 
 from .errors import DomainError, MissingBeta, ZeroDenominator, ZeroDiagonal, ZeroDivisor
 from .kernels import Window, check_window
@@ -156,14 +159,40 @@ def beta_from_inversion(
 
 
 def beta_table_tsi(seed: BetaSeed) -> dict[tuple[int, int], Scalar]:
-    """Every ``beta(k,n)``, ``lo <= k < n <= hi`` on the seed window, by the triple-sum route."""
+    """Every ``beta(k,n)``, ``lo <= k < n <= hi`` on the seed window, by the triple-sum route.
+
+    Each row iterates :func:`beta_step_tsi` from the raw ``t(k)``, reading
+    each ``t(k)`` and each needed ``alpha(m,m)``, ``alpha(m,m+1)`` and
+    ``alpha(m,k)`` once.  Exact seeds step on int pairs with one gcd per
+    stored beta, its ``Fraction``; float and mixed seeds keep the step's
+    Scalar operations, and so its bits.
+    """
     lo, hi = seed.window
+    t = {k: seed.t(k) for k in range(lo, hi)}
+    a, exact = _read_alpha(seed, ((m, j) for m in range(lo + 1, hi) for j in range(lo, m + 2)), t.values())
     table: dict[tuple[int, int], Scalar] = {}
-    for k in range(lo, hi):
-        table[(k, k + 1)] = seed.t(k)
-        for n in range(k + 2, hi + 1):
-            table[(k, n)] = beta_step_tsi(seed, table[(k, n - 1)], k, n)
+    if exact:
+        a = {ij: (v.numerator, v.denominator) for ij, v in a.items()}
+        u = {m: (v.numerator, v.denominator) for m, v in t.items()}
+        for k in range(lo, hi):
+            table[k, k + 1] = beta = t[k]
+            bn, bd = u[k]
+            for m in range(k + 1, hi):
+                (pn, pd), (qn, qd), (dn, dd), (un, ud) = a[m, m + 1], a[m, k], a[m, m], u[m]
+                table[k, m + 1] = beta = Fraction((pn * bn * qd * ud + qn * un * pd * bd) * dd, pd * bd * qd * ud * dn)
+                bn, bd = beta.numerator, beta.denominator
+    else:
+        for k in range(lo, hi):
+            table[k, k + 1] = beta = t[k]
+            for m in range(k + 1, hi):
+                table[k, m + 1] = beta = (a[m, m + 1] * beta + a[m, k] * t[m]) * reciprocal(a[m, m])
     return table
+
+
+def _read_alpha(seed: BetaSeed, pairs: Iterable[tuple[int, int]], t_values: Iterable[Scalar]) -> tuple[dict, bool]:
+    """The alpha values at ``pairs``, each read once, and whether they and ``t_values`` are all exact."""
+    a = {ij: seed.alpha(*ij) for ij in pairs}
+    return a, all(map(is_exact, [*t_values, *a.values()]))
 
 
 def beta_table_inversion(seed: BetaSeed) -> dict[tuple[int, int], Scalar]:
@@ -183,9 +212,10 @@ def beta_table_inversion(seed: BetaSeed) -> dict[tuple[int, int], Scalar]:
 
     Every alpha value the solve needs (the diagonal but ``alpha(hi,hi)``,
     each ``alpha(n-1,k)`` and ``alpha(k+1,n)``) is read once.  Exact seeds
-    (every ``t(k)`` and alpha value ``int`` or ``Fraction``) run on int
-    pairs whose only gcd is each stored beta's ``Fraction``; float and mixed
-    seeds run the Scalar loop.  Where the induced pair is undefined (a zero
+    (every ``t(k)`` and alpha value ``int`` or ``Fraction``) of at most 10
+    indices run on int pairs whose only gcd is each stored beta's
+    ``Fraction``; wider exact seeds, and float and mixed ones, run the
+    Scalar loop.  Where the induced pair is undefined (a zero
     ``t(k)``, ``S`` or solved beta), :func:`beta_from_inversion` fills the
     whole table instead, raising :class:`~invrel.errors.ZeroDenominator`
     when the constraint leaves ``beta(k,n)`` undetermined.
@@ -194,9 +224,9 @@ def beta_table_inversion(seed: BetaSeed) -> dict[tuple[int, int], Scalar]:
     table = {(k, k + 1): seed.t(k) for k in range(lo, hi)}
     try:
         w = range(lo, hi + 1)
-        a = {(i, j): seed.alpha(i, j) for i in w for j in w if lo < i < j or j <= i < hi}
-        exact = all(map(is_exact, [*table.values(), *a.values()]))
-        (_solve_on_pairs if exact else _solve_on_scalars)(a, table, lo, hi)
+        a, exact = _read_alpha(seed, ((i, j) for i in w for j in w if lo < i < j or j <= i < hi), table.values())
+        # from 11 indices on, the unreduced pairs outgrow Fraction's factor-by-factor cancellation
+        (_solve_on_pairs if exact and hi - lo < 10 else _solve_on_scalars)(a, table, lo, hi)
     except ZeroDivisor:
         # no induced pair: the weights solve every entry, from shorter gaps only
         for gap in range(2, hi - lo + 1):
@@ -283,8 +313,8 @@ def counterexample_discrepancies(k: int) -> tuple[Scalar, Scalar, Scalar]:
     )
 
 
-def _poly(coeffs_desc: tuple[int, ...], k: int) -> Fraction:
-    out = Fraction(0)
+def _poly(coeffs_desc: tuple[int, ...], k: int) -> int:
+    out = 0
     for c in coeffs_desc:
         out = out * k + c
     return out
@@ -299,16 +329,15 @@ def counterexample_reference(k: int) -> tuple[Fraction, Fraction, Fraction]:
 
     with ``f`` of degree 11 and ``g`` of degree 7 as spelled out below.
     """
-    gap3 = _poly((8, 32, 32, 5), k) / _poly((8, 36, 52, 24), k)
+    gap3 = Fraction(_poly((8, 32, 32, 5), k), _poly((8, 36, 52, 24), k))
     f_num = _poly(
         (3072, 56320, 451904, 2085376, 6115168, 11884320,
          15498308, 13457624, 7592100, 2669648, 540883, 47328),
         k,
     )
     g_den = _poly((48, 544, 2452, 5656, 7216, 5232, 2175, 464), k)
-    gap4 = (
-        Fraction(2 * k + 7, 8 * (k + 1) * (k + 2) * (k + 3) * (2 * k + 3) * (2 * k + 5))
-        * f_num
-        / g_den
+    gap4 = Fraction(
+        (2 * k + 7) * f_num,
+        8 * (k + 1) * (k + 2) * (k + 3) * (2 * k + 3) * (2 * k + 5) * g_den,
     )
     return Fraction(0), gap3, gap4

@@ -179,10 +179,19 @@ MUTANTS = (
            "    (a, b, p, q), _ = _lift(a, b, p, q)\n", "", ("test_closed_forms.py", "test_families.py")),
     Mutant("schlosser-closed-form-unlifted", "families.py",
            "    (a, b, c, q), _ = _lift(a, b, c, q)\n", "", ("test_closed_forms.py", "test_families.py")),
-    # beta_table_inversion's choice of loop, and its solve on int pairs: the zero-S fallback,
-    # the F(n,k) step, the S product
+    # the exactness both beta tables read their arithmetic from
     Mutant("every-seed-on-pairs", "recursions.py",
-           "exact = all(map(is_exact, [*table.values(), *a.values()]))", "exact = True", ("test_recursions.py",)),
+           "return a, all(map(is_exact, [*t_values, *a.values()]))", "return a, True", ("test_recursions.py",)),
+    # beta_table_tsi's step on int pairs: the sign of its second term, and t(n-1) in it
+    Mutant("tsi-pairs-term-sign-flipped", "recursions.py",
+           "Fraction((pn * bn * qd * ud + qn * un * pd * bd) * dd", "Fraction((pn * bn * qd * ud - qn * un * pd * bd) * dd",
+           ("test_recursions.py",)),
+    Mutant("tsi-pairs-reads-t-k-for-t-m", "recursions.py",
+           "a[m, m], u[m]\n", "a[m, m], u[k]\n", ("test_recursions.py",)),
+    # counterexample_reference's int Horner evaluation
+    Mutant("reference-horner-coefficients-reversed", "recursions.py",
+           "    for c in coeffs_desc:\n", "    for c in reversed(coeffs_desc):\n", ("test_recursions.py",)),
+    # beta_table_inversion's solve on int pairs: the zero-S fallback, the F(n,k) step, the S product
     Mutant("pairs-zero-s-fallback-skipped", "recursions.py",
            "            if sn == 0:\n", "            if False:\n", ("test_recursions.py",)),
     Mutant("pairs-f-step-sign-flipped", "recursions.py",
@@ -197,12 +206,15 @@ MUTANTS = (
     Mutant("exact-div-fast-path-off", "numerics.py",
            "    if isinstance(num, int) and isinstance(den, int) and den != 0:\n",
            "    if False:\n", ("test_numerics.py", "test_kernels.py", "test_families.py")),
+    Mutant("wide-exact-windows-on-pairs", "recursions.py",
+           "_solve_on_pairs if exact and hi - lo < 10 else", "_solve_on_pairs if exact else", ("test_recursions.py",)),
 )
 
 # name -> why the suite cannot kill it
 EXPECTED_SURVIVORS = {
     "tsi-orbit-fold-off": "speed only: the full fold meets the same first maximiser as the orbit fold",
     "exact-div-fast-path-off": "speed only: num * reciprocal(den) is the same Fraction as Fraction(num, den)",
+    "wide-exact-windows-on-pairs": "speed only: the int pairs and the Scalar loop give the same Fractions",
 }
 
 

@@ -67,6 +67,17 @@ def reference_inversion_table(seed):
     return table
 
 
+def stepped_tsi_table(seed):
+    # the triple-sum route as iterated beta_step_tsi calls, row by row
+    lo, hi = seed.window
+    table = {}
+    for k in range(lo, hi):
+        table[(k, k + 1)] = seed.t(k)
+        for n in range(k + 2, hi + 1):
+            table[(k, n)] = beta_step_tsi(seed, table[(k, n - 1)], k, n)
+    return table
+
+
 def table_or_error(build, seed):
     try:
         return build(seed)
@@ -127,6 +138,73 @@ class TestTripleSumRoute:
         seed = BetaSeed(alpha=lambda i, j: Fraction(i + j), t=lambda j: 1, window=(1, 3))
         with pytest.raises(error, match=f"^{re.escape(message)}$"):
             route(seed)
+
+    def test_exact_table_gives_the_stepped_values_and_types(self):
+        # int and Fraction seeds step on int pairs; the table must hold what
+        # beta_step_tsi gives, key order and types included: the raw t(k) at
+        # gap 1 and Fractions from gap 2 on
+        rng = random.Random(31)
+        for draw in range(80):
+            lo = rng.randint(-5, -1)
+            seed = random_seed(rng, (lo, lo + rng.randint(1, 8)))
+            if draw % 2:
+                seed = BetaSeed(
+                    alpha=lambda i, j, s=seed: s.alpha(i, j).numerator,
+                    t=lambda j, s=seed: s.t(j).numerator,
+                    window=seed.window,
+                )
+            table, expected = beta_table_tsi(seed), stepped_tsi_table(seed)
+            assert list(table.items()) == list(expected.items())
+            assert all(type(v) is (type(seed.t(k)) if n - k == 1 else Fraction) for (k, n), v in table.items())
+
+    @pytest.mark.parametrize("alpha, t, expected", [
+        # float alpha and t
+        (lambda i, j: 0.5 * i + j + 0.25, lambda j: 1.5 * j - 0.2, {
+            (-1, 1): "-0x1.f99999999999ap+2", (0, 2): "0x1.f15f15f15f160p-3", (1, 3): "0x1.d1b91b91b91b9p+1",
+            (-1, 2): "-0x1.9333333333333p+3", (0, 3): "0x1.64fe4fe4fe4ffp+0", (-1, 3): "-0x1.042f42f42f42fp+4",
+        }),
+        # Fraction alpha, float t
+        (lambda i, j: Fraction(i + j + 7), lambda j: j + 0.1, {
+            (-1, 1): "-0x1.e2be2be2be2bdp-1", (0, 2): "0x1.16c16c16c16c2p+0", (1, 3): "0x1.8df6b0df6b0e0p+1",
+            (-1, 2): "-0x1.895895895894ep-3", (0, 3): "0x1.73f9cb3f9cb40p+1", (-1, 3): "0x1.5157fe3a122cfp+0",
+        }),
+        # float alpha, Fraction t
+        (lambda i, j: (i + j + 7) / 3, lambda j: Fraction(j), {
+            (-1, 1): "-0x1.2492492492492p+0", (0, 2): "0x1.c71c71c71c71cp-1", (1, 3): "0x1.745d1745d1747p+1",
+            (-1, 2): "-0x1.f7df7df7df7ddp-2", (0, 3): "0x1.4d9364d9364dap+1", (-1, 3): "0x1.d5e32fa7578cep-1",
+        }),
+    ])
+    def test_float_and_mixed_tables_keep_their_bits(self, alpha, t, expected):
+        table = beta_table_tsi(BetaSeed(alpha=alpha, t=t, window=(-1, 3)))
+        assert {kn: v.hex() for kn, v in table.items() if kn[1] - kn[0] >= 2} == expected
+        for k in range(-1, 3):
+            assert table[(k, k + 1)] == t(k) and type(table[(k, k + 1)]) is type(t(k))
+
+    @pytest.mark.parametrize("window", [(2, 3), (-1, 5)])
+    @pytest.mark.parametrize("alpha_type, t_type", [
+        (Fraction, Fraction), (int, int), (float, float), (Fraction, float), (float, Fraction),
+    ], ids=["fraction", "int", "float", "fraction-alpha-float-t", "float-alpha-fraction-t"])
+    def test_table_reads_each_t_and_alpha_value_once(self, window, alpha_type, t_type):
+        reads = Counter()
+
+        def alpha(i, j):
+            reads[(i, j)] += 1
+            return alpha_type(i + j + 7)
+
+        def t(j):
+            reads[j] += 1
+            return t_type(j)
+
+        seed = BetaSeed(alpha=alpha, t=t, window=window)
+        expected = stepped_tsi_table(seed)
+        reads.clear()  # the seed reads its diagonal on construction
+        assert beta_table_tsi(seed) == expected
+        # each step reads alpha(m,m+1), alpha(m,k), alpha(m,m) and t(m), m = n-1
+        lo, hi = window
+        needed = set(range(lo, hi))
+        for m in range(lo + 1, hi):
+            needed |= {(m, m + 1), (m, m)} | {(m, k) for k in range(lo, m)}
+        assert set(reads) == needed and set(reads.values()) == {1}
 
     def test_reconstruction_consistent_for_tsi_kernels(self):
         # when alpha admits a triple-sum-compatible beta, the reconstruction
@@ -248,7 +326,8 @@ class TestInversionTable:
         assert min(outcomes.values()) >= 10, outcomes
 
     def test_equals_the_weight_route_on_the_canonical_seed(self):
-        for window in ((1, 5), (1, 8), (3, 9)):
+        # 12 indices take the Scalar loop, which is faster than the int pairs there
+        for window in ((1, 5), (1, 8), (3, 9), (1, 12)):
             seed = sum_seed(window)
             assert beta_table_inversion(seed) == reference_inversion_table(seed)
 
@@ -396,6 +475,23 @@ class TestCounterexample:
     def test_matches_reference_closed_forms(self):
         for k in range(1, 6):
             assert counterexample_discrepancies(k) == counterexample_reference(k)
+
+    def test_reference_equals_a_fraction_horner_evaluation(self):
+        def horner(coeffs_desc, k):
+            out = Fraction(0)
+            for c in coeffs_desc:
+                out = out * k + c
+            return out
+
+        f = (3072, 56320, 451904, 2085376, 6115168, 11884320,
+             15498308, 13457624, 7592100, 2669648, 540883, 47328)
+        g = (48, 544, 2452, 5656, 7216, 5232, 2175, 464)
+        for k in [*range(1, 201), 10**6, 10**30]:
+            gap3 = horner((8, 32, 32, 5), k) / horner((8, 36, 52, 24), k)
+            scale = Fraction(2 * k + 7, 8 * (k + 1) * (k + 2) * (k + 3) * (2 * k + 3) * (2 * k + 5))
+            gap4 = scale * horner(f, k) / horner(g, k)
+            got = counterexample_reference(k)
+            assert got == (0, gap3, gap4) and all(type(v) is Fraction for v in got)
 
     def test_requires_positive_k(self):
         with pytest.raises(DomainError):
