@@ -15,8 +15,7 @@ Given ``alpha`` and the seed ``t(k) = beta(k, k+1)``, the full antisymmetric
   induced pair is undefined.
 
 Both table builders read each ``t(k)`` and alpha value once, and on exact
-seeds (the window-delta route up to 10 indices) run on int pairs whose only
-gcd is each stored beta's ``Fraction``.
+seeds run on int pairs whose only gcd is each stored beta's ``Fraction``.
 
 The two routes agree at gap 2 for every seed but diverge from gap 3 on;
 :func:`counterexample_discrepancies` exhibits the canonical divergent seed
@@ -63,7 +62,12 @@ def beta_step_tsi(seed: BetaSeed, beta_prev: Scalar, k: int, n: int) -> Scalar:
     diag = seed.alpha(n - 1, n - 1)
     if diag == 0:
         raise ZeroDiagonal(f"alpha({n - 1},{n - 1}) = 0 in beta step ({k},{n})")
-    return (seed.alpha(n - 1, n) * beta_prev + seed.alpha(n - 1, k) * seed.t(n - 1)) * reciprocal(diag)
+    return _tsi_step(seed.alpha(n - 1, n), beta_prev, seed.alpha(n - 1, k), seed.t(n - 1), diag)
+
+
+def _tsi_step(up: Scalar, beta_prev: Scalar, back: Scalar, t: Scalar, diag: Scalar) -> Scalar:
+    """:func:`beta_step_tsi`'s formula on values already read: ``(up beta_prev + back t) / diag``."""
+    return (up * beta_prev + back * t) * reciprocal(diag)
 
 
 def beta_closed_tsi(seed: BetaSeed, k: int, n: int) -> Scalar:
@@ -161,9 +165,9 @@ def beta_from_inversion(
 def beta_table_tsi(seed: BetaSeed) -> dict[tuple[int, int], Scalar]:
     """Every ``beta(k,n)``, ``lo <= k < n <= hi`` on the seed window, by the triple-sum route.
 
-    Each row iterates :func:`beta_step_tsi` from the raw ``t(k)``, reading
-    each ``t(k)`` and each needed ``alpha(m,m)``, ``alpha(m,m+1)`` and
-    ``alpha(m,k)`` once.  Exact seeds step on int pairs with one gcd per
+    Each row applies :func:`beta_step_tsi`'s formula from the raw ``t(k)``,
+    reading each ``t(k)`` and each needed ``alpha(m,m)``, ``alpha(m,m+1)``
+    and ``alpha(m,k)`` once.  Exact seeds step on int pairs with one gcd per
     stored beta, its ``Fraction``; float and mixed seeds keep the step's
     Scalar operations, and so its bits.
     """
@@ -185,7 +189,7 @@ def beta_table_tsi(seed: BetaSeed) -> dict[tuple[int, int], Scalar]:
         for k in range(lo, hi):
             table[k, k + 1] = beta = t[k]
             for m in range(k + 1, hi):
-                table[k, m + 1] = beta = (a[m, m + 1] * beta + a[m, k] * t[m]) * reciprocal(a[m, m])
+                table[k, m + 1] = beta = _tsi_step(a[m, m + 1], beta, a[m, k], t[m], a[m, m])
     return table
 
 
@@ -212,10 +216,9 @@ def beta_table_inversion(seed: BetaSeed) -> dict[tuple[int, int], Scalar]:
 
     Every alpha value the solve needs (the diagonal but ``alpha(hi,hi)``,
     each ``alpha(n-1,k)`` and ``alpha(k+1,n)``) is read once.  Exact seeds
-    (every ``t(k)`` and alpha value ``int`` or ``Fraction``) of at most 10
-    indices run on int pairs whose only gcd is each stored beta's
-    ``Fraction``; wider exact seeds, and float and mixed ones, run the
-    Scalar loop.  Where the induced pair is undefined (a zero
+    (every ``t(k)`` and alpha value ``int`` or ``Fraction``) run on int
+    pairs whose only gcd is each stored beta's ``Fraction``; float and mixed
+    seeds run the Scalar loop.  Where the induced pair is undefined (a zero
     ``t(k)``, ``S`` or solved beta), :func:`beta_from_inversion` fills the
     whole table instead, raising :class:`~invrel.errors.ZeroDenominator`
     when the constraint leaves ``beta(k,n)`` undetermined.
@@ -225,8 +228,7 @@ def beta_table_inversion(seed: BetaSeed) -> dict[tuple[int, int], Scalar]:
     try:
         w = range(lo, hi + 1)
         a, exact = _read_alpha(seed, ((i, j) for i in w for j in w if lo < i < j or j <= i < hi), table.values())
-        # from 11 indices on, the unreduced pairs outgrow Fraction's factor-by-factor cancellation
-        (_solve_on_pairs if exact and hi - lo < 10 else _solve_on_scalars)(a, table, lo, hi)
+        (_solve_on_pairs if exact else _solve_on_scalars)(a, table, lo, hi)
     except ZeroDivisor:
         # no induced pair: the weights solve every entry, from shorter gaps only
         for gap in range(2, hi - lo + 1):

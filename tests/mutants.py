@@ -206,15 +206,12 @@ MUTANTS = (
     Mutant("exact-div-fast-path-off", "numerics.py",
            "    if isinstance(num, int) and isinstance(den, int) and den != 0:\n",
            "    if False:\n", ("test_numerics.py", "test_kernels.py", "test_families.py")),
-    Mutant("wide-exact-windows-on-pairs", "recursions.py",
-           "_solve_on_pairs if exact and hi - lo < 10 else", "_solve_on_pairs if exact else", ("test_recursions.py",)),
 )
 
 # name -> why the suite cannot kill it
 EXPECTED_SURVIVORS = {
     "tsi-orbit-fold-off": "speed only: the full fold meets the same first maximiser as the orbit fold",
     "exact-div-fast-path-off": "speed only: num * reciprocal(den) is the same Fraction as Fraction(num, den)",
-    "wide-exact-windows-on-pairs": "speed only: the int pairs and the Scalar loop give the same Fractions",
 }
 
 

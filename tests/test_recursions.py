@@ -326,7 +326,7 @@ class TestInversionTable:
         assert min(outcomes.values()) >= 10, outcomes
 
     def test_equals_the_weight_route_on_the_canonical_seed(self):
-        # 12 indices take the Scalar loop, which is faster than the int pairs there
+        # 12 indices, past every window the random seeds draw, where the unreduced F and G grow most
         for window in ((1, 5), (1, 8), (3, 9), (1, 12)):
             seed = sum_seed(window)
             assert beta_table_inversion(seed) == reference_inversion_table(seed)
