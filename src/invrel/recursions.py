@@ -18,8 +18,8 @@ Both table builders read each ``t(k)`` and alpha value once, and on exact
 seeds run on int pairs whose only gcd is each stored beta's ``Fraction``.
 
 The two routes agree at gap 2 for every seed but diverge from gap 3 on;
-:func:`counterexample_discrepancies` exhibits the canonical divergent seed
-``alpha(i,j) = i + j``, ``t(j) = j`` with exact rational output.
+:func:`counterexample_discrepancies` shows it exactly on the canonical seed
+``alpha(i,j) = i + j``, ``t(j) = j``, built in ``int``, from both tables' row k.
 """
 
 from __future__ import annotations
@@ -297,6 +297,10 @@ def counterexample_discrepancies(k: int) -> tuple[Scalar, Scalar, Scalar]:
     """Gap-2/3/4 differences (delta-route minus triple-sum route) for the seed
     ``alpha(i,j) = i + j``, ``t(j) = j``, as exact rationals.
 
+    The seed is built in ``int``; both sides are row ``k`` of the tables'
+    int-pair solves, :func:`beta_table_inversion` and :func:`beta_table_tsi`
+    (equal to :func:`beta_closed_tsi`), with ``Fraction`` values from gap 2 on.
+
     The gap-2 difference is identically zero; the higher gaps are not, which
     is what makes the triple sum identity strictly stronger than
     delta-orthogonality of the induced pair.  Requires ``k >= 1`` so that no
@@ -304,15 +308,9 @@ def counterexample_discrepancies(k: int) -> tuple[Scalar, Scalar, Scalar]:
     """
     if k < 1:
         raise DomainError("counterexample seed needs k >= 1 (alpha(0,0) = 0)")
-    seed = BetaSeed(
-        alpha=lambda i, j: Fraction(i + j),
-        t=lambda j: Fraction(j),
-        window=(k, k + 4),
-    )
-    inv = beta_table_inversion(seed)
-    return tuple(
-        inv[(k, k + gap)] - beta_closed_tsi(seed, k, k + gap) for gap in (2, 3, 4)
-    )
+    seed = BetaSeed(alpha=lambda i, j: i + j, t=lambda j: j, window=(k, k + 4))
+    inv, tsi = beta_table_inversion(seed), beta_table_tsi(seed)
+    return tuple(inv[k, k + gap] - tsi[k, k + gap] for gap in (2, 3, 4))
 
 
 def _poly(coeffs_desc: tuple[int, ...], k: int) -> int:

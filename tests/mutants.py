@@ -188,6 +188,9 @@ MUTANTS = (
            ("test_recursions.py",)),
     Mutant("tsi-pairs-reads-t-k-for-t-m", "recursions.py",
            "a[m, m], u[m]\n", "a[m, m], u[k]\n", ("test_recursions.py",)),
+    # counterexample_discrepancies' triple-sum side: row k of the TSI table, one gap short
+    Mutant("counterexample-tsi-side-one-gap-short", "recursions.py",
+           "- tsi[k, k + gap] for gap", "- tsi[k, k + gap - 1] for gap", ("test_recursions.py",)),
     # counterexample_reference's int Horner evaluation
     Mutant("reference-horner-coefficients-reversed", "recursions.py",
            "    for c in coeffs_desc:\n", "    for c in reversed(coeffs_desc):\n", ("test_recursions.py",)),

@@ -40,6 +40,11 @@ def sum_seed(window):
     )
 
 
+def int_sum_seed(window):
+    # the same seed on int values, as counterexample_discrepancies builds it
+    return BetaSeed(alpha=lambda i, j: i + j, t=lambda j: j, window=window)
+
+
 def random_seed(rng, window):
     lo, hi = window
     alpha_vals = {}
@@ -475,6 +480,34 @@ class TestCounterexample:
     def test_matches_reference_closed_forms(self):
         for k in range(1, 6):
             assert counterexample_discrepancies(k) == counterexample_reference(k)
+
+    def test_matches_reference_for_every_k_the_benchmark_draws(self):
+        for k in range(1, 65):
+            got = counterexample_discrepancies(k)
+            assert got == counterexample_reference(k), k
+            assert all(type(v) is Fraction for v in got), k
+
+    def test_triple_sum_row_is_the_closed_form(self):
+        # the CLI reads row k of the TSI table; the paper's closed form must agree there
+        for k in range(1, 65):
+            seed = int_sum_seed((k, k + 4))
+            tsi = beta_table_tsi(seed)
+            for gap in (2, 3, 4):
+                assert tsi[k, k + gap] == beta_closed_tsi(seed, k, k + gap), (k, gap)
+
+    def test_int_and_fraction_seeds_give_the_same_tables(self):
+        # why the int seed changes no report: from gap 2 on, both tables hold
+        # the same Fractions; at gap 1 each holds its own seed's t
+        for k in range(1, 21):
+            window = (k, k + 4)
+            for build in (beta_table_inversion, beta_table_tsi):
+                on_ints, on_fractions = build(int_sum_seed(window)), build(sum_seed(window))
+                assert list(on_ints) == list(on_fractions)
+                for (i, n), v in on_ints.items():
+                    w = on_fractions[i, n]
+                    assert v == w, (build.__name__, i, n)
+                    want = (int, Fraction) if n - i == 1 else (Fraction, Fraction)
+                    assert (type(v), type(w)) == want, (build.__name__, i, n)
 
     def test_reference_equals_a_fraction_horner_evaluation(self):
         def horner(coeffs_desc, k):
