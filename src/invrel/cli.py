@@ -25,7 +25,7 @@ import time
 from fractions import Fraction
 from functools import cache, partial
 from pathlib import Path
-from typing import Callable, Iterable
+from typing import Callable, Iterable, Sequence
 
 from . import __version__
 from .errors import ConfigError, DomainError, VerificationError
@@ -262,9 +262,11 @@ def cmd_verify(
     return _run_checks(doc, steps(), tolerance)
 
 
-def cmd_counterexample(k_values) -> dict:
-    """Exact gap discrepancies of the two beta routes for each k; a domain failure ends the rows as ``error``."""
-    if any(k < 1 for k in k_values):
+def cmd_counterexample(k_values: Sequence[int]) -> dict:
+    """Exact gap discrepancies of the two beta routes for each k of an
+    ascending sequence, such as a range, which is walked row by row; a domain
+    failure ends the rows as ``error``."""
+    if k_values and k_values[0] < 1:
         raise ConfigError("k must be at least 1")
     rows = []
     doc = _report(subcommand="counterexample", rows=rows, passed=False)
@@ -415,7 +417,7 @@ def main(argv=None) -> int:
         if args.subcommand == "verify":
             return _verify_main(args)
         if args.subcommand == "counterexample":
-            doc = cmd_counterexample(list(parse_int_range(args.k)))
+            doc = cmd_counterexample(parse_int_range(args.k))
             return _emit(doc, args.out)
         seeds = [parse_scalar(s) for s in args.seeds.split(",")]
         if len(seeds) != 3:

@@ -19,15 +19,17 @@ the tables of :func:`~invrel.kernels.window_tables`, one read per window that
 every check of a verdict shares.  When every value is exact, the tables are
 scaled to integers by one denominator ``d``, the sweep runs in ``int`` and its
 worst value is divided back by ``d`` to the residual's degree, to the same
-Fraction.  There, with antisymmetric beta, TSI and the anchored sweep fold one
-tuple per orbit of their alternating indices, the orbit's first member in the
-full order, so they meet the same first maximiser, and QSI is the exact ``0``
-when TSI is.  Float or mixed tables keep their values and the sweeps evaluate
-the same terms in the same order, so float residuals are bit-identical to the
-reference.  TSI keeps the worst value of the last ``(kernel, window)``, as
-the tables are kept: QSI's rule reads it, and since the anchored ``(x, p, y)``
-is TSI's ``(p, p, x, y)`` term for term, cond3 is the exact ``0`` with no
-fold in every domain when the kept TSI value of its window is.
+Fraction.  The read also says whether the tables are alternating (scaled, and
+``B`` antisymmetric, diagonal included); there TSI and the anchored sweep
+fold one tuple per orbit of their alternating indices, the orbit's first
+member in the full order, so they meet the same first maximiser, and QSI is
+the exact ``0`` when TSI is.  Float or mixed tables keep their values and the
+sweeps evaluate the same terms in the same order, so float residuals are
+bit-identical to the reference.  This module keeps no state: TSI keeps its
+worst value in the slot that the read returns with the tables, so the value
+ends with them.  QSI's rule reads it, and since the anchored ``(x, p, y)`` is
+TSI's ``(p, p, x, y)`` term for term, cond3 is the exact ``0`` with no fold
+in every domain when the TSI value kept with its tables is.
 
 The divided differences ``[x_0..x_n]h`` of any callable ``h`` over
 pairwise-distinct nodes come in a recursive and an explicit-sum form.  Both
@@ -42,7 +44,7 @@ from itertools import combinations, product
 from typing import Callable, Sequence
 
 from .errors import DomainError, DuplicateNodes
-from .kernels import Kernel, Window, check_window, unscale, window_tables, worst_of
+from .kernels import Kernel, Window, unscale, window_tables, worst_of
 from .numerics import Scalar, reciprocal
 
 
@@ -81,47 +83,33 @@ def qsi_residual(kernel: Kernel, x: int, y: int, p: int, q: int) -> Scalar:
     )
 
 
-def _alternating(B: list, d: int | None) -> bool:
-    """Whether the tables are ``int`` and ``B[i][k] == -B[k][i]`` everywhere,
-    diagonal included, so that a transposition of two beta indices negates
-    the TSI and anchored residuals and a repeated one gives 0."""
-    return d is not None and all(Bi[k] == -B[k][i] for i, Bi in enumerate(B) for k in range(i, len(B)))
-
-
-_last_tsi: dict[tuple, Scalar] = {}  # (kernel, lo, hi) -> TSI worst value, the last one kept
-
-
 def max_tsi_residual(kernel: Kernel, window: Window) -> Scalar:
     """Largest-magnitude TSI residual over all quadruples in ``window^4``,
     the first met in the order and with the terms of :func:`tsi_residual`.
-    On an ``int`` table with antisymmetric beta the residual is alternating
-    in ``(k, p, q)``, and a triple's sorted permutation is the first of its
-    orbit in that order, so only ``k < p < q`` is folded; otherwise every
-    ``(k, p, q)`` is.  The last ``(kernel, window)``'s worst value is kept."""
-    key = (kernel, *check_window(window))
-    if (worst := _last_tsi.get(key)) is None:
-        A, B, d = window_tables(kernel, window)
+    On alternating tables the residual is alternating in ``(k, p, q)``, and a
+    triple's sorted permutation is the first of its orbit in that order, so
+    only ``k < p < q`` is folded; otherwise every ``(k, p, q)`` is.  The
+    worst value is kept in the tables' slot, and read from there again."""
+    A, B, d, alternating, kept = window_tables(kernel, window)
+    if kept[0] is None:
         w = range(len(B))
-        triples = list(combinations(w, 3) if _alternating(B, d) else product(w, repeat=3))
-        worst = unscale(worst_of(
+        triples = list(combinations(w, 3) if alternating else product(w, repeat=3))
+        kept[0] = unscale(worst_of(
             An[p] * B[q][k] + An[q] * B[k][p] + An[k] * B[p][q] for An in A for k, p, q in triples
         ), d, 2)
-        _last_tsi.clear()
-        _last_tsi[key] = worst
-    return worst
+    return kept[0]
 
 
 def max_anchored_tsi_residual(kernel: Kernel, window: Window) -> Scalar:
     """Largest-magnitude anchored residual over all triples in ``window^3``,
     the first met in the order and with the terms of
-    :func:`anchored_tsi_residual`; the exact ``0`` when the kept TSI value of
-    the same ``(kernel, window)`` is.  On an ``int`` table with antisymmetric
-    beta, swapping ``x`` and ``y`` negates the residual and ``(x, p, y)`` with
-    ``x < y`` is met first, so only ``y > x`` is folded."""
-    if _last_tsi.get((kernel, *check_window(window))) == 0:
+    :func:`anchored_tsi_residual`; the exact ``0`` when the TSI value kept
+    with the tables is.  On alternating tables, swapping ``x`` and ``y``
+    negates the residual and ``(x, p, y)`` with ``x < y`` is met first, so
+    only ``y > x`` is folded."""
+    A, B, d, alternating, kept = window_tables(kernel, window)
+    if kept[0] == 0:
         return 0
-    A, B, d = window_tables(kernel, window)
-    alternating = _alternating(B, d)
     return unscale(worst_of(
         Ap[x] * By[p] + Ap[y] * Bp[x] + Ap[p] * Bx[y]
         for x, Bx in enumerate(B)
@@ -133,10 +121,9 @@ def max_anchored_tsi_residual(kernel: Kernel, window: Window) -> Scalar:
 def max_qsi_residual(kernel: Kernel, window: Window) -> Scalar:
     """Largest-magnitude QSI residual over all quadruples in ``window^4``,
     in the order and with the terms of :func:`qsi_residual`; by the identity
-    above, the exact ``0`` on an ``int`` table with antisymmetric beta and an
-    all-zero TSI sweep."""
-    A, B, d = window_tables(kernel, window)
-    if _alternating(B, d) and max_tsi_residual(kernel, window) == 0:
+    above, the exact ``0`` on alternating tables with an all-zero TSI sweep."""
+    A, B, d, alternating, _ = window_tables(kernel, window)
+    if alternating and max_tsi_residual(kernel, window) == 0:
         return 0
     return unscale(worst_of(
         Ax[p] * Ap[y] * Bx[p] * Bq[y]

@@ -15,7 +15,10 @@ exact-mode ``int`` zero (over Q, a square ``G.F = I`` gives ``F.G = I``).
 :func:`window_tables` reads ``alpha`` and ``beta`` (a lifted kernel's as
 unreduced Ratios) over ``window^2``, scaled to integers by one common
 denominator when all values are exact; every sweep and the pair fold over
-its tables, which one verdict's checks share.
+its tables, which one verdict's checks share.  With the tables it returns
+whether they are alternating, decided once per read, and the slot where the
+TSI sweep keeps its worst value: the one place where a verdict's shared
+state lives.
 :func:`pair_from_kernel` runs :func:`f_entry` and :func:`g_entry`, whose
 guards name any zero divisor, over them into a :class:`TriangularPair` of two
 tables; the scale cancels, as each entry has as many table factors above its
@@ -289,28 +292,33 @@ def kernel_to_nodes(kernel: Kernel, pivot: int) -> NodeSequences:
 def max_antisymmetry_residual(kernel: Kernel, window: Window) -> Scalar:
     """Largest ``beta(i,k) + beta(k,i)``, ``i <= k``, over the window (0 if
     antisymmetric), folded over :func:`window_tables`, which reads alpha too."""
-    _, B, d = window_tables(kernel, window)
+    _, B, d, *_ = window_tables(kernel, window)
     return unscale(worst_of(Bi[k] + B[k][i] for i, Bi in enumerate(B) for k in range(i, len(B))), d)
 
 
-def window_tables(kernel: Kernel, window: Window) -> tuple[list, list, int | None]:
-    """``alpha`` and ``beta`` over ``window^2`` as rows ``A[i][k]``, ``B[i][k]``
-    (list indices count from the window's low end), each value read once.
-    When every value is exact, both come back scaled to integers by one common
-    denominator ``d``; otherwise both come back unchanged with ``d = None``.
-    The tables of the last ``(kernel, window)`` are kept, so every check of
-    one verdict shares one read; callers must not modify them."""
+def window_tables(kernel: Kernel, window: Window) -> tuple[list, list, int | None, bool, list]:
+    """``(A, B, d, alternating, kept)``: ``alpha`` and ``beta`` over
+    ``window^2`` as rows ``A[i][k]``, ``B[i][k]`` (list indices count from
+    the window's low end), each value read once.  When every value is exact,
+    both come back scaled to integers by one common denominator ``d``;
+    otherwise both come back unchanged with ``d = None``.  ``alternating``:
+    ``d`` is set and ``B[i][k] == -B[k][i]``, diagonal included.  ``kept`` is
+    a fresh ``[None]`` slot for the TSI sweep's worst value.  The last
+    ``(kernel, window)``'s read is kept, so every check of one verdict shares
+    it; callers must not modify the tables."""
     return _tables(kernel, *check_window(window))
 
 
 @lru_cache(maxsize=1)
-def _tables(kernel: Kernel, lo: int, hi: int) -> tuple[list, list, int | None]:
+def _tables(kernel: Kernel, lo: int, hi: int) -> tuple[list, list, int | None, bool, list]:
     idx = range(lo, hi + 1)
     alpha, beta = kernel.lifted or (kernel.alpha, kernel.beta)
     rows = [[alpha(i, k) for k in idx] for i in idx]
     rows += [[beta(i, k) for k in idx] for i in idx]
     scaled, d = integer_rows(rows)
-    return scaled[: len(idx)], scaled[len(idx) :], d
+    A, B = scaled[: len(idx)], scaled[len(idx) :]
+    alternating = d is not None and all(Bi[k] == -B[k][i] for i, Bi in enumerate(B) for k in range(i, len(B)))
+    return A, B, d, alternating, [None]
 
 
 def pair_from_entries(entries: Callable[[int, int], tuple], window: Window) -> TriangularPair:
@@ -338,7 +346,7 @@ def pair_from_kernel(kernel: Kernel, window: Window) -> TriangularPair:
     ``F(hi,k)`` below the diagonal and ``G(k,lo)`` above it.
     """
     lo, hi = check_window(window)
-    A, B, _ = window_tables(kernel, (lo, hi))
+    A, B, *_ = window_tables(kernel, (lo, hi))
     values = SimpleNamespace(alpha=lambda i, k: A[i - lo][k - lo], beta=lambda i, k: B[i - lo][k - lo])
     return pair_from_entries(lambda n, k: (f_entry(values, n, k), g_entry(values, n, k)), (lo, hi))
 

@@ -44,22 +44,24 @@ class Mutant:
     tests: tuple[str, ...]  # the owning modules, under tests/
 
 
-QSI_SHORTCUT = "    if _alternating(B, d) and max_tsi_residual(kernel, window) == 0:\n        return 0\n"
-ALTERNATING = "    return d is not None and all(Bi[k] == -B[k][i] for i, Bi in enumerate(B) for k in range(i, len(B)))\n"
+QSI_SHORTCUT = "    if alternating and max_tsi_residual(kernel, window) == 0:\n        return 0\n"
+ALTERNATING = ("    alternating = d is not None and all(Bi[k] == -B[k][i] for i, Bi in enumerate(B) "
+               "for k in range(i, len(B)))\n")
 
 MUTANTS = (
     # the QSI shortcut: the exact 0 from an all-zero TSI on an alternating int table
     Mutant("qsi-shortcut-unconditional", "identities.py", QSI_SHORTCUT,
            "    if True:\n        return 0\n", ("test_sweeps.py",)),
     Mutant("qsi-shortcut-without-tsi", "identities.py", QSI_SHORTCUT,
-           "    if _alternating(B, d):\n        return 0\n", ("test_sweeps.py",)),
-    Mutant("alternating-always-true", "identities.py", ALTERNATING,
-           "    return True\n", ("test_sweeps.py",)),
-    Mutant("alternating-always-false", "identities.py", ALTERNATING,
-           "    return False\n", ("test_sweeps.py",)),
+           "    if alternating:\n        return 0\n", ("test_sweeps.py",)),
+    # the alternation flag that each window read decides once
+    Mutant("alternating-always-true", "kernels.py", ALTERNATING,
+           "    alternating = True\n", ("test_kernels.py", "test_sweeps.py")),
+    Mutant("alternating-always-false", "kernels.py", ALTERNATING,
+           "    alternating = False\n", ("test_kernels.py", "test_sweeps.py")),
     # the orbit folds on a beta that is not antisymmetric
-    Mutant("alternating-ignores-beta", "identities.py", ALTERNATING,
-           "    return d is not None\n", ("test_sweeps.py",)),
+    Mutant("alternating-ignores-beta", "kernels.py", ALTERNATING,
+           "    alternating = d is not None\n", ("test_kernels.py", "test_sweeps.py")),
     # float bits: gasper's alpha with a changed association
     Mutant("gasper-alpha-association", "families.py",
            "        return (1 - ap(k) * q_pow(i)) * (1 - bp(k) * q_pow(i))\n",
@@ -81,12 +83,12 @@ MUTANTS = (
     Mutant("lifted-reader-copied-by-replace", "kernels.py",
            "field(default=None, init=False, repr=False, compare=False)",
            "field(default=None, repr=False, compare=False)", ("test_sweeps.py", "test_families.py")),
-    # the kept TSI value: keyed by kernel and window, and cond3 answered only by its zero
-    Mutant("tsi-memo-key-without-window", "identities.py",
-           "    key = (kernel, *check_window(window))\n", "    key = (kernel,)\n", ("test_sweeps.py",)),
+    # the kept TSI value: a fresh slot with each read, and cond3 answered only by its zero
+    Mutant("tables-share-the-kept-slot", "kernels.py",
+           "    return A, B, d, alternating, [None]\n",
+           "    return A, B, d, alternating, globals().setdefault('_kept', [None])\n", ("test_sweeps.py",)),
     Mutant("cond3-shortcut-without-tsi-zero", "identities.py",
-           "    if _last_tsi.get((kernel, *check_window(window))) == 0:\n",
-           "    if (kernel, *check_window(window)) in _last_tsi:\n", ("test_sweeps.py",)),
+           "    if kept[0] == 0:\n", "    if kept[0] is not None:\n", ("test_sweeps.py",)),
     # a float composition that does not subtract the identity on the diagonal
     Mutant("float-diagonal-minus-zero", "kernels.py",
            "acc - (scale or 1) if n == k", "acc - (scale or 0) if n == k", ("test_kernels.py",)),
@@ -204,7 +206,7 @@ MUTANTS = (
            ("test_recursions.py",)),
     # fast paths that only save work
     Mutant("tsi-orbit-fold-off", "identities.py",
-           "combinations(w, 3) if _alternating(B, d) else product(w, repeat=3)",
+           "combinations(w, 3) if alternating else product(w, repeat=3)",
            "product(w, repeat=3)", ("test_sweeps.py",)),
     Mutant("exact-div-fast-path-off", "numerics.py",
            "    if isinstance(num, int) and isinstance(den, int) and den != 0:\n",

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from invrel import DEFAULT_POLICY, FAMILIES, ConfigError, VerificationError, families
+from invrel import DEFAULT_POLICY, FAMILIES, ConfigError, DomainError, VerificationError, cli, families
 from invrel.cli import (
     _build_parser,
     cmd_counterexample,
@@ -136,6 +136,7 @@ class TestParsing:
             ("eds", "--n=-3"),
             ("counterexample", "--k=0"),
             ("counterexample", "--k=-1..2"),
+            ("counterexample", f"--k=0..{2**63}"),
             ("verify", "--family=binomial", "--checks=delta,delta"),
             ("verify", "--family=gasper", "--params=a=2,a=3"),
         ],
@@ -583,6 +584,27 @@ class TestCounterexampleCommand:
         doc = cmd_counterexample([1, 2])
         assert json.loads(json.dumps(doc)) == doc
 
+    def test_range_past_ssize_t_is_refused_without_a_walk(self, capsys):
+        code, out, err = run_cli(capsys, "counterexample", f"--k=0..{2**63}")
+        assert (code, out, err) == (2, "", "error: k must be at least 1\n")
+
+    def test_rows_of_a_huge_range_are_built_one_at_a_time(self, capsys, monkeypatch):
+        # the range is never listed: a domain failure at its third k ends the report
+        calls = Counter()
+        real = cli.counterexample_discrepancies
+
+        def third_fails(k):
+            calls.update(["k"])
+            if calls["k"] == 3:
+                raise DomainError(f"k = {k}")
+            return real(k)
+
+        monkeypatch.setattr(cli, "counterexample_discrepancies", third_fails)
+        code, out, _ = run_cli(capsys, "counterexample", f"--k=1..{2**64}")
+        doc = json.loads(out)
+        assert code == 1 and [row["k"] for row in doc["rows"]] == [1, 2]
+        assert doc["error"] == "DomainError: k = 3" and not doc["passed"]
+
     def test_value_past_the_digit_limit_is_reported(self, capsys):
         # the gap-4 value of k = 10**400 has more digits than the interpreter
         # prints as an int string: a JSON error, not a traceback
@@ -735,7 +757,7 @@ _EDS = st.tuples(
     st.integers(-1, 12).map(lambda n: f"--n={n}"),
     st.lists(_WINDOWS.map(lambda w: f"--window={w}"), max_size=1),
 ).map(lambda t: ("eds", t[0], t[1], *t[2]))
-_COUNTEREXAMPLE = st.sampled_from(("-1", "0", "1", "3", "0..2", "2..3", "x")).map(
+_COUNTEREXAMPLE = st.sampled_from(("-1", "0", "1", "3", "0..2", "2..3", f"0..{2**63}", "x")).map(
     lambda k: ("counterexample", f"--k={k}")
 )
 

@@ -317,7 +317,7 @@ class TestDiagonals:
     @pytest.mark.parametrize("family", ["warnaar", "elliptic-sum", "partial-theta"])
     def test_float_tables_and_pairs_hold_no_fraction(self, family, seed):
         kernel, window = drawn_float_preset(family, seed)
-        A, B, d = kernels.window_tables(kernel, window)
+        A, B, d, _, _ = kernels.window_tables(kernel, window)
         pair = pair_from_kernel(kernel, window)
         assert d is None
         for table in (A, B, pair.F, pair.G):

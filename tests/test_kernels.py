@@ -11,6 +11,7 @@ from itertools import permutations
 
 import pytest
 from test_golden_reports import one_sided_beta
+from test_sweeps import TAMPERINGS, shifted, tamperings
 
 from invrel import (
     FAMILIES,
@@ -512,10 +513,40 @@ EXACT_TABLES = {
 def test_window_tables_are_the_fraction_tables(family, window):
     make, params = EXACT_TABLES[family]
     kernel = make(*params)
-    A, B, d = window_tables(kernel, window)
+    A, B, d, _, _ = window_tables(kernel, window)
     assert (A, B, d) == fraction_tables(kernel, *window)
     assert type(d) is int and all(type(v) is int for row in A + B for v in row)
     assert (kernel.lifted is not None) == family.startswith(("gasper", "schlosser"))
+
+
+class TestAlternatingFlag:
+    """A read's ``alternating`` flag is ``d is not None`` and an exact zero
+    antisym residual on the same tables."""
+
+    @staticmethod
+    def flag(kernel: Kernel, window) -> bool:
+        _, _, d, alternating, _ = window_tables(kernel, window)
+        assert alternating is (d is not None and max_antisymmetry_residual(kernel, window) == 0)
+        return alternating
+
+    @pytest.mark.parametrize("window", [(0, 6), (-3, 2)], ids=str)
+    @pytest.mark.parametrize("family", EXACT_TABLES)
+    def test_exact_tables(self, family, window):
+        make, params = EXACT_TABLES[family]
+        assert self.flag(make(*params), window)
+
+    @pytest.mark.parametrize("tampering", TAMPERINGS)
+    @pytest.mark.parametrize("family", ["gasper-preset", "eds-preset"])
+    def test_tampered_tables(self, family, tampering):
+        make, params = EXACT_TABLES[family]
+        alpha, beta, antisymmetric = tamperings((0, 4), 2, 0, Fraction(1, 1000))[tampering]
+        assert self.flag(shifted(make(*params), alpha, beta), (0, 4)) is antisymmetric
+
+    def test_float_table(self):
+        # an exact antisymmetric beta next to a float alpha: the tables stay unscaled
+        kernel = gasper_kernel(Fraction(2), Fraction(3), Fraction(1, 5), 0.2, window=(0, 6))
+        assert max_antisymmetry_residual(kernel, (0, 6)) == 0
+        assert self.flag(kernel, (0, 6)) is False
 
 
 class TestUnscale:

@@ -468,6 +468,44 @@ class TestInversionTable:
             checked += 1
 
 
+class Degree:
+    """Upper bounds ``(deg num, deg den)`` of an unreduced rational function
+    of one variable, carried through ``+ - *``, negation and ``1/x``; an int
+    is a constant.  ``==`` is always False: a generic value is nonzero, so no
+    zero guard fires on it."""
+
+    def __init__(self, num: int, den: int = 0):
+        self.num, self.den = num, den
+
+    @staticmethod
+    def of(value) -> "Degree":
+        return value if isinstance(value, Degree) else Degree(0)
+
+    def __add__(self, other) -> "Degree":
+        o = Degree.of(other)
+        return Degree(max(self.num + o.den, o.num + self.den), self.den + o.den)
+
+    __radd__ = __sub__ = __rsub__ = __add__
+
+    def __mul__(self, other) -> "Degree":
+        o = Degree.of(other)
+        return Degree(self.num + o.num, self.den + o.den)
+
+    __rmul__ = __mul__
+
+    def __neg__(self) -> "Degree":
+        return self
+
+    def __rtruediv__(self, other) -> "Degree":
+        o = Degree.of(other)
+        return Degree(o.num + self.den, o.den + self.num)
+
+    def __eq__(self, other) -> bool:
+        return False
+
+    __hash__ = None
+
+
 class TestCounterexample:
     def test_gap_two_always_agrees(self):
         for k in range(1, 6):
@@ -486,6 +524,43 @@ class TestCounterexample:
             got = counterexample_discrepancies(k)
             assert got == counterexample_reference(k), k
             assert all(type(v) is Fraction for v in got), k
+
+    def test_matches_reference_for_every_k(self, monkeypatch):
+        """A proof by evaluation that each discrepancy is its printed rational
+        function of k.  The canonical seed on window ``(k, k+4)`` is linear
+        in k in every value, so running the unmodified tables and reference on
+        :class:`Degree` values bounds the degree ``D`` of the numerator of
+        code minus reference; a numerator that vanishes at ``D + 1`` points
+        is zero.  Soundness:
+
+        * The bound run takes the Scalar loops (a Degree is not exact) and
+          the CLI's evaluations the int-pair loops.  Both solve the same
+          formula; here they must give the same values at every point.
+        * A point counts only if no divisor vanishes there.  A zero ``t``,
+          ``S`` or solved beta sends the solve to the weight route, which is
+          made to raise here; any other zero divisor raises on its own.
+        * So the identity holds as rational functions, and the program's
+          output equals the printed forms at every integer ``k >= 1`` where
+          no divisor vanishes.  A ``k`` where one does would take the weight
+          route; excluding such a ``k`` is open.
+        """
+        k = Degree(1)
+        seed = BetaSeed(alpha=lambda i, j: 2 * k + i + j, t=lambda j: k + j, window=(0, 4))
+        inv, tsi = beta_table_inversion(seed), beta_table_tsi(seed)
+        with monkeypatch.context() as m:  # the reference's Fraction(num, den) as num * (1/den)
+            m.setattr(recursions, "Fraction", lambda num, den=1: num * (1 / Degree.of(den)))
+            reference = counterexample_reference(k)
+        bounds = [(inv[0, gap] - tsi[0, gap] - want).num for gap, want in zip((2, 3, 4), reference)]
+        points = range(1, max(bounds) + 2)
+
+        def fallback(*args):
+            raise AssertionError(f"weight route taken at {args[1:3]}")
+
+        monkeypatch.setattr(recursions, "beta_from_inversion", fallback)
+        on_pairs = [counterexample_discrepancies(k) for k in points]
+        monkeypatch.setattr(recursions, "is_exact", lambda value: False)
+        on_scalars = [counterexample_discrepancies(k) for k in points]
+        assert on_pairs == on_scalars == [counterexample_reference(k) for k in points]
 
     def test_triple_sum_row_is_the_closed_form(self):
         # the CLI reads row k of the TSI table; the paper's closed form must agree there

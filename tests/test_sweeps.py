@@ -49,7 +49,6 @@ from invrel import (
 )
 from invrel import identities, kernels
 from invrel.errors import VerificationError
-from invrel.identities import _alternating
 from invrel.kernels import window_tables, worst_of
 
 
@@ -148,7 +147,7 @@ def assert_identical(got, want):
 
 def orbit_fold(kernel: Kernel, window) -> bool:
     """Whether TSI and cond3 fold one representative per orbit here."""
-    return _alternating(*window_tables(kernel, window)[1:])
+    return window_tables(kernel, window)[3]
 
 
 TAMPERINGS = tuple(tamperings((0, 0), 2, 0, Fraction(1)))
@@ -306,8 +305,8 @@ class TestQsiFromTsi:
 
 
 class TestKeptTsi:
-    """The TSI sweep keeps the worst value of the last ``(kernel, window)``,
-    keyed like the window tables, so no other kernel or window reads it."""
+    """The TSI sweep keeps its worst value in the slot that comes with the
+    window tables, so no other kernel or window reads it."""
 
     @pytest.mark.parametrize("what", ["alpha", "beta"])
     def test_replaced_lifted_kernel_reads_its_own_values(self, what):
@@ -339,6 +338,16 @@ class TestKeptTsi:
             for check in ("tsi", "cond3", "qsi"):
                 assert_same_exact(SWEEPS[check][0](kernel, window), reference(check, kernel, window))
         assert max_tsi_residual(tampered, (0, 2)) == 0 != max_tsi_residual(tampered, (0, 4))
+
+    def test_kept_value_ends_with_its_tables(self, monkeypatch):
+        # another kernel's read drops the preset's tables and the 0 kept with
+        # them, so cond3 on the preset folds its own tuples again
+        kernel, window = preset("gasper")
+        assert max_tsi_residual(kernel, window) == 0
+        window_tables(perturbed(kernel, (window[0] + 3, window[0] + 1)), window)
+        got, tsi, folds = TestQsiFromTsi.sweep(monkeypatch, kernel, window, "cond3")
+        assert_same_exact(got, reference("cond3", kernel, window))
+        assert (tsi, folds) == (0, 1)
 
     def test_threads_sharing_the_kept_value_read_their_own(self):
         kernel, window = preset("gasper")
