@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 import time
 from fractions import Fraction
@@ -325,7 +326,9 @@ def cmd_eds(seeds: tuple[Scalar, Scalar, Scalar], n_max: int, window=None) -> di
 
 
 def _emit(doc: dict, out: str | None) -> int:
-    """Write the report; returns the exit status (0 iff it passed)."""
+    """Write the report; returns the exit status: 0 iff it passed, and 1 when
+    the reader closed stdout early, which then points at the null device so
+    that no flush raises."""
     text = json.dumps(doc, indent=2)
     if out:
         try:
@@ -333,7 +336,11 @@ def _emit(doc: dict, out: str | None) -> int:
         except OSError as exc:
             raise ConfigError(f"cannot write {out!r}: {exc}") from exc
     else:
-        print(text)
+        try:
+            print(text)
+        except BrokenPipeError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            return 1
     return 0 if doc["passed"] else 1
 
 

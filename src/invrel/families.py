@@ -17,8 +17,8 @@ and closed form alike, run it on the parameters :func:`_lift` returns: on
 unreduced int pairs (:class:`Ratio`) when every parameter is exact, else on
 the parameters as given, so that float and mixed closed forms keep their
 printed order of operations, ``mono * (N_1 N_2 ...) * reciprocal(D_1 D_2
-...)``, bit for bit.  The kernels reduce each alpha and beta value to its
-Fraction once, and hand the window tables the unreduced Ratios.
+...)``, bit for bit.  The window tables read a lifted kernel's unreduced
+Ratios, and its public ``alpha`` and ``beta`` reduce each to its Fraction once.
 A divisibility sequence keeps each integral term as an ``int``, so no gcd is
 taken where none is needed, and its closed forms run on the terms scaled to
 ints.  The checks of these claims live here too:
@@ -173,23 +173,12 @@ def bilinear_kernel(
     )
 
 
-def _lift(*params: Scalar) -> tuple[tuple, bool]:
-    """``(params, True)`` with each parameter as a :class:`Ratio` when all are
-    exact; else ``(params, False)`` unchanged.  A lifted gasper or schlosser
-    value, reduced once, is the Fraction that the params as Fractions give."""
+def _lift(*params: Scalar) -> tuple:
+    """Each param as a :class:`Ratio` when all are exact, else unchanged: a
+    lifted value, reduced once, is the Fraction the params as Fractions give."""
     if all(map(is_exact, params)):
-        return tuple(Ratio(v.numerator, v.denominator) for v in params), True
-    return params, False
-
-
-def _kernel(alpha: Callable, beta: Callable, name: str, lifted: bool) -> Kernel:
-    """The kernel of ``alpha`` and ``beta``; on lifted params (:func:`_lift`)
-    each value becomes its Fraction once, and ``Kernel.lifted`` its Ratio."""
-    if not lifted:
-        return Kernel(alpha, beta, name=name)
-    kernel = Kernel(lambda i, k: alpha(i, k).fraction(), lambda i, k: beta(i, k).fraction(), name=name)
-    object.__setattr__(kernel, "lifted", (alpha, beta))
-    return kernel
+        return tuple(Ratio(v.numerator, v.denominator) for v in params)
+    return params
 
 
 def _poch(x: Scalar, q: Scalar, m: int) -> Scalar:
@@ -267,7 +256,7 @@ def gasper_kernel(
         raise DegenerateParams("gasper: a must be nonzero")
     if p in (0, 1, -1) or q == 0:
         raise DegenerateParams("gasper: need p not in {0, 1, -1} and q != 0")
-    (a, b, p, q), lifted = _lift(a, b, p, q)
+    a, b, p, q = _lift(a, b, p, q)
     ba = exact_div(b, a)
     p_pow = lru_cache(maxsize=None)(lambda j: power(p, j))
     q_pow = lru_cache(maxsize=None)(lambda j: power(q, j))
@@ -281,7 +270,7 @@ def gasper_kernel(
     def beta(i: int, k: int) -> Scalar:
         return (p_pow(i) - p_pow(k)) * tail(k + i)
 
-    return _validated(_kernel(alpha, beta, "gasper", lifted), window)
+    return _validated(Kernel(alpha, beta, name="gasper"), window)
 
 
 def gasper_closed_entries(a: Scalar, b: Scalar, p: Scalar, q: Scalar) -> tuple[Callable, Callable]:
@@ -291,7 +280,7 @@ def gasper_closed_entries(a: Scalar, b: Scalar, p: Scalar, q: Scalar) -> tuple[C
         G(n,k) = p^{binom(k,2) - binom(n,2)} (1 - a p^k q^k)(1 - b p^{-k} q^k) (a p^n q^k, b q^k p^{-n}; q)_m
                  / ((1 - a p^n q^k)(1 - b p^{-n} q^k) (p, (b/a) p^{1-2n}; p)_m)
     """
-    (a, b, p, q), _ = _lift(a, b, p, q)
+    a, b, p, q = _lift(a, b, p, q)
     ba = exact_div(b, a)
     p_pow = lru_cache(maxsize=None)(lambda j: power(p, j))
     q_pow = lru_cache(maxsize=None)(lambda j: power(q, j))
@@ -334,7 +323,7 @@ def schlosser_kernel(
         raise DegenerateParams("schlosser: b must be nonzero")
     if q in (0, 1, -1):
         raise DegenerateParams("schlosser: need q not in {0, 1, -1}")
-    (a, b, c, q), lifted = _lift(a, b, c, q)
+    a, b, c, q = _lift(a, b, c, q)
     q_pow = lru_cache(maxsize=None)(lambda j: power(q, j))
     q_by_b = lru_cache(maxsize=None)(lambda j: exact_div(q_pow(j), b))
     a_q = lru_cache(maxsize=None)(lambda j: a + q_pow(j))
@@ -346,7 +335,7 @@ def schlosser_kernel(
     def beta(i: int, k: int) -> Scalar:
         return (q_pow(k) - q_pow(i)) * (c - a_bq(k) * a_bq(i))
 
-    return _validated(_kernel(alpha, beta, "schlosser", lifted), window)
+    return _validated(Kernel(alpha, beta, name="schlosser"), window)
 
 
 def schlosser_closed_entries(a: Scalar, b: Scalar, c: Scalar, q: Scalar) -> tuple[Callable, Callable]:
@@ -358,7 +347,7 @@ def schlosser_closed_entries(a: Scalar, b: Scalar, c: Scalar, q: Scalar) -> tupl
         G(n,k) = (-1)^m q^{binom(m,2)} (C_k / C_n) (q^{1-m} / b, B_n q^{k+1} / R_n; q)_m
                  / (q, B_n b q^k / R_n; q)_m
     """
-    (a, b, c, q), _ = _lift(a, b, c, q)
+    a, b, c, q = _lift(a, b, c, q)
     inv_b = reciprocal(b)
     q_pow = lru_cache(maxsize=None)(lambda j: power(q, j))
     big = lru_cache(maxsize=None)(lambda j: a + b * q_pow(j))

@@ -12,7 +12,7 @@ and :func:`verify_inversion` checks ``sum_i F(n,i) G(i,k) = delta_{n,k}``
 exhaustively over a finite index window, G.F first and F.G unless G.F is an
 exact-mode ``int`` zero (over Q, a square ``G.F = I`` gives ``F.G = I``).
 
-:func:`window_tables` reads ``alpha`` and ``beta`` (a lifted kernel's as
+:func:`window_tables` reads a kernel's ``formula`` (a lifted kernel's as
 unreduced Ratios) over ``window^2``, scaled to integers by one common
 denominator when all values are exact; every sweep and the pair fold over
 its tables, which one verdict's checks share.  With the tables it returns
@@ -122,24 +122,25 @@ def check_window(window: Window) -> Window:
 class Kernel:
     """Two-index coefficient pair driving the entry builders.
 
-    ``alpha`` and ``beta`` are memoised here, also in a kernel rebuilt by
+    :func:`window_tables` reads ``formula``, the callables as given; the
+    public ``alpha`` and ``beta`` memoise them, a :class:`Ratio` value
+    reduced to its Fraction once, also in a kernel rebuilt by
     :func:`dataclasses.replace`, so they must be pure.  ``beta_antisymmetric``
     records the expectation ``beta(i,k) = -beta(k,i)``; nothing reads it, and
     only the benchmark harness (``bench/workloads.py``) still passes it.
-    ``lifted``, set only by the lifted gasper and schlosser constructors,
-    reads the same values as unreduced :class:`Ratio` pairs for the window
-    tables; as no init field, it never outlives a rebuild.
     """
 
     alpha: Callable[[int, int], Scalar]
     beta: Callable[[int, int], Scalar]
     beta_antisymmetric: bool = True
     name: str = ""
-    lifted: tuple[Callable, Callable] | None = field(default=None, init=False, repr=False, compare=False)
+    formula: tuple[Callable, Callable] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "alpha", lru_cache(maxsize=None)(self.alpha))
-        object.__setattr__(self, "beta", lru_cache(maxsize=None)(self.beta))
+        object.__setattr__(self, "formula", (self.alpha, self.beta))
+        for name, f in zip(("alpha", "beta"), self.formula):
+            object.__setattr__(self, name, lru_cache(maxsize=None)(
+                lambda i, k, f=f: v.fraction() if isinstance(v := f(i, k), Ratio) else v))
 
 
 @dataclass(frozen=True)
@@ -299,9 +300,10 @@ def max_antisymmetry_residual(kernel: Kernel, window: Window) -> Scalar:
 def window_tables(kernel: Kernel, window: Window) -> tuple[list, list, int | None, bool, list]:
     """``(A, B, d, alternating, kept)``: ``alpha`` and ``beta`` over
     ``window^2`` as rows ``A[i][k]``, ``B[i][k]`` (list indices count from
-    the window's low end), each value read once.  When every value is exact,
-    both come back scaled to integers by one common denominator ``d``;
-    otherwise both come back unchanged with ``d = None``.  ``alternating``:
+    the window's low end), each value read once from ``kernel.formula``,
+    never through the memo.  When every value is exact, both come back scaled
+    to integers by one common denominator ``d``; otherwise both come back
+    unchanged with ``d = None``.  ``alternating``:
     ``d`` is set and ``B[i][k] == -B[k][i]``, diagonal included.  ``kept`` is
     a fresh ``[None]`` slot for the TSI sweep's worst value.  The last
     ``(kernel, window)``'s read is kept, so every check of one verdict shares
@@ -312,7 +314,7 @@ def window_tables(kernel: Kernel, window: Window) -> tuple[list, list, int | Non
 @lru_cache(maxsize=1)
 def _tables(kernel: Kernel, lo: int, hi: int) -> tuple[list, list, int | None, bool, list]:
     idx = range(lo, hi + 1)
-    alpha, beta = kernel.lifted or (kernel.alpha, kernel.beta)
+    alpha, beta = kernel.formula
     rows = [[alpha(i, k) for k in idx] for i in idx]
     rows += [[beta(i, k) for k in idx] for i in idx]
     scaled, d = integer_rows(rows)

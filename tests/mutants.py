@@ -76,13 +76,16 @@ MUTANTS = (
            "        _last = (key, _tables(kernel, *key))\n"
            "    return _last[1]\n",
            ("test_kernels.py", "test_sweeps.py")),
-    # exact window tables scaled from unreduced Ratios: the least denominator, and no stale reader
+    # exact window tables scaled from unreduced Ratios: the least denominator
     Mutant("table-scale-without-gcd", "kernels.py",
            "    return ([[v // g for v in row] for row in scaled], m // g) if g > 1 else (scaled, m)\n",
            "    return scaled, m\n", ("test_kernels.py",)),
-    Mutant("lifted-reader-copied-by-replace", "kernels.py",
-           "field(default=None, init=False, repr=False, compare=False)",
-           "field(default=None, repr=False, compare=False)", ("test_sweeps.py", "test_families.py")),
+    # the window read takes the callables as given; the public readers reduce a Ratio
+    Mutant("tables-read-the-memo", "kernels.py",
+           "    alpha, beta = kernel.formula\n", "    alpha, beta = kernel.alpha, kernel.beta\n",
+           ("test_kernels.py",)),
+    Mutant("memo-keeps-the-ratio", "kernels.py",
+           "v.fraction() if isinstance(v := f(i, k), Ratio) else v", "f(i, k)", ("test_kernels.py",)),
     # the kept TSI value: a fresh slot with each read, and cond3 answered only by its zero
     Mutant("tables-share-the-kept-slot", "kernels.py",
            "    return A, B, d, alternating, [None]\n",
@@ -178,9 +181,9 @@ MUTANTS = (
            "(v := W.w(i)).numerator * (d // v.denominator)", "(v := W.w(i)).numerator", ("test_closed_forms.py",)),
     # exact closed forms on Fractions in place of Ratio pairs
     Mutant("gasper-closed-form-unlifted", "families.py",
-           "    (a, b, p, q), _ = _lift(a, b, p, q)\n", "", ("test_closed_forms.py", "test_families.py")),
+           '    """\n    a, b, p, q = _lift(a, b, p, q)\n', '    """\n', ("test_closed_forms.py", "test_families.py")),
     Mutant("schlosser-closed-form-unlifted", "families.py",
-           "    (a, b, c, q), _ = _lift(a, b, c, q)\n", "", ("test_closed_forms.py", "test_families.py")),
+           '    """\n    a, b, c, q = _lift(a, b, c, q)\n', '    """\n', ("test_closed_forms.py", "test_families.py")),
     # the exactness both beta tables read their arithmetic from
     Mutant("every-seed-on-pairs", "recursions.py",
            "return a, all(map(is_exact, [*t_values, *a.values()]))", "return a, True", ("test_recursions.py",)),

@@ -3,9 +3,12 @@
 import contextlib
 import io
 import json
+import os
+import subprocess
 import sys
 from collections import Counter
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -617,6 +620,20 @@ class TestCounterexampleCommand:
         # k = 10**300 stays under the limit
         code, out, _ = run_cli(capsys, "counterexample", f"--k={10**300}")
         assert code == 0 and "error" not in json.loads(out)
+
+    def test_stdout_closed_after_the_first_line_ends_quietly(self):
+        # 97 KB of report outgrow the pipe buffer, so the write meets the closed pipe
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "invrel.cli", "counterexample", "--k=1..300"],
+            stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE,
+            env={**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])},
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        proc.stderr.close()
+        assert (first, err, proc.wait(timeout=60)) == (b"{\n", b"", 1)
 
 
 class TestEdsCommand:

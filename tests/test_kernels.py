@@ -11,7 +11,7 @@ from itertools import permutations
 
 import pytest
 from test_golden_reports import one_sided_beta
-from test_sweeps import TAMPERINGS, shifted, tamperings
+from test_sweeps import TAMPERINGS, preset, shifted, tamperings
 
 from invrel import (
     FAMILIES,
@@ -31,6 +31,7 @@ from invrel import (
     gasper_closed_entries,
     gasper_kernel,
     kernel_to_nodes,
+    max_anchored_tsi_residual,
     max_antisymmetry_residual,
     max_qsi_residual,
     max_tsi_residual,
@@ -516,7 +517,38 @@ def test_window_tables_are_the_fraction_tables(family, window):
     A, B, d, _, _ = window_tables(kernel, window)
     assert (A, B, d) == fraction_tables(kernel, *window)
     assert type(d) is int and all(type(v) is int for row in A + B for v in row)
-    assert (kernel.lifted is not None) == family.startswith(("gasper", "schlosser"))
+    idx = range(window[0], window[1] + 1)
+    values = [f(i, k) for f in kernel.formula for i in idx for k in idx]
+    assert all(type(v) is Ratio for v in values) == family.startswith(("gasper", "schlosser"))
+
+
+class TestFormulaRead:
+    """The window tables read the callables a kernel was given, never its
+    memo; the public readers reduce a :class:`Ratio` value to its Fraction."""
+
+    @pytest.mark.parametrize("family", [*EXACT_TABLES, "warnaar-preset"])
+    def test_window_reads_leave_the_memo_empty(self, family):
+        if family == "warnaar-preset":
+            (kernel, window), tol = preset("warnaar"), FAMILIES["warnaar"].tolerance
+        else:
+            make, params = EXACT_TABLES[family]
+            kernel, window, tol = make(*params), (1, 5), None
+        window_tables(kernel, window)
+        for sweep in (max_antisymmetry_residual, max_tsi_residual, max_qsi_residual, max_anchored_tsi_residual):
+            sweep(kernel, window)
+        assert verify_inversion(pair_from_kernel(kernel, window), tol).passed
+        assert kernel.alpha.cache_info().currsize == 0 and kernel.beta.cache_info().currsize == 0
+
+    def test_ratio_values_read_as_fractions(self):
+        # unreduced pairs of an antisymmetric beta, and the same values as Fractions
+        alpha = lambda i, k: Ratio(2 * (i + k + 1), 2 * (k + 3))
+        beta = lambda i, k: Ratio(-3 * (i - k), -3 * (i * k + 7))
+        pairs = Kernel(alpha, beta)
+        fractions = Kernel(lambda i, k: alpha(i, k).fraction(), lambda i, k: beta(i, k).fraction())
+        for i, k in [(0, 0), (2, 1), (1, 2), (4, 3)]:
+            assert type(pairs.alpha(i, k)) is Fraction and pairs.alpha(i, k) == fractions.alpha(i, k)
+            assert type(pairs.beta(i, k)) is Fraction and pairs.beta(i, k) == fractions.beta(i, k)
+        assert window_tables(pairs, (0, 4))[:3] == window_tables(fractions, (0, 4))[:3]
 
 
 class TestAlternatingFlag:
