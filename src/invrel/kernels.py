@@ -19,10 +19,14 @@ its tables, which one verdict's checks share.  With the tables it returns
 whether they are alternating, decided once per read, and the slot where the
 TSI sweep keeps its worst value: the one place where a verdict's shared
 state lives.
-:func:`pair_from_kernel` runs :func:`f_entry` and :func:`g_entry`, whose
-guards name any zero divisor, over them into a :class:`TriangularPair` of two
-tables; the scale cancels, as each entry has as many table factors above its
-fraction bar as below.  ``F(n,n)``, two empty products, is the ``int`` 1 in
+:func:`pair_from_kernel` builds a :class:`TriangularPair` of two tables from
+them; the scale cancels, as each entry has as many table factors above its
+fraction bar as below.  On int tables an entry off the diagonal is its
+neighbour times one factor, ``F(n,k) = F(n-1,k) alpha(n-1,k)/beta(n,k)``,
+``G(n,k) = G(n,k+1) alpha(k,k) alpha(k+1,n)/(alpha(k+1,k+1) beta(k,n))``, at
+one gcd each; :func:`f_entry` and :func:`g_entry`, whose guards name any zero
+divisor, build the diagonal, an entry whose new beta is zero, and all of a
+float or mixed pair.  ``F(n,n)``, two empty products, is the ``int`` 1 in
 every pair, and so is ``G(n,n)`` where ``alpha(n,n)`` is exact; a float
 ``alpha(n,n)`` keeps ``alpha(n,n) * (1/alpha(n,n))``, which need not be 1.
 When every entry is exact, :func:`verify_inversion` composes in ``int`` (row
@@ -341,16 +345,33 @@ def pair_from_entries(entries: Callable[[int, int], tuple], window: Window) -> T
 
 
 def pair_from_kernel(kernel: Kernel, window: Window) -> TriangularPair:
-    """Build the F/G pair of a kernel over a window: :func:`f_entry` and
-    :func:`g_entry` over :func:`window_tables`.  Their guards are the only
-    admissibility check of a window, and they name the entry: a zero
-    ``alpha(n,n)`` divides ``G(n,n)``, a zero ``beta(i,k)`` divides
-    ``F(hi,k)`` below the diagonal and ``G(k,lo)`` above it.
+    """Build the F/G pair of a kernel over a window from :func:`window_tables`:
+    by the neighbour steps off the diagonal of int tables, and otherwise, or
+    where the step's beta is zero, by :func:`f_entry` and :func:`g_entry`.
+    Their guards are the only admissibility check of a window, and they name
+    the entry: a zero ``alpha(n,n)`` divides ``G(n,n)``, a zero ``beta(i,k)``
+    divides ``F(hi,k)`` below the diagonal and ``G(k,lo)`` above it.
     """
     lo, hi = check_window(window)
-    A, B, *_ = window_tables(kernel, (lo, hi))
+    A, B, d, *_ = window_tables(kernel, (lo, hi))
     values = SimpleNamespace(alpha=lambda i, k: A[i - lo][k - lo], beta=lambda i, k: B[i - lo][k - lo])
-    return pair_from_entries(lambda n, k: (f_entry(values, n, k), g_entry(values, n, k)), (lo, hi))
+    last_f, last_g = [None] * len(A), [None] * len(A)  # F(n-1,k) by k, G(n,k+1) by n: the previous gap's
+
+    def entries(n: int, k: int) -> tuple[Scalar, Scalar]:
+        i, j = n - lo, k - lo
+        if d is None or i == j or B[i][j] == 0:
+            f = f_entry(values, n, k)
+        else:
+            f = Fraction(last_f[j].numerator * A[i - 1][j], last_f[j].denominator * B[i][j])
+        if d is None or i == j or B[j][i] == 0:
+            g = g_entry(values, n, k)
+        else:
+            g = Fraction(last_g[i].numerator * A[j][j] * A[j + 1][i],
+                         last_g[i].denominator * A[j + 1][j + 1] * B[j][i])
+        last_f[j], last_g[i] = f, g
+        return f, g
+
+    return pair_from_entries(entries, (lo, hi))
 
 
 def pair_from_nodes(seqs: NodeSequences, window: Window) -> TriangularPair:

@@ -92,6 +92,14 @@ MUTANTS = (
            "    return A, B, d, alternating, globals().setdefault('_kept', [None])\n", ("test_sweeps.py",)),
     Mutant("cond3-shortcut-without-tsi-zero", "identities.py",
            "    if kept[0] == 0:\n", "    if kept[0] is not None:\n", ("test_sweeps.py",)),
+    # the exact pair's neighbour steps: G's divisor alpha(k+1,k+1), and F's
+    # fallback to f_entry, whose guard names a zero beta
+    Mutant("g-step-divides-by-alpha-kk", "kernels.py",
+           "last_g[i].denominator * A[j + 1][j + 1] * B[j][i]", "last_g[i].denominator * A[j][j] * B[j][i]",
+           ("test_entry_table.py",)),
+    Mutant("f-step-without-zero-beta-fallback", "kernels.py",
+           "        if d is None or i == j or B[i][j] == 0:\n", "        if d is None or i == j:\n",
+           ("test_entry_table.py", "test_kernels.py")),
     # a float composition that does not subtract the identity on the diagonal
     Mutant("float-diagonal-minus-zero", "kernels.py",
            "acc - (scale or 1) if n == k", "acc - (scale or 0) if n == k", ("test_kernels.py",)),
@@ -102,6 +110,10 @@ MUTANTS = (
            "    if len(parts) != 2:\n", "    if False:\n", ("test_cli.py",)),
     Mutant("params-item-needs-equals", "cli.py",
            '        if "=" not in item:\n', "        if False:\n", ("test_cli.py",)),
+    Mutant("f-entry-zero-beta-guard", "kernels.py",
+           '        if b == 0:\n            raise ZeroDivisor(f"beta({i},{k}) = 0 in F(',
+           '        if False:\n            raise ZeroDivisor(f"beta({i},{k}) = 0 in F(',
+           ("test_kernels.py",)),
     Mutant("g-entry-zero-beta-guard", "kernels.py",
            '        if b == 0:\n            raise ZeroDivisor(f"beta({i},{n}) = 0 in G(',
            '        if False:\n            raise ZeroDivisor(f"beta({i},{n}) = 0 in G(',

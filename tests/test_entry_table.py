@@ -6,13 +6,14 @@ F.G only when G.F is not an exact-mode ``int`` zero.  The references
 here are the public entry functions ``f_entry``/``g_entry`` on the kernel
 itself, plain factor-by-factor loops over the kernel, and a plain
 left-to-right Fraction sum over the entries, so the table must agree
-exactly: equal with the same printed Fraction on exact kernels,
+exactly: equal with the same printed Fraction and type on exact kernels,
 ``repr``-identical wherever a float enters.
 """
 
 import random
 from fractions import Fraction
 from itertools import chain
+from types import SimpleNamespace
 
 import pytest
 
@@ -217,7 +218,9 @@ class TestExactTable:
         for k in range(lo, hi + 1):
             for n in range(k, hi + 1):
                 for got, reference in ((F, f_entry), (F, loop_f), (G, g_entry), (G, loop_g)):
-                    assert_same_exact(got[n - lo][k - lo], reference(kernel, n, k))
+                    value, expected = got[n - lo][k - lo], reference(kernel, n, k)
+                    assert_same_exact(value, expected)
+                    assert type(value) is type(expected) is (int if n == k else Fraction)
 
     def test_residuals_match_the_fraction_sums(self, family, perturbation, compositions):
         kernel, window = exact_case(family, perturbation)
@@ -360,3 +363,115 @@ class TestBothCompositions:
         report = verify_inversion(pair, 1e-9)
         assert report.passed and report.worst_value == 0
         assert_orders(compositions, pair, ["G.F", "F.G"])
+
+
+def pointwise_pair(kernel: Kernel, window) -> TriangularPair:
+    """The pair from ``f_entry``/``g_entry`` at every entry, over the same
+    window tables as ``pair_from_kernel``, through ``pair_from_entries``."""
+    lo, _ = window
+    A, B, *_ = kernels.window_tables(kernel, window)
+    values = SimpleNamespace(alpha=lambda i, k: A[i - lo][k - lo], beta=lambda i, k: B[i - lo][k - lo])
+    return pair_from_entries(lambda n, k: (f_entry(values, n, k), g_entry(values, n, k)), window)
+
+
+def assert_same_pair(got: TriangularPair, want: TriangularPair):
+    """Equal entry by entry, in value and in type: the int 1 on the diagonal
+    of an exact pair, a Fraction off it."""
+    assert got.window == want.window
+    for table, reference in ((got.F, want.F), (got.G, want.G)):
+        assert [len(row) for row in table] == [len(row) for row in reference]
+        for row, reference_row in zip(table, reference):
+            for value, expected in zip(row, reference_row):
+                assert type(value) is type(expected) and value == expected
+
+
+def bench_like_draw(family: str, seed: int) -> tuple[Kernel, tuple[int, int]]:
+    """A gasper or schlosser kernel on 0..16, or an eds kernel on 1..11 to
+    1..13, with parameters drawn from the benchmark's choice lists, drawn
+    again until its pair builds."""
+    rng = random.Random(f"delta-exact:{family}:{seed}")
+    pick = rng.choice
+    while True:
+        window = (1, rng.randint(11, 13)) if family == "eds" else (0, 16)
+        if family == "gasper":
+            params = {"a": Fraction(pick((2, 3, 4, 5, -2, -3))), "b": Fraction(pick((3, 5, 7, -3, -5, -7))),
+                      "p": Fraction(pick((1, 2, 3)), pick((5, 7, 11, 13))), "q": Fraction(1, pick((3, 5, 7, 9)))}
+        elif family == "schlosser":
+            params = {"a": Fraction(pick((1, 2, 3)), pick((2, 3, 5))), "b": Fraction(pick((2, 3, 5, -2, -3))),
+                      "c": Fraction(pick((5, 6, 7, 8, 9, 11))), "q": Fraction(pick((1, 2)), pick((3, 5, 7)))}
+        else:
+            params = {"w2": Fraction(pick((1, -1))), "w3": Fraction(pick((-4, -3, -2, -1, 1, 2, 3, 4))),
+                      "w4": Fraction(pick((-4, -3, -2, -1, 1, 2, 3, 4)))}
+        try:
+            kernel = FAMILIES[family].build(params, window, DEFAULT_POLICY)[0]
+            pair_from_kernel(kernel, window)
+        except VerificationError:
+            continue
+        return kernel, window
+
+
+DELTA_WINDOWS = {
+    **{f"binomial-{lo}..{lo + 44}": (lambda lo=lo: (binomial_kernel(), (lo, lo + 44))) for lo in range(-3, 4)},
+    **{
+        f"{family}-draw-{seed}": (lambda family=family, seed=seed: bench_like_draw(family, seed))
+        for family in ("gasper", "schlosser", "eds")
+        for seed in range(4)
+    },
+}
+
+
+class TestNeighbourSteps:
+    """On scaled int tables each off-diagonal entry is its neighbour times one
+    alpha/beta factor; the pair is the pointwise one, entry for entry and error
+    for error."""
+
+    @pytest.mark.parametrize("name", DELTA_WINDOWS)
+    def test_exact_pair_is_the_pointwise_pair(self, name):
+        kernel, window = DELTA_WINDOWS[name]()
+        assert kernels.window_tables(kernel, window)[2] is not None
+        pair = pair_from_kernel(kernel, window)
+        assert_same_pair(pair, pointwise_pair(kernel, window))
+        assert all(type(row[-1]) is int for row in chain(pair.F, pair.G))
+        assert all(type(v) is Fraction for row in chain(pair.F, pair.G) for v in row[:-1])
+
+    @staticmethod
+    def tampered(alpha_zero=(), beta_zero=()) -> Kernel:
+        """Gasper's preset with the alpha entries ``alpha_zero`` and the beta
+        entries ``beta_zero`` set to 0."""
+        base, _ = EXACT["gasper"]
+        return Kernel(
+            alpha=lambda i, k: 0 if (i, k) in alpha_zero else base.alpha(i, k),
+            beta=lambda i, k: 0 if (i, k) in beta_zero else base.beta(i, k),
+        )
+
+    @pytest.mark.parametrize(
+        "zeros, message",
+        [
+            ({"beta_zero": {(3, 2)}}, "entry (3,2): beta(3,2) = 0 in F(3,2)"),  # below, gap 1
+            ({"beta_zero": {(4, 2)}}, "entry (4,2): beta(4,2) = 0 in F(4,2)"),  # below, gap 2
+            ({"beta_zero": {(5, 2)}}, "entry (5,2): beta(5,2) = 0 in F(5,2)"),  # below, gap 3
+            ({"beta_zero": {(5, 2), (2, 5)}}, "entry (5,2): beta(5,2) = 0 in F(5,2)"),  # F before G
+            ({"beta_zero": {(2, 5)}}, "entry (5,2): beta(2,5) = 0 in G(5,2)"),  # above only
+            ({"beta_zero": {(4, 5)}}, "entry (5,4): beta(4,5) = 0 in G(5,4)"),  # above only, gap 1
+            ({"alpha_zero": {(3, 3)}}, "entry (3,3): alpha(3,3) = 0 in G(3,3)"),  # mid-window diagonal
+            ({"alpha_zero": {(3, 3)}, "beta_zero": {(2, 1)}}, "entry (3,3): alpha(3,3) = 0 in G(3,3)"),
+        ],
+    )
+    def test_errors_are_the_pointwise_errors(self, zeros, message):
+        kernel, window = self.tampered(**zeros), (0, 6)
+        with pytest.raises(VerificationError) as want:
+            pointwise_pair(kernel, window)
+        with pytest.raises(VerificationError) as got:
+            pair_from_kernel(kernel, window)
+        assert type(got.value) is type(want.value) and str(got.value) == str(want.value) == message
+        assert type(got.value.__cause__) is type(want.value.__cause__)
+
+    @pytest.mark.parametrize("at", [(3, 1), (1, 3), (1, 0)])
+    def test_zero_off_diagonal_alpha_stays_an_exact_zero(self, at):
+        kernel, window = self.tampered(alpha_zero={at}), (0, 6)
+        pair = pair_from_kernel(kernel, window)
+        assert_same_pair(pair, pointwise_pair(kernel, window))
+        i, k = at
+        # below the diagonal alpha(i,k) enters F(n,k), n > i; above it, G(k,m), m < i
+        zeros = [pair.F[n][k] for n in range(i + 1, 7)] if i > k else [pair.G[k][m] for m in range(i)]
+        assert zeros and all(type(v) is Fraction and v == 0 for v in zeros)

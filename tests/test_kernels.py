@@ -297,13 +297,17 @@ class TestWindowValidation:
             except VerificationError as exc:
                 assert type(exc) is expected and type(exc.__cause__) is expected
                 assert re.match(r"entry \(-?\d+,-?\d+\): ", str(exc))
+                # the same error, text included, as the pointwise build's
+                with pytest.raises(expected, match=f"^{re.escape(str(exc))}$"):
+                    pair_from_entries(lambda n, k: (f_entry(kernel, n, k), g_entry(kernel, n, k)), (lo, hi))
                 outcomes[expected.__name__] += 1
                 continue
             assert expected is None
             for k in idx:
                 for n in range(k, hi + 1):
-                    assert pair.F[n - lo][k - lo] == f_entry(kernel, n, k)
-                    assert pair.G[n - lo][k - lo] == g_entry(kernel, n, k)
+                    for got, want in ((pair.F[n - lo][k - lo], f_entry(kernel, n, k)),
+                                      (pair.G[n - lo][k - lo], g_entry(kernel, n, k))):
+                        assert type(got) is type(want) and got == want
             outcomes["built"] += 1
         assert min(outcomes[key] for key in ("ZeroDiagonal", "ZeroDivisor", "built")) >= 50
 
